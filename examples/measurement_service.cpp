@@ -155,8 +155,8 @@ int main(int argc, char** argv) {
   }
   std::printf("\n%s\n", metrics::report().c_str());
   if (metrics::enabled()) {
-    const metrics::RegionStats dhop = metrics::get("dhop_eo");
-    const metrics::RegionStats linalg = metrics::get("cg_linalg");
+    const metrics::RegionStats dhop = metrics::get("dhop_eo_block");
+    const metrics::RegionStats linalg = metrics::get("block_cg_linalg");
     if (dhop.gb_per_sec() <= 0.0 || dhop.gflop_per_sec() <= 0.0 ||
         linalg.gb_per_sec() <= 0.0 || linalg.gflop_per_sec() <= 0.0) {
       std::printf("FAIL: metrics enabled but dhop/linalg rates are zero\n");

@@ -77,6 +77,8 @@ class DistributedWilsonDirac {
         mode_(mode),
         grid_(decomp.grid(rank)),
         stencil_(grid_),
+        tmp_g5_(grid_),
+        tmp_m_(grid_),
         u_fwd_{gauge_local.U[0], gauge_local.U[1], gauge_local.U[2],
                gauge_local.U[3]},
         u_bwd_{lattice::Cshift(gauge_local.U[0], 0, -1),
@@ -205,9 +207,8 @@ class DistributedWilsonDirac {
 
   /// M^dag via gamma_5 hermiticity (gamma5 is site-local: no extra comms).
   void mdag(const Fermion& in, Fermion& out) const {
-    Fermion tmp(grid_);
-    qcd::apply_gamma5(in, tmp);
-    m(tmp, out);
+    qcd::apply_gamma5(in, tmp_g5_);
+    m(tmp_g5_, out);
     qcd::apply_gamma5(out, out);
   }
 
@@ -216,9 +217,8 @@ class DistributedWilsonDirac {
   /// same-(from,to,tag) messages FIFO, and each completes its own faces
   /// before the next posts.
   void mdag_m(const Fermion& in, Fermion& out) const {
-    Fermion tmp(grid_);
-    m(in, tmp);
-    mdag(tmp, out);
+    m(in, tmp_m_);
+    mdag(tmp_m_, out);
   }
 
   // --- exact global reductions --------------------------------------------
@@ -433,6 +433,11 @@ class DistributedWilsonDirac {
   Compression mode_;
   const lattice::GridCartesian* grid_;
   lattice::Stencil stencil_;
+  // mdag/mdag_m intermediates, as WilsonDirac's: both run every CG
+  // iteration.  Distinct because mdag_m's stays live across the nested
+  // mdag.  Not thread-safe across concurrent applications of one operator.
+  mutable Fermion tmp_g5_;
+  mutable Fermion tmp_m_;
   // Double-stored gauge like WilsonDirac; u_bwd_[split]'s edge slice is
   // completed from the neighbour's face at first use.
   qcd::LatticeColourMatrix<S> u_fwd_[lattice::Nd];

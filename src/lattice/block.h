@@ -11,9 +11,9 @@
 // support/parallel.h with an element-wise ColumnArray accumulator: column
 // j's floating-point grouping is exactly the grouping the single-field
 // innerProduct/norm2 would produce, so per-column results are BITWISE
-// identical to running the sequential kernels column by column -- the
-// block solver's N=1 bitwise contract and the N>1 determinism contract
-// both reduce to this property (docs/ARCHITECTURE.md, "Multi-RHS").
+// identical at every width N -- which is why column j of a 12-wide batched
+// solve equals the single (N = 1) solve of that column bit for bit
+// (docs/ARCHITECTURE.md, "Multi-RHS").
 #pragma once
 
 #include <array>
@@ -157,28 +157,6 @@ void block_axpy(BlockLattice<vobj, N, GridT>& r, const C& a,
   });
 }
 
-/// Masked per-column axpy with per-column coefficients:
-/// r_j = a_j x_j + y_j for active columns; frozen columns untouched.
-template <class vobj, int N, class GridT>
-void block_axpy(BlockLattice<vobj, N, GridT>& r, const std::array<double, N>& a,
-                const BlockLattice<vobj, N, GridT>& x,
-                const BlockLattice<vobj, N, GridT>& y, const ColumnMask<N>& active) {
-  x.check_same(y);
-  using simd_type = typename BlockLattice<vobj, N, GridT>::simd_type;
-  std::array<simd_type, N> coeff;
-  for (int j = 0; j < N; ++j)
-    coeff[static_cast<std::size_t>(j)] =
-        simd_type{typename simd_type::scalar_type(a[static_cast<std::size_t>(j)])};
-  thread_for(x.osites(), [&](std::int64_t o) {
-    const vobj* xs = x.site(o);
-    const vobj* ys = y.site(o);
-    vobj* rs = r.site(o);
-    for (int j = 0; j < N; ++j)
-      if (active[static_cast<std::size_t>(j)])
-        rs[j] = coeff[static_cast<std::size_t>(j)] * xs[j] + ys[j];
-  });
-}
-
 /// Per-column |a_j|^2.  Column j's chunked summation tree is identical to
 /// norm2(column j) -- bitwise equal results, any N.
 template <class vobj, int N, class GridT>
@@ -190,27 +168,6 @@ std::array<double, N> block_norm2(const BlockLattice<vobj, N, GridT>& a) {
         const vobj* as = a.site(o);
         Acc t;
         for (int j = 0; j < N; ++j) t.v[j] = tensor::innerProduct(as[j], as[j]);
-        return t;
-      });
-  std::array<double, N> out;
-  for (int j = 0; j < N; ++j)
-    out[static_cast<std::size_t>(j)] = std::real(reduce(acc.v[j]));
-  return out;
-}
-
-/// Per-column Re<a_j, b_j> (the CG pAp term).
-template <class vobj, int N, class GridT>
-std::array<double, N> block_inner_real(const BlockLattice<vobj, N, GridT>& a,
-                                       const BlockLattice<vobj, N, GridT>& b) {
-  a.check_same(b);
-  using simd_type = typename BlockLattice<vobj, N, GridT>::simd_type;
-  using Acc = ColumnArray<simd_type, N>;
-  const Acc acc =
-      parallel_reduce(a.osites(), Acc::filled(simd_type::zero()), [&](std::int64_t o) {
-        const vobj* as = a.site(o);
-        const vobj* bs = b.site(o);
-        Acc t;
-        for (int j = 0; j < N; ++j) t.v[j] = tensor::innerProduct(as[j], bs[j]);
         return t;
       });
   std::array<double, N> out;
@@ -289,32 +246,74 @@ void block_xp_update(BlockLattice<vobj, N, GridT>& x, BlockLattice<vobj, N, Grid
   });
 }
 
-/// Extract one parity of a full block field (all columns at once).
-template <class vobj, int N>
-void pick_checkerboard(const BlockLattice<vobj, N>& full,
-                       BlockLattice<vobj, N, GridRedBlackCartesian>& half) {
-  const GridRedBlackCartesian* rb = half.grid();
-  SVELAT_ASSERT_MSG(*rb->full_grid() == *full.grid(),
-                    "checkerboard does not view this full grid");
-  thread_for(rb->osites(), [&](std::int64_t h) {
-    const vobj* fs = full.site(rb->full_osite(h));
-    vobj* hs = half.site(h);
-    for (int j = 0; j < N; ++j) hs[j] = fs[j];
-  });
+// Width-1 block fields are single fields to the generic Krylov loops
+// (solver/bicgstab.h over BlockSchurEvenOddWilson<S, 1>).  These are the
+// free functions those loops call, each lattice.h's per-site expression
+// through the same reduction tree, so a loop over a width-1 block computes
+// the bits it would compute over the column as a Lattice.
+
+template <class vobj, class GridT>
+void sub(BlockLattice<vobj, 1, GridT>& r, const BlockLattice<vobj, 1, GridT>& x,
+         const BlockLattice<vobj, 1, GridT>& y) {
+  block_sub(r, x, y);
 }
 
-/// Deposit a half block field into the matching parity of a full one.
+template <class vobj, class GridT, typename C>
+void axpy(BlockLattice<vobj, 1, GridT>& r, const C& a, const BlockLattice<vobj, 1, GridT>& x,
+          const BlockLattice<vobj, 1, GridT>& y) {
+  block_axpy(r, a, x, y);
+}
+
+template <class vobj, class GridT>
+auto innerProduct(const BlockLattice<vobj, 1, GridT>& a,
+                  const BlockLattice<vobj, 1, GridT>& b) {
+  a.check_same(b);
+  using simd_type = typename BlockLattice<vobj, 1, GridT>::simd_type;
+  const simd_type acc = parallel_reduce(a.osites(), simd_type::zero(), [&](std::int64_t o) {
+    return tensor::innerProduct(a.at(o, 0), b.at(o, 0));
+  });
+  return reduce(acc);
+}
+
+template <class vobj, class GridT>
+double norm2(const BlockLattice<vobj, 1, GridT>& a) {
+  return std::real(innerProduct(a, a));
+}
+
+template <class vobj, class GridT, typename C>
+double axpy_norm2(BlockLattice<vobj, 1, GridT>& r, const C& a,
+                  const BlockLattice<vobj, 1, GridT>& x,
+                  const BlockLattice<vobj, 1, GridT>& y) {
+  x.check_same(y);
+  using simd_type = typename BlockLattice<vobj, 1, GridT>::simd_type;
+  const simd_type coeff{typename simd_type::scalar_type(a)};
+  const simd_type acc = parallel_reduce(x.osites(), simd_type::zero(), [&](std::int64_t o) {
+    const vobj v = coeff * x.at(o, 0) + y.at(o, 0);
+    r.at(o, 0) = v;
+    return tensor::innerProduct(v, v);
+  });
+  return std::real(reduce(acc));
+}
+
+/// Extract one parity of a full field into column j of a half block field.
 template <class vobj, int N>
-void set_checkerboard(BlockLattice<vobj, N>& full,
-                      const BlockLattice<vobj, N, GridRedBlackCartesian>& half) {
+void pick_checkerboard(const Lattice<vobj>& full,
+                       BlockLattice<vobj, N, GridRedBlackCartesian>& half, int j) {
   const GridRedBlackCartesian* rb = half.grid();
   SVELAT_ASSERT_MSG(*rb->full_grid() == *full.grid(),
                     "checkerboard does not view this full grid");
-  thread_for(rb->osites(), [&](std::int64_t h) {
-    vobj* fs = full.site(rb->full_osite(h));
-    const vobj* hs = half.site(h);
-    for (int j = 0; j < N; ++j) fs[j] = hs[j];
-  });
+  thread_for(rb->osites(), [&](std::int64_t h) { half.at(h, j) = full[rb->full_osite(h)]; });
+}
+
+/// Deposit column j of a half block field into the matching parity of a
+/// full field.
+template <class vobj, int N>
+void set_checkerboard(Lattice<vobj>& full,
+                      const BlockLattice<vobj, N, GridRedBlackCartesian>& half, int j) {
+  const GridRedBlackCartesian* rb = half.grid();
+  SVELAT_ASSERT_MSG(*rb->full_grid() == *full.grid(),
+                    "checkerboard does not view this full grid");
+  thread_for(rb->osites(), [&](std::int64_t h) { full[rb->full_osite(h)] = half.at(h, j); });
 }
 
 }  // namespace svelat::lattice

@@ -15,26 +15,30 @@
 // "dhop_oe_block") carry this amortized byte model, so the saving is an
 // observable GB/s / bytes-per-solve number in bench_cg --json.
 //
+// The Schur operator and its solve driver exist only here: a single
+// right-hand side is N = 1, so the facade's single solves and its 12-wide
+// propagator batches run the same code.
+//
 // Correctness contract: column j of every batched kernel performs the
-// SAME floating-point operations in the SAME order as the sequential
-// kernel on that column alone -- neighbour copy, boundary lane
-// permutation, half-spinor projection, SU(3) multiply, reconstruction,
-// in the same fwd/bwd-per-mu order.  The fusion hooks are exact too:
-// the in-register gamma5 on loads/stores reproduces what the separate
-// gamma5 field passes would store (a pure sign flip), and the fused
-// diagonal update computes the identical a*in + b*acc values the
-// separate sweep would.  Batched operator applications are therefore
-// bitwise equal to sequential applications per column; only the fused
-// pAp reduction of mhat_norm2 regroups a sum (documented there), which
-// is how the facade's N=1 bitwise / N>1 eps-bounded contract is met
-// (see docs/ARCHITECTURE.md "Multi-RHS block engine").
+// SAME floating-point operations in the SAME order at every width N --
+// neighbour copy, boundary lane permutation, half-spinor projection,
+// SU(3) multiply, reconstruction, in the same fwd/bwd-per-mu order -- and
+// every per-column reduction runs the same chunked tree.  The fusion
+// hooks are exact too: the in-register gamma5 on loads/stores reproduces
+// what separate gamma5 field passes would store (a pure sign flip), and
+// the fused diagonal update computes the identical a*in + b*acc values a
+// separate sweep would.  Column j of an N-wide solve is therefore bitwise
+// the N = 1 solve of that column (see docs/ARCHITECTURE.md "Multi-RHS
+// block engine").
 #pragma once
 
 #include <array>
+#include <span>
 
 #include "lattice/block.h"
 #include "qcd/even_odd.h"
 #include "qcd/wilson.h"
+#include "solver/result.h"
 
 namespace svelat::qcd {
 
@@ -51,17 +55,6 @@ using HalfBlockFermion =
 /// column.
 inline constexpr double block_dhop_reals_per_site(int n) {
   return 9.0 * (Ns * Nc * 2) * n + 8.0 * (Nc * Nc * 2);
-}
-
-/// out_j = gamma5 in_j for every column.
-template <class S, int N, class GridT>
-void block_apply_gamma5(const lattice::BlockLattice<SpinColourVector<S>, N, GridT>& in,
-                        lattice::BlockLattice<SpinColourVector<S>, N, GridT>& out) {
-  thread_for(in.osites(), [&](std::int64_t o) {
-    const SpinColourVector<S>* is = in.site(o);
-    SpinColourVector<S>* os = out.site(o);
-    for (int j = 0; j < N; ++j) os[j] = gamma5(is[j]);
-  });
 }
 
 namespace detail {
@@ -235,9 +228,10 @@ class BlockWilsonDirac {
   double flops_;
 };
 
-/// Batched Schur operator Mhat over even half block fields: the multi-RHS
-/// view of an existing SchurEvenOddWilson (shares parity stencils and
-/// split gauge through WilsonDiracEO's accessors).
+/// The Schur operator Mhat over N columns of even half block fields -- the
+/// only Schur operator; one right-hand side is N = 1.  A view of an
+/// existing SchurEvenOddWilson (shares parity stencils and split gauge
+/// through WilsonDiracEO's accessors).
 template <class S, int N>
 class BlockSchurEvenOddWilson {
  public:
@@ -291,8 +285,8 @@ class BlockSchurEvenOddWilson {
   /// Mhat^dag = gamma5 Mhat gamma5, both gamma5 applications fused into
   /// the two hopping sweeps (gamma5 on the neighbour loads of the first,
   /// gamma5 + diagonal on the store of the second) -- zero extra field
-  /// passes, and the in-register sign flips reproduce the sequential
-  /// pass-by-pass values bit for bit.
+  /// passes, and the in-register sign flips reproduce the pass-by-pass
+  /// values bit for bit.
   void mhat_dag(const HalfBlock& in, HalfBlock& out) const {
     const WilsonDiracEO<S>& k = base_->kernels();
     {
@@ -314,13 +308,11 @@ class BlockSchurEvenOddWilson {
   /// the same sweep.  This is the block CG's pAp term on the normal
   /// equations -- <p, Mhat^dag Mhat p> = |Mhat p|^2 exactly -- computed
   /// for free while the result of the second hopping sweep is still in
-  /// registers, saving the separate two-pass innerProduct of the
-  /// sequential loop.  NOTE the reduction-order contract: the value
-  /// equals the sequential pAp in exact arithmetic but regroups the sum
-  /// (per-site |v|^2 through the deterministic chunked tree instead of
-  /// innerProduct(p, Ap)), so block solves track sequential ones to
-  /// rounding (eps) rather than bitwise.  The chunked tree itself keeps
-  /// the result thread-count-invariant and column-independent.
+  /// registers, saving a separate two-pass innerProduct(p, Ap).  The
+  /// value equals that inner product in exact arithmetic but regroups the
+  /// sum (per-site |v|^2 through the deterministic chunked tree); the tree
+  /// keeps it thread-count-invariant and column-independent, so a
+  /// column's CG is the same arithmetic at every width.
   std::array<double, N> mhat_norm2(const HalfBlock& in, HalfBlock& out) const {
     dhop_oe(in, tmp_odd_);
     const WilsonDiracEO<S>& k = base_->kernels();
@@ -367,17 +359,18 @@ class BlockSchurEvenOddWilson {
   }
 
   const SchurEvenOddWilson<S>* base_;
-  // Hot-loop scratch, mirroring SchurEvenOddWilson's (not thread-safe
-  // across concurrent applications; the solvers apply sequentially).
+  // Hot-loop scratch (not thread-safe across concurrent applications; the
+  // solvers apply sequentially).  Distinct buffers because mhat_dag_mhat's
+  // intermediate stays live across the nested mhat_dag.
   mutable HalfBlock tmp_odd_;
   mutable HalfBlock tmp_mhat_;
   double half_bytes_;  ///< amortized wall-clock model per application
   double half_flops_;
 };
 
-/// Half block-field scratch of one batched Schur solve, mirroring
-/// SchurWorkspace slot for slot.  Owned by the facade's per-width block
-/// engine so repeated batched solves allocate nothing.
+/// Half block-field scratch of the Schur driver (block_schur_half_solve).
+/// Owned by the facade's per-width engine so repeated solves allocate
+/// nothing.
 template <class S, int N>
 struct BlockSchurWorkspace {
   using HalfBlock = HalfBlockFermion<S, N>;
@@ -386,7 +379,6 @@ struct BlockSchurWorkspace {
       : b_e(eo.even_grid()),
         b_o(eo.odd_grid()),
         b_prime(eo.even_grid()),
-        rhs(eo.even_grid()),
         x_e(eo.even_grid()),
         x_o(eo.odd_grid()),
         tmp_e(eo.even_grid()),
@@ -396,7 +388,6 @@ struct BlockSchurWorkspace {
 
   HalfBlock b_e, b_o;    ///< parity split of the right-hand sides
   HalfBlock b_prime;     ///< even-parity Schur right-hand sides
-  HalfBlock rhs;         ///< Mhat^dag b' (normal-equation CG target)
   HalfBlock x_e, x_o;    ///< parity pieces of the solutions
   HalfBlock tmp_e, tmp_o;
   HalfBlock r_e, r_o;    ///< true-residual pieces
@@ -404,23 +395,29 @@ struct BlockSchurWorkspace {
 
 namespace detail {
 
-/// Batched analogue of schur_half_solve: split all N right-hand sides,
-/// form the even-parity Schur systems, run `solve_even` (the batched CG)
-/// on them, reconstruct odd solutions and per-column full-system true
-/// residuals.  Every shared coefficient is column-independent, and every
-/// per-column reduction follows the sequential tree, so column j's
-/// numbers are bitwise the sequential schur_half_solve's.
+/// The Schur solve of N right-hand sides b[j] into x[j]: split them by
+/// parity, form the even-parity Schur systems b'_e, run `solve_even` (the
+/// Krylov solve of Mhat on the even half lattice) on them, reconstruct
+/// odd solutions and per-column full-system true residuals -- everything
+/// on half-volume fields (the full operator is never applied).  Every
+/// shared coefficient is column-independent and every per-column
+/// reduction follows the single-column tree, so column j's numbers are
+/// bitwise the N = 1 solve's.
 template <class S, int N, class SolveEven>
 std::array<solver::SolverResult, N> block_schur_half_solve(
     const BlockSchurEvenOddWilson<S, N>& eo, BlockSchurWorkspace<S, N>& ws,
-    const BlockFermion<S, N>& b, BlockFermion<S, N>& x, const SolveEven& solve_even) {
+    std::span<const LatticeFermion<S>, static_cast<std::size_t>(N)> b,
+    std::span<LatticeFermion<S>, static_cast<std::size_t>(N)> x, const SolveEven& solve_even) {
   using namespace lattice;
   const GridRedBlackCartesian* ge = eo.even_grid();
   const GridRedBlackCartesian* go = eo.odd_grid();
   const double d = eo.diag();
 
-  pick_checkerboard(b, ws.b_e);
-  pick_checkerboard(b, ws.b_o);
+  for (int j = 0; j < N; ++j) {
+    const LatticeFermion<S>& bj = b[static_cast<std::size_t>(j)];
+    pick_checkerboard(bj, ws.b_e, j);
+    pick_checkerboard(bj, ws.b_o, j);
+  }
 
   // 1. b'_e = b_e + (1/(2(4+m))) Dh_eo b_o     (Meo = -Dh_eo/2)
   eo.dhop_eo(ws.b_o, ws.tmp_e);
@@ -442,8 +439,11 @@ std::array<solver::SolverResult, N> block_schur_half_solve(
     });
   }
 
-  set_checkerboard(x, ws.x_e);
-  set_checkerboard(x, ws.x_o);
+  for (int j = 0; j < N; ++j) {
+    LatticeFermion<S>& xj = x[static_cast<std::size_t>(j)];
+    set_checkerboard(xj, ws.x_e, j);
+    set_checkerboard(xj, ws.x_o, j);
+  }
 
   // Per-column true residual of the full system, from half pieces:
   // (M x)_p = (4+m) x_p - (1/2) Dh_{p,1-p} x_{1-p}.

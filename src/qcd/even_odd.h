@@ -14,20 +14,20 @@
 // production solver structure in Grid and every other LQCD code (the
 // "iterative solvers" of paper Sec. II-A are e/o-preconditioned CG).
 //
-// The production implementation lives here: SchurEvenOddWilson on true
-// half-checkerboard fields (lattice/red_black.h) with the
-// parity-restricted kernels dhop_eo/dhop_oe (qcd/wilson.h) -- half the
-// memory footprint and half the per-iteration traffic/instructions of a
-// zero-padded formulation.  Physics code drives it through the
-// solver::WilsonSolver facade (solver/solver.h); the historical
-// zero-padded EvenOddWilson path survives only as a test oracle
-// (tests/qcd/padded_oracle.h), against which the half kernels are bitwise
-// checked site by site (test_even_odd HalfKernelMatchesZeroPadded*).
+// SchurEvenOddWilson here holds the production data: the parity-split
+// gauge field and the parity-restricted kernels dhop_eo/dhop_oe
+// (qcd/wilson.h) on true half-checkerboard fields (lattice/red_black.h) --
+// half the memory footprint and half the per-iteration traffic of a
+// zero-padded formulation.  The operator over it, at any number of
+// right-hand sides, and the Schur solve driver are in qcd/block.h; physics
+// code drives them through the solver::WilsonSolver facade
+// (solver/solver.h).  The historical zero-padded EvenOddWilson path
+// survives only as a test oracle (tests/qcd/padded_oracle.h), against
+// which the half kernels are bitwise checked site by site
+// (test_even_odd DhopEoOeMatchZeroPaddedBitwise, HalfMhatMatchesZeroPaddedMhat).
 #pragma once
 
-#include "qcd/gamma.h"
 #include "qcd/wilson.h"
-#include "solver/result.h"
 
 namespace svelat::qcd {
 
@@ -62,21 +62,15 @@ class Checkerboard {
   std::vector<std::uint8_t> parity_;
 };
 
-/// Schur operator Mhat on the even half lattice, built on the
-/// parity-restricted kernels.  All operands are half-volume fields: one
-/// mhat application does the dhop work of exactly one full-lattice dhop
-/// (two half-volume hops) instead of the two full-volume dhops (half of
-/// them dead sites) the zero-padded oracle executes.
+/// The data of the Schur operator Mhat on the even half lattice: the
+/// parity-split gauge field and parity-restricted stencils (WilsonDiracEO)
+/// that the operator reads at every width.  The operator itself is
+/// BlockSchurEvenOddWilson<S, N> (qcd/block.h), a view over this object;
+/// a single right-hand side is N = 1.
 template <class S>
 class SchurEvenOddWilson {
  public:
-  using HalfFermion = HalfLatticeFermion<S>;
-
-  SchurEvenOddWilson(const GaugeField<S>& gauge, double mass)
-      : kernels_(gauge, mass),
-        tmp_odd_(kernels_.odd_grid()),
-        tmp_g5_(kernels_.even_grid()),
-        tmp_mhat_(kernels_.even_grid()) {}
+  SchurEvenOddWilson(const GaugeField<S>& gauge, double mass) : kernels_(gauge, mass) {}
 
   const WilsonDiracEO<S>& kernels() const { return kernels_; }
   const lattice::GridRedBlackCartesian* even_grid() const {
@@ -85,128 +79,8 @@ class SchurEvenOddWilson {
   const lattice::GridRedBlackCartesian* odd_grid() const { return kernels_.odd_grid(); }
   double diag() const { return 4.0 + kernels_.mass(); }
 
-  /// Mhat x_e = (4+m) x_e - Dh_eo Dh_oe x_e / (4 (4+m)), on even half fields.
-  void mhat(const HalfFermion& in, HalfFermion& out) const {
-    kernels_.dhop_oe(in, tmp_odd_);   // tmp_o = Dh_oe in_e
-    kernels_.dhop_eo(tmp_odd_, out);  // out_e = Dh_eo tmp_o
-    const double d = diag();
-    const S a(typename S::scalar_type(d, 0.0));
-    const S b(typename S::scalar_type(-0.25 / d, 0.0));
-    thread_for(out.osites(), [&](std::int64_t h) { out[h] = a * in[h] + b * out[h]; });
-  }
-
-  /// Mhat^dag via gamma5-hermiticity (gamma5 is site-local: parity-safe).
-  void mhat_dag(const HalfFermion& in, HalfFermion& out) const {
-    apply_gamma5(in, tmp_g5_);
-    mhat(tmp_g5_, out);
-    apply_gamma5(out, out);
-  }
-
-  void mhat_dag_mhat(const HalfFermion& in, HalfFermion& out) const {
-    mhat(in, tmp_mhat_);
-    mhat_dag(tmp_mhat_, out);
-  }
-
  private:
   WilsonDiracEO<S> kernels_;
-  // Hot-loop workspaces: mhat/mhat_dag/mhat_dag_mhat run once (or more)
-  // per solver iteration; member buffers avoid a half-field allocation +
-  // zero-fill per application.  Distinct buffers because mhat_dag_mhat's
-  // intermediate stays live across the nested mhat_dag -> mhat chain.
-  // Not thread-safe across concurrent applications of one operator --
-  // the solvers apply it from the sequential outer loop only.
-  mutable HalfFermion tmp_odd_;
-  mutable HalfFermion tmp_g5_;
-  mutable HalfFermion tmp_mhat_;
 };
-
-/// Half-field scratch buffers of one Schur-preconditioned solve.
-/// Constructed once per SchurEvenOddWilson lifetime (e.g. owned by a
-/// solver::WilsonSolver) so repeated solves -- the 12 spin-colour columns
-/// of a propagator -- reuse the allocations instead of paying nine
-/// half-field constructions per right-hand side.
-template <class S>
-struct SchurWorkspace {
-  using HalfFermion = HalfLatticeFermion<S>;
-
-  explicit SchurWorkspace(const SchurEvenOddWilson<S>& eo)
-      : b_e(eo.even_grid()),
-        b_o(eo.odd_grid()),
-        b_prime(eo.even_grid()),
-        rhs(eo.even_grid()),
-        x_e(eo.even_grid()),
-        x_o(eo.odd_grid()),
-        tmp_e(eo.even_grid()),
-        tmp_o(eo.odd_grid()),
-        r_e(eo.even_grid()),
-        r_o(eo.odd_grid()) {}
-
-  HalfFermion b_e, b_o;    ///< parity split of the right-hand side
-  HalfFermion b_prime;     ///< even-parity Schur right-hand side
-  HalfFermion rhs;         ///< Mhat^dag b' (normal-equation CG target)
-  HalfFermion x_e, x_o;    ///< parity pieces of the solution
-  HalfFermion tmp_e, tmp_o;
-  HalfFermion r_e, r_o;    ///< true-residual pieces
-};
-
-namespace detail {
-
-/// Shared prologue/epilogue of the half-field Schur solves.  Splits b,
-/// forms the even-parity right-hand side b'_e, runs `solve_even` on it,
-/// reconstructs the odd solution and the full-system true residual --
-/// everything on half-volume fields (the full operator is never applied).
-/// `ws` supplies every half-field temporary, so repeated solves through
-/// one workspace allocate nothing.
-template <class S, class SolveEven>
-solver::SolverResult schur_half_solve(const SchurEvenOddWilson<S>& eo,
-                                      SchurWorkspace<S>& ws, const LatticeFermion<S>& b,
-                                      LatticeFermion<S>& x, const SolveEven& solve_even) {
-  const lattice::GridRedBlackCartesian* ge = eo.even_grid();
-  const lattice::GridRedBlackCartesian* go = eo.odd_grid();
-  const WilsonDiracEO<S>& dh = eo.kernels();
-  const double d = eo.diag();
-
-  lattice::pick_checkerboard(b, ws.b_e);
-  lattice::pick_checkerboard(b, ws.b_o);
-
-  // 1. b'_e = b_e + (1/(2(4+m))) Dh_eo b_o     (Meo = -Dh_eo/2)
-  dh.dhop_eo(ws.b_o, ws.tmp_e);
-  axpy(ws.b_prime, 0.5 / d, ws.tmp_e, ws.b_e);
-
-  // 2. Solve Mhat x_e = b'_e on the even half lattice.
-  ws.x_e.set_zero();
-  solver::SolverResult stats = solve_even(ws.b_prime, ws.x_e);
-
-  // 3. x_o = (b_o + (1/2) Dh_oe x_e) / (4+m).  In-place scale: the
-  // scalar-multiply operator would allocate a temporary field.
-  dh.dhop_oe(ws.x_e, ws.tmp_o);
-  axpy(ws.x_o, 0.5, ws.tmp_o, ws.b_o);
-  const S inv_d(typename S::scalar_type(1.0 / d, 0.0));
-  thread_for(go->osites(), [&](std::int64_t h) {
-    ws.x_o[h] = inv_d * ws.x_o[h];
-  });
-
-  lattice::set_checkerboard(x, ws.x_e);
-  lattice::set_checkerboard(x, ws.x_o);
-
-  // True residual of the full system, from half-volume pieces only:
-  // (M x)_p = (4+m) x_p - (1/2) Dh_{p,1-p} x_{1-p}.
-  dh.dhop_eo(ws.x_o, ws.tmp_e);
-  const S md(typename S::scalar_type(-d, 0.0));
-  const S half_c(typename S::scalar_type(0.5, 0.0));
-  thread_for(ge->osites(), [&](std::int64_t h) {
-    ws.r_e[h] = ws.b_e[h] + md * ws.x_e[h] + half_c * ws.tmp_e[h];
-  });
-  dh.dhop_oe(ws.x_e, ws.tmp_o);
-  thread_for(go->osites(), [&](std::int64_t h) {
-    ws.r_o[h] = ws.b_o[h] + md * ws.x_o[h] + half_c * ws.tmp_o[h];
-  });
-  const double b2 = norm2(ws.b_e) + norm2(ws.b_o);
-  stats.true_residual = std::sqrt((norm2(ws.r_e) + norm2(ws.r_o)) / b2);
-  stats.rhs_norm = std::sqrt(b2);
-  return stats;
-}
-
-}  // namespace detail
 
 }  // namespace svelat::qcd

@@ -73,9 +73,9 @@ struct PropagatorReport {
 /// multi-RHS entry: the 12 spin-colour sources go down
 /// WilsonSolver::solve_batched in kBlockWidth-wide chunks, so the gauge
 /// links stream ONCE per operator sweep for all columns instead of once
-/// per column (qcd/block.h).  Configurations the block engine does not
-/// cover fall back to per-column sequential solves inside solve_batched;
-/// the PropagatorReport contract is unchanged either way.
+/// per column (qcd/block.h).  Under configurations other than CG x Schur
+/// solve_batched solves them column by column; the PropagatorReport
+/// contract is unchanged either way.
 template <class S>
 PropagatorReport compute_propagator(solver::WilsonSolver<S>& solver,
                                     const lattice::Coordinate& origin,

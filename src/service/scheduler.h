@@ -65,9 +65,13 @@ struct JobResult {
   bool converged = false;
   std::uint32_t iterations = 0;
   double wall_seconds = 0.0;         ///< the solve() facade wall clock
-  double dhop_gb_per_sec = 0.0;      ///< dhop + dhop_eo + dhop_oe combined
+  /// dhop + dhop_eo + dhop_oe + dhop_eo_block + dhop_oe_block combined
+  /// (the full-lattice and Schur hopping sweeps).
+  double dhop_gb_per_sec = 0.0;
   double dhop_gflop_per_sec = 0.0;
-  double linalg_gb_per_sec = 0.0;    ///< cg_linalg + bicgstab_linalg combined
+  /// cg_linalg + bicgstab_linalg + block_cg_linalg combined (the
+  /// full-lattice, BiCGSTAB and Schur CG iteration tails).
+  double linalg_gb_per_sec = 0.0;
   double linalg_gflop_per_sec = 0.0;
   /// C(t) = sum_x |x(x, t)|^2 of the solved column, one entry per slice.
   std::vector<double> correlator;
@@ -151,9 +155,8 @@ JobResult measure_job(const qcd::GaugeField<S>& gauge, const MeasurementJob& job
   metrics::reset();
   solver::WilsonSolver<S> solver(gauge, job.mass, job.solver_params());
   // One column per job, submitted through the batched facade entry: a
-  // width-1 batch routes to the sequential path inside solve_batched, so
-  // the wire results stay bitwise identical while every measurement
-  // driver exercises the same multi-RHS API.
+  // width-1 batch runs solve() on its column, so every measurement driver
+  // exercises the same multi-RHS API.
   std::vector<qcd::LatticeFermion<S>> src(1, qcd::LatticeFermion<S>(gauge.grid()));
   std::vector<qcd::LatticeFermion<S>> x(1, qcd::LatticeFermion<S>(gauge.grid()));
   qcd::point_source(src[0], job.source, job.spin, job.colour);
@@ -166,10 +169,10 @@ JobResult measure_job(const qcd::GaugeField<S>& gauge, const MeasurementJob& job
   out.converged = res.converged;
   out.iterations = static_cast<std::uint32_t>(res.iterations);
   out.wall_seconds = res.wall_seconds;
-  detail::combined_rates({"dhop", "dhop_eo", "dhop_oe"}, out.dhop_gb_per_sec,
-                         out.dhop_gflop_per_sec);
-  detail::combined_rates({"cg_linalg", "bicgstab_linalg"}, out.linalg_gb_per_sec,
-                         out.linalg_gflop_per_sec);
+  detail::combined_rates({"dhop", "dhop_eo", "dhop_oe", "dhop_eo_block", "dhop_oe_block"},
+                         out.dhop_gb_per_sec, out.dhop_gflop_per_sec);
+  detail::combined_rates({"cg_linalg", "bicgstab_linalg", "block_cg_linalg"},
+                         out.linalg_gb_per_sec, out.linalg_gflop_per_sec);
   out.correlator = detail::timeslice_norms(x[0]);
   return out;
 }

@@ -1,9 +1,10 @@
 // Block conjugate gradient: N simultaneous CG recurrences over one
-// batched Schur operator.
+// batched Schur operator -- the only Schur CG; a single right-hand side
+// runs it at N = 1.
 //
 // This is NOT a block-Krylov method -- each column runs the classical CG
 // recurrence with its own alpha/beta/residual, so convergence behaviour
-// per column is the sequential solver's.  What is shared is the MEMORY
+// per column is that of a single-column CG.  What is shared is the MEMORY
 // TRAFFIC: every operator application streams the gauge links once for
 // all N columns (qcd/block.h), and the linear algebra runs over
 // site-contiguous block fields in fused passes:
@@ -18,11 +19,8 @@
 //
 // Determinism contract: all per-column reductions run through the fixed
 // chunked tree of support/parallel.h, so results are bitwise
-// thread-count-invariant and column-independent.  Relative to the
-// sequential solver, the only arithmetic difference is the pAp
-// regrouping documented at mhat_norm2 -- per-column results track the
-// sequential facade path to rounding (eps), and the facade routes
-// width-1 work to the literal sequential solver so N=1 stays bitwise.
+// thread-count-invariant and column-independent: column j of an N-wide
+// solve is bitwise the N = 1 solve of that column.
 //
 // Per-column convergence is tracked independently through a ColumnMask:
 // a converged or stalled column freezes (its fields keep their bits, it
@@ -36,45 +34,38 @@
 #include "lattice/block.h"
 #include "qcd/block.h"
 #include "solver/result.h"
+#include "solver/workspace.h"
 #include "support/assert.h"
 #include "support/metrics.h"
 
 namespace svelat::solver {
 
-/// Work block-fields of one block CG, owned by the facade's block engine
-/// so repeated batched solves allocate nothing.
-template <class S, int N>
-struct BlockCGWorkspace {
-  using HalfBlock = qcd::HalfBlockFermion<S, N>;
-
-  explicit BlockCGWorkspace(const qcd::BlockSchurEvenOddWilson<S, N>& eo)
-      : r(eo.even_grid()),
-        p(eo.even_grid()),
-        ap(eo.even_grid()),
-        mp(eo.even_grid()) {}
-
-  HalfBlock r, p, ap;
-  HalfBlock mp;  ///< Mhat p, the mhat_norm2 intermediate
-};
-
 /// CG on the normal equations Mhat^dag Mhat x_j = b_j for all N columns
 /// at once.  `x` carries the initial guesses.  Returns per-column stats;
 /// iteration counts, residual histories and stall verdicts are tracked
-/// per column exactly as N independent sequential CGs would report them.
+/// per column exactly as N independent single-column CGs would report
+/// them.  The work fields come from `pool` (slots kR/kP/kAp, and kV for
+/// Mhat p), so repeated solves through one pool allocate nothing.
 ///
-/// The normal-equation true-residual epilogue of the sequential CG is
-/// deliberately omitted: the batched Schur driver
+/// The normal-equation true-residual epilogue of the generic CG (cg.h) is
+/// deliberately omitted: the Schur driver
 /// (qcd::detail::block_schur_half_solve) computes the full-system true
 /// residual per column afterwards, which is the number the facade
 /// reports -- the epilogue operator application would be paid for
 /// nothing.
 template <class S, int N>
 std::array<SolverResult, N> block_conjugate_gradient(
-    const qcd::BlockSchurEvenOddWilson<S, N>& eo, BlockCGWorkspace<S, N>& ws,
+    const qcd::BlockSchurEvenOddWilson<S, N>& eo,
+    SolverWorkspace<qcd::HalfBlockFermion<S, N>>& pool,
     const qcd::HalfBlockFermion<S, N>& b, qcd::HalfBlockFermion<S, N>& x,
     double tolerance, int max_iterations, StallGuard guard = {}) {
   using vobj = qcd::SpinColourVector<S>;
   using GridT = lattice::GridRedBlackCartesian;
+  using WS = SolverWorkspace<qcd::HalfBlockFermion<S, N>>;
+  auto& r = pool.get(WS::kR, b.grid());
+  auto& p = pool.get(WS::kP, b.grid());
+  auto& ap = pool.get(WS::kAp, b.grid());
+  auto& mp = pool.get(WS::kV, b.grid());
 
   std::array<SolverResult, N> stats;
   std::array<StallGuard, N> guards;
@@ -93,10 +84,10 @@ std::array<SolverResult, N> block_conjugate_gradient(
 
   // r0 = b - A x0 (exact zeros through the operator for the zero guess
   // the Schur driver supplies, so r0 == b bitwise in that case).
-  eo.mhat_dag_mhat(x, ws.ap);
-  lattice::block_sub(ws.r, b, ws.ap);
-  lattice::block_copy(ws.p, ws.r);
-  rr = lattice::block_norm2(ws.r);
+  eo.mhat_dag_mhat(x, ap);
+  lattice::block_sub(r, b, ap);
+  lattice::block_copy(p, r);
+  rr = lattice::block_norm2(r);
 
   lattice::ColumnMask<N> active = lattice::all_columns<N>();
 
@@ -132,8 +123,8 @@ std::array<SolverResult, N> block_conjugate_gradient(
 
     // mp = Mhat p and pap = |Mhat p|^2 fused into the operator's second
     // sweep; ap = Mhat^dag mp completes A p.
-    const std::array<double, N> pap = eo.mhat_norm2(ws.p, ws.mp);
-    eo.mhat_dag(ws.mp, ws.ap);
+    const std::array<double, N> pap = eo.mhat_norm2(p, mp);
+    eo.mhat_dag(mp, ap);
     {
       metrics::ScopedTimer mt("block_cg_linalg", iter_bytes, iter_flops);
       for (int j = 0; j < N; ++j) {
@@ -144,16 +135,14 @@ std::array<SolverResult, N> block_conjugate_gradient(
         nal[u] = -alpha[u];
       }
       const std::array<double, N> rr_next =
-          lattice::block_axpy_norm2<vobj, N, GridT>(ws.r, nal, ws.ap, ws.r,
-                                                    active);
+          lattice::block_axpy_norm2<vobj, N, GridT>(r, nal, ap, r, active);
       for (int j = 0; j < N; ++j) {
         const auto u = static_cast<std::size_t>(j);
         if (!active[u]) continue;
         beta[u] = rr_next[u] / rr[u];
       }
       // x += alpha p_old; p = beta p_old + r_new, one fused pass.
-      lattice::block_xp_update<vobj, N, GridT>(x, ws.p, ws.r, alpha, beta,
-                                               active);
+      lattice::block_xp_update<vobj, N, GridT>(x, p, r, alpha, beta, active);
       for (int j = 0; j < N; ++j) {
         const auto u = static_cast<std::size_t>(j);
         if (!active[u]) continue;

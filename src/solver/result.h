@@ -100,8 +100,8 @@ struct StallGuard {
 
 /// Knobs of a Wilson solve.  The defaults are the production
 /// configuration: Schur-preconditioned CG on true half-checkerboard
-/// fields (the path measured at 50.2% of the zero-padded instruction
-/// count per iteration), solved to |r|/|b| <= 1e-9.
+/// fields (the path measured at 14.2% of the zero-padded instruction
+/// count per iteration, bench_cg at VL 128), solved to |r|/|b| <= 1e-9.
 ///
 /// The mixed-precision fields reproduce the tuning the defect-correction
 /// solver shipped with (inner single-precision Schur CG to 1e-4, at most
@@ -127,13 +127,6 @@ struct SolverParams {
 
   int verbosity = 0;  ///< 0 silent, >= 1 one summary line per solve
 
-  /// Column count of the batched multi-RHS engine
-  /// (WilsonSolver::solve_batched).  The native site-contiguous block
-  /// path engages for full chunks of exactly WilsonSolver::kBlockWidth
-  /// columns when this matches it (the default); any other value routes
-  /// every column through the sequential facade solve.
-  int block_width = 12;
-
   // Chainable named setters, so call sites can spell only what differs
   // from production defaults (SolverParams stays an aggregate: designated
   // initializers work too).
@@ -157,7 +150,6 @@ struct SolverParams {
     return *this;
   }
   SolverParams& with_verbosity(int v) { verbosity = v; return *this; }
-  SolverParams& with_block_width(int n) { block_width = n; return *this; }
 };
 
 /// Outcome of one solve.  Every field is populated by every algorithm x
@@ -170,7 +162,7 @@ struct SolverResult {
   bool converged = false;
   int iterations = 0;        ///< outer iterations (CG/BiCGSTAB steps; MixedCG restarts)
   int inner_iterations = 0;  ///< accumulated single-precision iterations (MixedCG)
-  int block_width = 1;       ///< columns solved together (1: sequential path)
+  int block_width = 1;       ///< columns solved together (1: a single-column solve)
 
   double target_residual = 0.0;  ///< requested |r|/|b|
   double final_residual = 0.0;   ///< recursion residual |r|/|b| at exit

@@ -13,17 +13,26 @@
 //   kMixedCG  x kNone          double defect correction, fp32 inner CG on M
 //   kMixedCG  x kSchurEvenOdd  double defect correction, fp32 inner Schur CG
 //
-// Construction pays the expensive setup once -- Schur operator (stencil
-// tables + parity-split gauge), single-precision gauge copy, solver
-// scratch fields -- so repeated solves against the same configuration
-// (the 12 spin-colour columns of a propagator) only pay iterations.
+// Every Schur solve runs one engine: the block operator, Schur driver and
+// block CG of qcd/block.h and solver/block_cg.h, at width N = 1 for a
+// single right-hand side and N = kBlockWidth for solve_batched's full
+// chunks (BiCGSTAB runs the generic loop of solver/bicgstab.h on the
+// N = 1 operator).
+//
+// Construction pays the expensive setup once -- Schur operator data
+// (stencil tables + parity-split gauge), single-precision gauge copy --
+// and each Schur engine is built on the first solve of its width, so
+// repeated solves against the same configuration (the 12 spin-colour
+// columns of a propagator) only pay iterations.
 //
 // The zero-padded even-odd formulation is not reachable from here: it is
 // a test-only oracle (tests/qcd/padded_oracle.h).
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -62,7 +71,6 @@ template <class S>
 class WilsonSolver {
  public:
   using Fermion = qcd::LatticeFermion<S>;
-  using HalfFermion = qcd::HalfLatticeFermion<S>;
   /// Inner scalar of Algorithm::kMixedCG: same VL and backend, fp32 lanes.
   using InnerScalar = detail::rebind_real_t<S, float>;
 
@@ -73,7 +81,6 @@ class WilsonSolver {
       case Algorithm::kBiCGSTAB:
         if (schur()) {
           eo_.emplace(*gauge_, mass_);
-          ws_.emplace(*eo_);
         } else {
           dirac_.emplace(*gauge_, mass_);
         }
@@ -90,7 +97,6 @@ class WilsonSolver {
           convert_field(gauge_f_->U[mu], gauge_->U[mu]);
         if (schur()) {
           eo_f_.emplace(*gauge_f_, mass_);
-          ws_f_.emplace(*eo_f_);
         } else {
           dirac_f_.emplace(*gauge_f_, mass_);
         }
@@ -154,13 +160,6 @@ class WilsonSolver {
   /// and the result records the degradation (fallback_used,
   /// fallback_from, first_attempt_iterations).
   SolverResult solve(const Fermion& b, Fermion& x) {
-    // Facade-level wall clock: the "solve" region's calls/sec IS the
-    // solves-per-second figure (no byte/flop model -- the inner kernels
-    // carry those at dhop / linalg granularity).  Exactly ONE region call
-    // per facade-level solve: the fallback path runs through the nested
-    // solver's attempt(), never its solve(), so a degraded solve does not
-    // double-count itself.
-    metrics::ScopedTimer mt("solve");
     StopWatch sw;
     const StallGuard guard{params_.stall_window, params_.divergence_factor};
     SolverResult res = attempt(b, x, guard);
@@ -178,52 +177,50 @@ class WilsonSolver {
         params_.algorithm != Algorithm::kCG &&
         res.comm_status == comms::CommStatus::kOk) {
       const double first_seconds = sw.seconds();
-      SolverResult fres = fallback_solve(b, x, res);
-      fres.first_attempt_seconds = first_seconds;
-      fres.wall_seconds = sw.seconds();  // first attempt + fallback
-      if (params_.verbosity >= 1) log_info() << "WilsonSolver " << fres.summary();
-      return fres;
+      res = fallback_solve(b, x, res);
+      res.first_attempt_seconds = first_seconds;
     }
-    res.wall_seconds = sw.seconds();
+    res.wall_seconds = sw.seconds();  // first attempt + any fallback
+    // The same reading is the "solve" region, whose calls/sec IS the
+    // solves-per-second figure (no byte/flop model -- the inner kernels
+    // carry those at dhop / linalg granularity).  Exactly ONE region call
+    // per facade-level solve: the fallback path runs through the nested
+    // solver's attempt(), never its solve(), so a degraded solve does not
+    // double-count itself.
+    metrics::record("solve", res.wall_seconds, 0.0, 0.0);
     if (params_.verbosity >= 1) log_info() << "WilsonSolver " << res.summary();
     return res;
   }
 
   SolverResult operator()(const Fermion& b, Fermion& x) { return solve(b, x); }
 
-  /// Width of the native multi-RHS block engine: the 12 spin-colour
-  /// columns of a propagator, the workload the batched kernels exist for.
+  /// Width at which solve_batched runs the Schur engine: the 12
+  /// spin-colour columns of a propagator, the workload the batched
+  /// kernels exist for.
   static constexpr int kBlockWidth = 12;
 
-  /// Solve M x_i = b_i for a batch of right-hand sides.  Full chunks of
-  /// kBlockWidth columns ride the site-contiguous block engine when the
-  /// configuration supports it (params.block_width == kBlockWidth,
-  /// Algorithm::kCG x Preconditioner::kSchurEvenOdd, single rank);
-  /// remainder columns and unsupported configurations run the sequential
-  /// facade solve() per column -- which is why width-1 batches are
-  /// BITWISE identical to calling solve() in a loop, while full-width
-  /// batches track it to rounding (the pAp regrouping documented at
-  /// BlockSchurEvenOddWilson::mhat_norm2).  Per-column convergence is
-  /// independent: a stalled column freezes and reports converged ==
-  /// false without perturbing its siblings.  SolverResult::block_width
-  /// records the path each column took.
+  /// Solve M x_i = b_i for a batch of right-hand sides.  Under
+  /// Algorithm::kCG x Preconditioner::kSchurEvenOdd, full chunks of
+  /// kBlockWidth columns run the Schur engine at N = kBlockWidth, which
+  /// loads each gauge link once for all of them; remainder columns and
+  /// every other configuration run solve() per column.  A chunk's column
+  /// does the same arithmetic as solve() does at N = 1, so every column's
+  /// solution, iterations, residual history and residuals are BITWISE
+  /// those of solve() on it, whichever path it took.  Per-column
+  /// convergence is independent: a stalled column freezes and reports
+  /// converged == false without perturbing its siblings.
+  /// SolverResult::block_width records the width each column ran at.
   std::vector<SolverResult> solve_batched(const std::vector<Fermion>& b,
                                           std::vector<Fermion>& x) {
     SVELAT_ASSERT_MSG(b.size() == x.size(),
                       "solve_batched needs one solution field per rhs");
     std::vector<SolverResult> out(b.size());
-    const bool native = params_.block_width == kBlockWidth &&
-                        params_.algorithm == Algorithm::kCG && schur() &&
-                        dop_ == nullptr;
     std::size_t i = 0;
-    if (native) {
+    if (params_.algorithm == Algorithm::kCG && schur()) {
       for (; i + kBlockWidth <= b.size(); i += kBlockWidth)
         solve_block_chunk(b, x, i, out);
     }
-    for (; i < b.size(); ++i) {
-      out[i] = solve(b[i], x[i]);
-      out[i].block_width = 1;
-    }
+    for (; i < b.size(); ++i) out[i] = solve(b[i], x[i]);
     return out;
   }
 
@@ -239,19 +236,17 @@ class WilsonSolver {
   /// fallback, logging) -- shared by solve() and the fallback path.
   SolverResult attempt(const Fermion& b, Fermion& x, StallGuard guard) {
     if (dop_ != nullptr) return distributed_attempt(b, x, guard);
+    const double tol = params_.tolerance;
+    const int max_it = params_.max_iterations;
     SolverResult res;
     switch (params_.algorithm) {
       case Algorithm::kCG:
-        res = schur() ? schur_cg(*eo_, *ws_, b, x, params_.tolerance,
-                                 params_.max_iterations, guard, &kws_half_)
-                      : solve_wilson(*dirac_, b, x, params_.tolerance,
-                                     params_.max_iterations, guard, &kws_);
+        res = schur() ? engine(single_, *eo_).cg(b, x, tol, max_it, guard)
+                      : solve_wilson(*dirac_, b, x, tol, max_it, guard, &kws_);
         break;
       case Algorithm::kBiCGSTAB:
-        res = schur() ? schur_bicgstab(*eo_, *ws_, b, x, params_.tolerance,
-                                       params_.max_iterations, guard, &kws_half_)
-                      : solve_wilson_bicgstab(*dirac_, b, x, params_.tolerance,
-                                              params_.max_iterations, guard, &kws_);
+        res = schur() ? engine(single_, *eo_).bicgstab(b, x, tol, max_it, guard)
+                      : solve_wilson_bicgstab(*dirac_, b, x, tol, max_it, guard, &kws_);
         break;
       case Algorithm::kMixedCG:
         res = mixed(b, x, guard);
@@ -329,98 +324,99 @@ class WilsonSolver {
     return res;
   }
 
-  /// Everything one kBlockWidth-wide batched solve needs, built lazily on
-  /// the first full chunk and reused ever after (the batched analogue of
-  /// eo_ + ws_ + the Krylov pools): the block operator view, the Schur
-  /// block scratch, the block CG work fields and the full-grid b/x
-  /// staging blocks.  A warm batched solve constructs no fields.
-  struct BlockEngine {
-    qcd::BlockSchurEvenOddWilson<S, kBlockWidth> eo;
-    qcd::BlockSchurWorkspace<S, kBlockWidth> ws;
-    BlockCGWorkspace<S, kBlockWidth> cg;
-    qcd::BlockFermion<S, kBlockWidth> b, x;
+  /// Everything one N-wide Schur solve over scalar T needs: the block
+  /// operator view, the Schur driver's scratch and the Krylov work-field
+  /// pool.  Built on the first solve of its width and reused ever after:
+  /// a warm solve constructs no fields.
+  template <class T, int N>
+  struct SchurEngine {
+    using Fermion = qcd::LatticeFermion<T>;
+    using HalfBlock = qcd::HalfBlockFermion<T, N>;
 
-    explicit BlockEngine(const qcd::SchurEvenOddWilson<S>& base)
-        : eo(base),
-          ws(eo),
-          cg(eo),
-          b(base.even_grid()->full_grid()),
-          x(base.even_grid()->full_grid()) {}
+    qcd::BlockSchurEvenOddWilson<T, N> eo;
+    qcd::BlockSchurWorkspace<T, N> ws;
+    SolverWorkspace<HalfBlock> krylov;
+
+    explicit SchurEngine(const qcd::SchurEvenOddWilson<T>& base) : eo(base), ws(eo) {}
+
+    /// M x_j = b_j for N columns: CG on the normal equations
+    /// Mhat^dag Mhat x_e = Mhat^dag b'_e.
+    std::array<SolverResult, N> cg(std::span<const Fermion, N> b, std::span<Fermion, N> x,
+                                   double tolerance, int max_iterations, StallGuard guard) {
+      return qcd::detail::block_schur_half_solve(
+          eo, ws, b, x, [&](const HalfBlock& b_prime, HalfBlock& x_e) {
+            HalfBlock& rhs = krylov.get(SolverWorkspace<HalfBlock>::kRhs, eo.even_grid());
+            eo.mhat_dag(b_prime, rhs);
+            return block_conjugate_gradient(eo, krylov, rhs, x_e, tolerance,
+                                            max_iterations, guard);
+          });
+    }
+
+    /// The same for one column.
+    SolverResult cg(const Fermion& b, Fermion& x, double tolerance, int max_iterations,
+                    StallGuard guard)
+      requires(N == 1)
+    {
+      return cg(std::span<const Fermion, 1>(&b, 1), std::span<Fermion, 1>(&x, 1), tolerance,
+                max_iterations, guard)[0];
+    }
+
+    /// M x = b for one column with BiCGSTAB: Mhat is not hermitian, so it
+    /// solves Mhat x_e = b'_e directly -- no normal equations.
+    SolverResult bicgstab(const Fermion& b, Fermion& x, double tolerance, int max_iterations,
+                          StallGuard guard)
+      requires(N == 1)
+    {
+      return qcd::detail::block_schur_half_solve(
+          eo, ws, std::span<const Fermion, 1>(&b, 1), std::span<Fermion, 1>(&x, 1),
+          [&](const HalfBlock& b_prime, HalfBlock& x_e) {
+            const auto op = [this](const HalfBlock& in, HalfBlock& out) {
+              eo.mhat(in, out);
+            };
+            return std::array<SolverResult, 1>{solver::bicgstab(
+                op, b_prime, x_e, tolerance, max_iterations, guard, &krylov)};
+          })[0];
+    }
   };
 
-  /// One full-width batched solve: gather the chunk's columns into the
-  /// staging block, run the batched Schur driver with the block CG as
-  /// its even-half solve, scatter the solutions back and finish each
-  /// column's report.  Mirrors solve()'s facade bookkeeping with a
-  /// "solve_block" region (one call per CHUNK; wall_seconds is
-  /// apportioned evenly across the chunk's columns).
+  /// The engine in `slot`, built over `base` on first use.
+  template <class T, int N>
+  static SchurEngine<T, N>& engine(std::optional<SchurEngine<T, N>>& slot,
+                                   const qcd::SchurEvenOddWilson<T>& base) {
+    if (!slot) slot.emplace(base);
+    return *slot;
+  }
+
+  /// One full-width batched solve of columns [base_i, base_i +
+  /// kBlockWidth): the engine's CG at N = kBlockWidth, then each column's
+  /// report.  Mirrors solve()'s facade bookkeeping with a "solve_block"
+  /// region (one call per CHUNK; wall_seconds is apportioned evenly across
+  /// the chunk's columns).
   void solve_block_chunk(const std::vector<Fermion>& b, std::vector<Fermion>& x,
                          std::size_t base_i, std::vector<SolverResult>& out) {
-    metrics::ScopedTimer mt("solve_block");
     StopWatch sw;
-    if (!block_) block_.emplace(*eo_);
-    BlockEngine& be = *block_;
-    for (int j = 0; j < kBlockWidth; ++j)
-      be.b.copy_in_column(j, b[base_i + static_cast<std::size_t>(j)]);
     const StallGuard guard{params_.stall_window, params_.divergence_factor};
-    auto stats = qcd::detail::block_schur_half_solve(
-        be.eo, be.ws, be.b, be.x, [&](const auto& b_prime, auto& x_e) {
-          be.eo.mhat_dag(b_prime, be.ws.rhs);
-          return block_conjugate_gradient(be.eo, be.cg, be.ws.rhs, x_e,
-                                          params_.tolerance,
-                                          params_.max_iterations, guard);
-        });
-    const std::array<double, kBlockWidth> xn = lattice::block_norm2(be.x);
-    const double secs = sw.seconds();
+    std::array<SolverResult, kBlockWidth> stats = engine(block_, *eo_).cg(
+        std::span<const Fermion, kBlockWidth>(b.data() + base_i, kBlockWidth),
+        std::span<Fermion, kBlockWidth>(x.data() + base_i, kBlockWidth), params_.tolerance,
+        params_.max_iterations, guard);
     for (int j = 0; j < kBlockWidth; ++j) {
       const auto u = static_cast<std::size_t>(j);
-      be.x.copy_out_column(j, x[base_i + u]);
+      stats[u].solution_norm = solution_norm(x[base_i + u]);
+    }
+    const double secs = sw.seconds();
+    metrics::record("solve_block", secs, 0.0, 0.0);
+    for (int j = 0; j < kBlockWidth; ++j) {
+      const auto u = static_cast<std::size_t>(j);
       SolverResult& r = stats[u];
       r.algorithm = params_.algorithm;
       r.preconditioner = params_.preconditioner;
       r.target_residual = params_.tolerance;
       r.block_width = kBlockWidth;
-      r.solution_norm = std::sqrt(xn[u]);
       r.wall_seconds = secs / kBlockWidth;
       if (params_.verbosity >= 1) log_info() << "WilsonSolver " << r.summary();
       out[base_i + u] = r;
     }
-  }
-
-  /// Schur CG: normal equations on Mhat over even half fields.  Static and
-  /// scalar-generic because kMixedCG reuses it for the fp32 inner solve.
-  /// The optional half-field pool makes the inner CG allocation-free.
-  template <class T>
-  static SolverResult schur_cg(
-      const qcd::SchurEvenOddWilson<T>& eo, qcd::SchurWorkspace<T>& ws,
-      const qcd::LatticeFermion<T>& b, qcd::LatticeFermion<T>& x,
-      double tolerance, int max_iterations, StallGuard guard = {},
-      SolverWorkspace<qcd::HalfLatticeFermion<T>>* kws = nullptr) {
-    using HF = qcd::HalfLatticeFermion<T>;
-    return qcd::detail::schur_half_solve(
-        eo, ws, b, x, [&](const HF& b_prime, HF& x_e) {
-          eo.mhat_dag(b_prime, ws.rhs);
-          const auto op = [&eo](const HF& in, HF& out) { eo.mhat_dag_mhat(in, out); };
-          return conjugate_gradient(op, ws.rhs, x_e, tolerance, max_iterations,
-                                    guard, kws);
-        });
-  }
-
-  /// Schur BiCGSTAB: Mhat is not hermitian, so BiCGSTAB solves
-  /// Mhat x_e = b'_e directly -- no normal equations.
-  template <class T>
-  static SolverResult schur_bicgstab(
-      const qcd::SchurEvenOddWilson<T>& eo, qcd::SchurWorkspace<T>& ws,
-      const qcd::LatticeFermion<T>& b, qcd::LatticeFermion<T>& x,
-      double tolerance, int max_iterations, StallGuard guard = {},
-      SolverWorkspace<qcd::HalfLatticeFermion<T>>* kws = nullptr) {
-    using HF = qcd::HalfLatticeFermion<T>;
-    return qcd::detail::schur_half_solve(
-        eo, ws, b, x, [&](const HF& b_prime, HF& x_e) {
-          const auto op = [&eo](const HF& in, HF& out) { eo.mhat(in, out); };
-          return bicgstab(op, b_prime, x_e, tolerance, max_iterations, guard,
-                          kws);
-        });
   }
 
   /// Mixed-precision defect correction: an outer double-precision residual
@@ -449,13 +445,11 @@ class WilsonSolver {
       // Inner solve in single precision: M e = r (approximately).
       convert_field(r_f, r);
       e_f.set_zero();
+      const double tol = params_.inner_tolerance;
+      const int max_it = params_.inner_max_iterations;
       const SolverResult inner =
-          schur() ? schur_cg(*eo_f_, *ws_f_, r_f, e_f, params_.inner_tolerance,
-                             params_.inner_max_iterations, StallGuard{},
-                             &kws_half_f_)
-                  : solve_wilson(*dirac_f_, r_f, e_f, params_.inner_tolerance,
-                                 params_.inner_max_iterations, StallGuard{},
-                                 &kws_f_);
+          schur() ? engine(single_f_, *eo_f_).cg(r_f, e_f, tol, max_it, StallGuard{})
+                  : solve_wilson(*dirac_f_, r_f, e_f, tol, max_it, StallGuard{}, &kws_f_);
       stats.inner_iterations += inner.iterations;
 
       // Defect correction in double precision; the residual is re-derived
@@ -493,28 +487,29 @@ class WilsonSolver {
   // algorithm x preconditioner combination needs is built.
   std::optional<qcd::WilsonDirac<S>> dirac_;
   std::optional<qcd::SchurEvenOddWilson<S>> eo_;
-  std::optional<qcd::SchurWorkspace<S>> ws_;
-  /// Multi-RHS block engine, built on the first full-width batched chunk.
-  std::optional<BlockEngine> block_;
+  /// Schur engines, each built on the first solve of its width: solve()
+  /// runs N = 1, solve_batched's full chunks N = kBlockWidth.
+  std::optional<SchurEngine<S, 1>> single_;
+  std::optional<SchurEngine<S, kBlockWidth>> block_;
 
   // kMixedCG state: single-precision copy of the configuration plus the
-  // outer-loop scratch fields, all allocated once at construction.
+  // outer-loop scratch fields, all allocated once at construction (the
+  // inner Schur engine on the first solve).
   std::optional<lattice::GridCartesian> grid_f_;
   std::optional<qcd::GaugeField<InnerScalar>> gauge_f_;
   std::optional<qcd::SchurEvenOddWilson<InnerScalar>> eo_f_;
-  std::optional<qcd::SchurWorkspace<InnerScalar>> ws_f_;
+  std::optional<SchurEngine<InnerScalar, 1>> single_f_;
   std::optional<qcd::WilsonDirac<InnerScalar>> dirac_f_;
   std::optional<Fermion> r_, mx_, e_d_;
   std::optional<qcd::LatticeFermion<InnerScalar>> r_f_, e_f_;
 
-  // Krylov work-field pools (solver/workspace.h), one per grid / field
-  // type a configuration can touch.  Populated lazily on the first solve
-  // and reused ever after: a warm solve() constructs no fermion fields
+  // Krylov work-field pools (solver/workspace.h) of the full-lattice
+  // paths, one per field type a configuration can touch (the Schur
+  // engines hold their own).  Populated lazily on the first solve and
+  // reused ever after: a warm solve() constructs no fermion fields
   // (pinned by tests/solver/test_allocation.cpp).
   SolverWorkspace<Fermion> kws_;
-  SolverWorkspace<HalfFermion> kws_half_;
   SolverWorkspace<qcd::LatticeFermion<InnerScalar>> kws_f_;
-  SolverWorkspace<qcd::HalfLatticeFermion<InnerScalar>> kws_half_f_;
   SolverWorkspace<comms::DistributedFermion<S>> kws_d_;
   /// Distributed-mode rank-slab bindings, reused across solves.
   std::optional<comms::DistributedFermion<S>> db_, dx_;

@@ -11,9 +11,9 @@
 // support::aligned_allocation_count() seam).
 //
 // A workspace is bound to the grid of its first use; callers that solve
-// on several grids (e.g. full-grid outer and half-grid inner fields of
-// the mixed-precision path) hold one workspace per grid/field type, as
-// solver::WilsonSolver does next to its SchurWorkspace.
+// on several grids or field types (full-grid fields of the unpreconditioned
+// paths, the half-grid block fields of each Schur engine) hold one
+// workspace per grid/field type, as solver::WilsonSolver does.
 #pragma once
 
 #include <array>
@@ -25,15 +25,16 @@
 namespace svelat::solver {
 
 /// Lazily-constructed pool of solver work fields.  `Field` is any
-/// grid-constructible field (Lattice<vobj>, the half-checkerboard
-/// fermions of the Schur path, or comms::DistributedFermion, whose
+/// grid-constructible field (Lattice<vobj>, the half-checkerboard block
+/// fields of the Schur engines, or comms::DistributedFermion, whose
 /// grid() returns the distributed operator it binds to).
 template <class Field>
 class SolverWorkspace {
  public:
   // Slot names double as documentation of which kernel owns what: CG
-  // uses kR/kP/kAp, BiCGSTAB adds kR0/kV/kS/kT, and the normal-equation
-  // / defect-correction wrappers use kRhs/kMx for M^dag b and M x.
+  // uses kR/kP/kAp, BiCGSTAB adds kR0/kV/kS/kT (the block CG takes kV for
+  // Mhat p, BiCGSTAB's v = A p), and the normal-equation /
+  // defect-correction wrappers use kRhs/kMx for M^dag b and M x.
   static constexpr std::size_t kR = 0;
   static constexpr std::size_t kP = 1;
   static constexpr std::size_t kAp = 2;
@@ -59,12 +60,6 @@ class SolverWorkspace {
                         "SolverWorkspace is bound to a different grid");
     }
     return *f;
-  }
-
-  /// Drop every slot (fields are re-made on next use).  Lets a caller
-  /// re-bind the workspace to a new grid between solve campaigns.
-  void clear() {
-    for (auto& f : slots_) f.reset();
   }
 
  private:

@@ -18,6 +18,7 @@
 #include "comms/socket.h"
 #include "qcd/metropolis.h"
 #include "service/scheduler.h"
+#include "support/metrics.h"
 #include "sve/sve.h"
 
 namespace svelat::service {
@@ -133,6 +134,33 @@ TEST(ResultsFile, AppendReadAndRecover) {
   // A missing file is an empty history.
   EXPECT_EQ(recover_results(dir + "/absent.svjr", queue), 0u);
   std::filesystem::remove_all(dir);
+}
+
+// --- per-job rates ------------------------------------------------------------
+
+TEST(MeasureJob, SchurJobsReportHopAndLinalgRates) {
+  // A Schur job's hops and CG iterations run in the Schur engine's regions
+  // (dhop_eo_block / dhop_oe_block / block_cg_linalg); the job's rates must
+  // cover them.
+  sve::VLGuard vl(256);
+  lattice::GridCartesian grid({4, 4, 4, 8},
+                              lattice::GridCartesian::default_simd_layout(S::Nsimd()));
+  qcd::GaugeField<S> gauge(&grid);
+  qcd::random_gauge(SiteRNG(2018), gauge);
+  metrics::set_enabled(true);
+  for (const solver::Algorithm alg : {solver::Algorithm::kCG, solver::Algorithm::kMixedCG}) {
+    MeasurementJob job = small_job(1);
+    job.algorithm = alg;
+    const JobResult r = measure_job(gauge, job);
+    EXPECT_TRUE(r.converged) << solver::to_string(alg);
+#if SVELAT_METRICS_ENABLED
+    EXPECT_GT(r.dhop_gb_per_sec, 0.0) << solver::to_string(alg);
+    EXPECT_GT(r.dhop_gflop_per_sec, 0.0) << solver::to_string(alg);
+    EXPECT_GT(r.linalg_gb_per_sec, 0.0) << solver::to_string(alg);
+    EXPECT_GT(r.linalg_gflop_per_sec, 0.0) << solver::to_string(alg);
+#endif
+  }
+  metrics::reset();
 }
 
 // --- end to end over real forked ranks --------------------------------------

@@ -1,5 +1,5 @@
 // Allocation-regression suite: a WARM WilsonSolver::solve constructs no
-// lattice fields.
+// lattice fields -- single-rank, distributed or batched.
 //
 // Every field buffer goes through AlignedAllocator, whose allocate()
 // bumps the process-wide aligned_allocation_count() seam
@@ -21,6 +21,7 @@
 
 #include <vector>
 
+#include "comms/distributed_wilson.h"
 #include "lattice/fill.h"
 #include "qcd/qcd.h"
 #include "support/aligned.h"
@@ -55,22 +56,27 @@ SolverParams base_params() {
 }
 
 /// Two warm-up solves, then pin the third's aligned-allocation delta to 0.
-void expect_warm_solve_allocates_nothing(AllocProblem& p, const SolverParams& params,
+void expect_warm_solve_allocates_nothing(WilsonSolver<S>& solver, const Field& b, Field& x,
                                          const char* what) {
-  WilsonSolver<S> solver(p.gauge, 0.2, params);
   for (int warm = 0; warm < 2; ++warm) {
-    p.x.set_zero();
-    ASSERT_TRUE(solver.solve(p.b, p.x).converged) << what;
+    x.set_zero();
+    ASSERT_TRUE(solver.solve(b, x).converged) << what;
   }
-  p.x.set_zero();
+  x.set_zero();
   const std::uint64_t before = aligned_allocation_count().load();
-  const SolverResult res = solver.solve(p.b, p.x);
+  const SolverResult res = solver.solve(b, x);
   const std::uint64_t after = aligned_allocation_count().load();
   EXPECT_TRUE(res.converged) << what;
   // A real solve, not a no-op (MixedCG counts outer restarts here).
   EXPECT_GE(res.iterations, 1) << what;
   EXPECT_EQ(after - before, 0u) << what << ": a warm solve built "
                                 << (after - before) << " field buffer(s)";
+}
+
+void expect_warm_solve_allocates_nothing(AllocProblem& p, const SolverParams& params,
+                                         const char* what) {
+  WilsonSolver<S> solver(p.gauge, 0.2, params);
+  expect_warm_solve_allocates_nothing(solver, p.b, p.x, what);
 }
 
 TEST(Allocation, WarmSchurCGSolveAllocatesNothing) {
@@ -94,6 +100,32 @@ TEST(Allocation, WarmMixedPrecisionSolveAllocatesNothing) {
   AllocProblem p;
   expect_warm_solve_allocates_nothing(
       p, base_params().with_algorithm(Algorithm::kMixedCG), "MixedCG + Schur");
+}
+
+TEST(Allocation, WarmDistributedSolveAllocatesNothing) {
+  // One rank over the in-process SimCommunicator: the halo-exchanged
+  // operator's mdag / mdag_m run in every CG iteration.
+  sve::VLGuard vl(8 * S::vlb);
+  const lattice::Coordinate dims{4, 4, 4, 8};
+  constexpr int kSplit = 3;
+  const lattice::Coordinate layout = comms::split_simd_layout(dims, kSplit, S::Nsimd());
+  lattice::GridCartesian grid(dims, layout);
+  qcd::GaugeField<S> gauge(&grid);
+  qcd::random_gauge(SiteRNG(2018), gauge);
+  Field b(&grid);
+  gaussian_fill(SiteRNG(7), b);
+
+  const comms::RankDecomposition decomp(dims, kSplit, 1, layout);
+  comms::SimCommunicator comm(1);
+  qcd::GaugeField<S> u_local(decomp.grid(0));
+  for (int mu = 0; mu < lattice::Nd; ++mu)
+    u_local.U[static_cast<std::size_t>(mu)] =
+        comms::scatter_rank(decomp, gauge.U[static_cast<std::size_t>(mu)], 0);
+  const comms::DistributedWilsonDirac<S> op(decomp, comm, 0, u_local, 0.2);
+  WilsonSolver<S> solver(op, base_params().with_preconditioner(Preconditioner::kNone));
+  const Field b_local = comms::scatter_rank(decomp, b, 0);
+  Field x_local(decomp.grid(0));
+  expect_warm_solve_allocates_nothing(solver, b_local, x_local, "distributed CG");
 }
 
 TEST(Allocation, WarmBlockBatchedSolveAllocatesNothing) {
