@@ -4,9 +4,9 @@
 // Unix-domain sockets (comms/socket.h).  Rank 0 builds a global lattice
 // and scatters it over the wire; every rank then runs halo-exchanged
 // nearest-neighbour shifts (both directions, optionally fp16/fp32
-// compressed) and a distributed Wilson hopping-term sweep; the results are
-// gathered back to rank 0 and checked against the single-rank Cshift /
-// dhop.  Uncompressed results must match bitwise; a compressed wire is
+// compressed) and the distributed Wilson hopping term
+// (comms::DistributedWilsonDirac::dhop); the results are gathered back to
+// rank 0 and checked against the single-rank Cshift / dhop_via_cshift.  Uncompressed results must match bitwise; a compressed wire is
 // held to the format's epsilon at the rank boundary.
 //
 // Build & run:
@@ -23,7 +23,7 @@
 #include <string>
 
 #include "comms/distributed.h"
-#include "comms/distributed_dhop.h"
+#include "comms/distributed_wilson.h"
 #include "comms/socket.h"
 #include "core/svelat.h"
 
@@ -107,11 +107,15 @@ int rank_body(int rank, comms::SocketCommunicator& comm,
     }
   }
 
-  // --- distributed Wilson hopping-term sweep (always full precision) ----
+  // --- distributed Wilson hopping term (always full precision) ----------
+  // The production operator: construction posts the one gauge face, each
+  // dhop posts both fermion faces and sweeps the interior while they are
+  // in flight.  Bytes and time cover construction plus one dhop.
   Field dpsi(decomp.grid(rank));
   comm.reset_counters();
   StopWatch sw;
-  comms::rank_dhop(decomp, comm, rank, gauge, psi, dpsi);
+  const comms::DistributedWilsonDirac<S> op(decomp, comm, rank, gauge, /*mass=*/0.0);
+  op.dhop(psi, dpsi);
   const double dhop_ms = sw.milliseconds();
   const std::size_t dhop_bytes = comm.bytes_sent();
 

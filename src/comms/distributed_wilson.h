@@ -2,32 +2,37 @@
 // compute/comms overlap.
 //
 // DistributedWilsonDirac<S> is the full Wilson matrix M = (4+m) - Dh/2 on
-// one rank's sub-lattice, where every dhop application runs the overlap
-// schedule instead of rank_dhop's blocking per-exchange completion:
+// one rank's sub-lattice, and the only multi-rank Wilson operator.  Every
+// application -- dhop, M or M^dag -- is ONE sweep of the overlap schedule:
 //
 //   phase 1  post      both fermion faces go onto the wire
 //                      (detail::try_post_shift_face, tags 200/201)
 //   phase 2  interior  sweep the sites whose stencils are entirely local
 //                      while the faces are in flight  ["dhop_interior"]
 //   phase 3  wait      recv + decompress + unpack the two ghost faces
-//                      into reusable buffers           ["dhop_wire_wait"]
+//                                                      ["dhop_wire_wait"]
 //   phase 4  boundary  sweep only the split-dimension edge slices, with
 //                      the off-rank neighbour fetched from the ghost
-//                      buffers                         ["dhop_faces"]
+//                      faces                           ["dhop_faces"]
+//
+// Each site's hopping sum leaves the register-resident kernel
+// (qcd/dhop_kernel.h) through a post hook while still in registers: dhop
+// stores it (StoreColumn), M fuses the Wilson diagonal (DiagColumn), and
+// M^dag = gamma5 M gamma5 applies gamma5 to the neighbour loads and
+// DiagColumn<true> on the store -- no separate diagonal or gamma5 pass
+// over a field.
 //
 // The gauge link face (tag 202) crosses the wire ONCE, at construction:
 // u_bwd[split] is a Cshift whose edge slice belongs to the neighbouring
-// rank, and the gauge field never changes during a solve.  Per dhop only
-// the two fermion faces move -- one third of rank_dhop's wire volume --
-// and no shifted whole-field temporaries are allocated.
+// rank, and the gauge field never changes during a solve.  Per
+// application only the two fermion faces move.
 //
-// Boundary sites run the register-resident site kernel (qcd/dhop_kernel.h)
-// with a source hook that routes exactly the split-dimension off-rank hop
-// to a spinor gathered from the ghost face (comms::face_site_index
-// addressing); every other hop, and every interior site, is the standard
-// stencil source -- so interior and boundary arithmetic is bitwise
-// identical to the single-rank WilsonDirac, which is what makes the
-// rank-equivalence suite exact.
+// Boundary sites run the same site kernel with a source hook that routes
+// exactly the split-dimension off-rank hop to a spinor gathered from the
+// ghost face (comms::face_site_index addressing); every other hop, and
+// every interior site, is the standard stencil source -- so interior and
+// boundary arithmetic is bitwise identical to the single-rank
+// dhop_via_cshift, which is what makes the rank-equivalence suite exact.
 //
 // Reductions: CG/BiCGSTAB stopping tests must see bitwise-identical
 // scalars on every rank or the ranks fall out of lockstep.  global_*
@@ -40,10 +45,11 @@
 // split dimension must be the slowest-varying one (t, split_dim == 3)
 // -- asserted, since lex order folds dimension 0 fastest.
 //
-// Error propagation: try_dhop and the reductions return/throw through
-// the comms status ladder; the solver facade (solver/solver.h) catches
-// CommError and lands the verdict in SolverResult::comm_status, so a
-// crashed peer mid-solve is a typed failure, not a hang.
+// Error propagation: a failed exchange in a sweep or a reduction throws
+// CommError (on a failure the output field is partial); the solver facade
+// (solver/solver.h) catches it and lands the verdict in
+// SolverResult::comm_status, so a crashed peer mid-solve is a typed
+// failure, not a hang.
 #pragma once
 
 #include <complex>
@@ -77,7 +83,6 @@ class DistributedWilsonDirac {
         mode_(mode),
         grid_(decomp.grid(rank)),
         stencil_(grid_),
-        tmp_g5_(grid_),
         tmp_m_(grid_),
         u_fwd_{gauge_local.U[0], gauge_local.U[1], gauge_local.U[2],
                gauge_local.U[3]},
@@ -112,107 +117,23 @@ class DistributedWilsonDirac {
   double mass() const { return mass_; }
   Compression mode() const { return mode_; }
 
-  // --- hopping term: the overlap schedule ---------------------------------
+  // --- the operator: one overlapped sweep per application ----------------
 
-  /// out = Dh in, typed-status form: posts faces, sweeps interior while
-  /// the wire is in flight, completes faces, sweeps the boundary.  On a
-  /// non-kOk status `out` is partial -- callers must not use it.
-  CommStatus try_dhop(const Fermion& in, Fermion& out) const {
-    if (const CommStatus st = try_complete_setup(); st != CommStatus::kOk)
-      return st;
-    // Phase 1: both fermion faces onto the wire before any arithmetic.
-    if (const CommStatus st = detail::try_post_shift_face(
-            decomp_, comm_, rank_, in, +1, mode_, kDhopTagBase + 0);
-        st != CommStatus::kOk)
-      return st;
-    if (const CommStatus st = detail::try_post_shift_face(
-            decomp_, comm_, rank_, in, -1, mode_, kDhopTagBase + 1);
-        st != CommStatus::kOk)
-      return st;
-    // Phase 2: interior sites overlap with the in-flight faces.
-    {
-      metrics::ScopedTimer mt("dhop_interior", interior_bytes_, interior_flops_);
-      thread_for(static_cast<std::int64_t>(interior_.size()), [&](std::int64_t i) {
-        const std::int64_t o = interior_[static_cast<std::size_t>(i)];
-        qcd::detail::dhop_site<S>(in, stencil_, u_fwd_, u_bwd_, o, out[o]);
-      });
-    }
-    // Phase 3: the wire wait -- recv, decompress, unpack into the
-    // reusable ghost buffers (bytes = wire bytes actually waited on).
-    {
-      metrics::ScopedTimer mt("dhop_wire_wait");
-      if (const CommStatus st =
-              try_recv_face(in, +1, kDhopTagBase + 0, ghost_fwd_, mt);
-          st != CommStatus::kOk)
-        return st;
-      if (const CommStatus st =
-              try_recv_face(in, -1, kDhopTagBase + 1, ghost_bwd_, mt);
-          st != CommStatus::kOk)
-        return st;
-    }
-    // Phase 4: boundary sites, off-rank hops served from the ghosts.
-    {
-      metrics::ScopedTimer mt("dhop_faces", boundary_bytes_, boundary_flops_);
-      const int split = decomp_.split_dim();
-      const int edge = decomp_.local_dims()[split] - 1;
-      const lattice::Coordinate dims = grid_->fdimensions();
-      thread_for(static_cast<std::int64_t>(boundary_.size()), [&](std::int64_t i) {
-        const std::int64_t o = boundary_[static_cast<std::size_t>(i)];
-        qcd::SpinColourVector<S> ghost_site;  // an off-rank neighbour, gathered
-        qcd::detail::dhop_site<S>(
-            u_fwd_, u_bwd_, o,
-            [&](int dir) -> qcd::detail::HopSource<S> {
-              const bool fwd_cut = dir == split;
-              const bool bwd_cut = dir == lattice::Nd + split;
-              if (fwd_cut || bwd_cut) {
-                // All lanes of an outer site share the split coordinate
-                // (simd_layout[split] == 1), so one lane decides.
-                const lattice::Coordinate x0 = grid_->global_coor(o, 0);
-                if ((fwd_cut && x0[split] == edge) || (bwd_cut && x0[split] == 0)) {
-                  const std::vector<sobj>& ghost = fwd_cut ? ghost_fwd_ : ghost_bwd_;
-                  for (unsigned l = 0; l < grid_->isites(); ++l) {
-                    const lattice::Coordinate x = grid_->global_coor(o, l);
-                    tensor::poke_lane(ghost_site, l,
-                                      ghost[face_site_index(dims, split, x)]);
-                  }
-                  return {&ghost_site, 0};
-                }
-              }
-              return qcd::detail::stencil_source<S>(
-                  stencil_, o, dir, [&](std::int64_t s) -> const auto& { return in[s]; });
-            },
-            out[o]);
-      });
-    }
-    return CommStatus::kOk;
-  }
-
-  /// Throwing form of try_dhop (what the solver's operator plumbing uses).
+  /// Hopping term: out = Dh in.
   void dhop(const Fermion& in, Fermion& out) const {
-    const CommStatus st = try_dhop(in, out);
-    if (st != CommStatus::kOk)
-      throw CommError(st, "distributed dhop failed (rank " +
-                              std::to_string(rank_) + ")");
+    sweep<false>(in,
+                 [&](std::int64_t o) { return qcd::detail::StoreColumn<S>{&out[o]}; });
   }
 
-  /// Full Wilson operator on this rank's slab: out = (4 + m) in - Dh in / 2.
-  void m(const Fermion& in, Fermion& out) const {
-    SVELAT_ASSERT_MSG(&in != &out, "in-place application is not supported");
-    dhop(in, out);
-    const S diag(static_cast<typename S::real_type>(4.0 + mass_), 0);
-    const S mhalf(static_cast<typename S::real_type>(-0.5), 0);
-    thread_for(grid_->osites(),
-               [&](std::int64_t o) { out[o] = diag * in[o] + mhalf * out[o]; });
-  }
+  /// Full Wilson operator on this rank's slab: out = (4 + m) in - Dh in / 2,
+  /// the diagonal fused into the hopping sweep.
+  void m(const Fermion& in, Fermion& out) const { fused<false>(in, out); }
 
-  /// M^dag via gamma_5 hermiticity (gamma5 is site-local: no extra comms).
-  void mdag(const Fermion& in, Fermion& out) const {
-    qcd::apply_gamma5(in, tmp_g5_);
-    m(tmp_g5_, out);
-    qcd::apply_gamma5(out, out);
-  }
+  /// M^dag = gamma5 M gamma5, both gamma5 fused into the one sweep (gamma5
+  /// is site-local: no extra comms, and the faces carry `in` itself).
+  void mdag(const Fermion& in, Fermion& out) const { fused<true>(in, out); }
 
-  /// Normal operator M^dag M.  The two dhops inside reuse tags 200/201
+  /// Normal operator M^dag M.  The two sweeps inside reuse tags 200/201
   /// back to back, which is safe: the Communicator contract delivers
   /// same-(from,to,tag) messages FIFO, and each completes its own faces
   /// before the next posts.
@@ -251,6 +172,92 @@ class DistributedWilsonDirac {
   }
 
  private:
+  /// The overlap schedule: posts the faces of `in`, sweeps the interior
+  /// while the wire is in flight, completes the faces, sweeps the
+  /// boundary.  Each site's hopping sum (gamma5 on the neighbour loads
+  /// with G5In) goes to the post hook `hook(o)` while still in registers.
+  template <bool G5In, class HookF>
+  void sweep(const Fermion& in, HookF&& hook) const {
+    throw_on_failure(try_complete_setup());
+    // Phase 1: both fermion faces onto the wire before any arithmetic.
+    throw_on_failure(detail::try_post_shift_face(decomp_, comm_, rank_, in, +1, mode_,
+                                                 kDhopTagBase + 0));
+    throw_on_failure(detail::try_post_shift_face(decomp_, comm_, rank_, in, -1, mode_,
+                                                 kDhopTagBase + 1));
+    // A rank-local hop: the stencil table over `in`.
+    const auto local = [&](std::int64_t o, int dir) {
+      return qcd::detail::stencil_source<S>(
+          stencil_, o, dir, [&](std::int64_t s) -> const auto& { return in[s]; });
+    };
+    // Phase 2: interior sites overlap with the in-flight faces.
+    {
+      metrics::ScopedTimer mt("dhop_interior", interior_bytes_, interior_flops_);
+      thread_for(static_cast<std::int64_t>(interior_.size()), [&](std::int64_t i) {
+        const std::int64_t o = interior_[static_cast<std::size_t>(i)];
+        qcd::detail::hop_site<G5In, S>(
+            u_fwd_, u_bwd_, o, [&](int dir) { return local(o, dir); }, hook(o));
+      });
+    }
+    // Phase 3: the wire wait -- recv, decompress, unpack into the ghost
+    // faces (bytes = wire bytes actually waited on).
+    {
+      metrics::ScopedTimer mt("dhop_wire_wait");
+      throw_on_failure(try_recv_face(in, +1, kDhopTagBase + 0, ghost_fwd_, mt));
+      throw_on_failure(try_recv_face(in, -1, kDhopTagBase + 1, ghost_bwd_, mt));
+    }
+    // Phase 4: boundary sites, off-rank hops served from the ghosts.
+    {
+      metrics::ScopedTimer mt("dhop_faces", boundary_bytes_, boundary_flops_);
+      const int split = decomp_.split_dim();
+      const int edge = decomp_.local_dims()[split] - 1;
+      const lattice::Coordinate dims = grid_->fdimensions();
+      thread_for(static_cast<std::int64_t>(boundary_.size()), [&](std::int64_t i) {
+        const std::int64_t o = boundary_[static_cast<std::size_t>(i)];
+        qcd::SpinColourVector<S> ghost_site;  // an off-rank neighbour, gathered
+        qcd::detail::hop_site<G5In, S>(
+            u_fwd_, u_bwd_, o,
+            [&](int dir) -> qcd::detail::HopSource<S> {
+              const bool fwd_cut = dir == split;
+              const bool bwd_cut = dir == lattice::Nd + split;
+              if (fwd_cut || bwd_cut) {
+                // All lanes of an outer site share the split coordinate
+                // (simd_layout[split] == 1), so one lane decides.
+                const lattice::Coordinate x0 = grid_->global_coor(o, 0);
+                if ((fwd_cut && x0[split] == edge) || (bwd_cut && x0[split] == 0)) {
+                  const std::vector<sobj>& ghost = fwd_cut ? ghost_fwd_ : ghost_bwd_;
+                  for (unsigned l = 0; l < grid_->isites(); ++l) {
+                    const lattice::Coordinate x = grid_->global_coor(o, l);
+                    tensor::poke_lane(ghost_site, l,
+                                      ghost[face_site_index(dims, split, x)]);
+                  }
+                  return {&ghost_site, 0};
+                }
+              }
+              return local(o, dir);
+            },
+            hook(o));
+      });
+    }
+  }
+
+  /// M (G5 false) or M^dag (G5 true) in one sweep: the hopping sum meets
+  /// the diagonal in registers, out = (4 + m) in - Dh in / 2, with G5 the
+  /// form gamma5 (diag gamma5 in - Dh gamma5 in / 2).
+  template <bool G5>
+  void fused(const Fermion& in, Fermion& out) const {
+    SVELAT_ASSERT_MSG(&in != &out, "in-place application is not supported");
+    const S diag(static_cast<typename S::real_type>(4.0 + mass_), 0);
+    const S mhalf(static_cast<typename S::real_type>(-0.5), 0);
+    sweep<G5>(in, [&](std::int64_t o) {
+      return qcd::detail::DiagColumn<G5, S>{&in[o], &out[o], diag, mhalf};
+    });
+  }
+
+  void throw_on_failure(CommStatus st) const {
+    if (st != CommStatus::kOk)
+      throw CommError(st, "distributed dhop failed (rank " + std::to_string(rank_) + ")");
+  }
+
   /// Classify each outer site: interior (all 8 stencil reads rank-local)
   /// vs boundary (the split-dimension hop crosses the rank cut).  With
   /// local extent L <= 2 every site is boundary and the interior sweep
@@ -433,10 +440,8 @@ class DistributedWilsonDirac {
   Compression mode_;
   const lattice::GridCartesian* grid_;
   lattice::Stencil stencil_;
-  // mdag/mdag_m intermediates, as WilsonDirac's: both run every CG
-  // iteration.  Distinct because mdag_m's stays live across the nested
-  // mdag.  Not thread-safe across concurrent applications of one operator.
-  mutable Fermion tmp_g5_;
+  // mdag_m's intermediate (it runs every CG iteration).  Not thread-safe
+  // across concurrent applications of one operator.
   mutable Fermion tmp_m_;
   // Double-stored gauge like WilsonDirac; u_bwd_[split]'s edge slice is
   // completed from the neighbour's face at first use.
@@ -447,7 +452,10 @@ class DistributedWilsonDirac {
   std::vector<std::int64_t> boundary_;  ///< outer sites on the rank cut
   double interior_bytes_ = 0.0, interior_flops_ = 0.0;
   double boundary_bytes_ = 0.0, boundary_flops_ = 0.0;
-  // Reusable per-apply buffers (no allocation in the steady state).
+  // Per-apply face buffers.  The operator allocates no field buffers, but
+  // face marshalling is not allocation-free: pack_face, compress and
+  // decompress build std::vector buffers on every exchange, and
+  // unpack_face replaces the ghost vectors below.
   mutable std::vector<std::uint8_t> wire_;
   mutable std::vector<sobj> ghost_fwd_;  ///< +split face: psi(x_split = 0) of rank+1
   mutable std::vector<sobj> ghost_bwd_;  ///< -split face: psi(x_split = L-1) of rank-1
@@ -509,21 +517,12 @@ double axpy_norm2(DistributedFermion<S>& r, const A& a,
   return r.op().global_axpy_norm2(r.field, a, x.field, y.field);
 }
 
-/// Allocation-free difference into an existing field (the solver hot
-/// path's `sub(r, b, ap)`); site-local, no comms, bitwise-identical to
-/// the allocating operator- below.
+/// Difference into an existing field (the solver hot path's
+/// `sub(r, b, ap)`); site-local, no comms.
 template <class S>
 void sub(DistributedFermion<S>& r, const DistributedFermion<S>& a,
          const DistributedFermion<S>& b) {
   lattice::sub(r.field, a.field, b.field);
-}
-
-template <class S>
-DistributedFermion<S> operator-(const DistributedFermion<S>& a,
-                                const DistributedFermion<S>& b) {
-  DistributedFermion<S> r(&a.op());
-  r.field = a.field - b.field;
-  return r;
 }
 
 /// Operator adapter with the WilsonDirac m/mdag/mdag_m surface over
@@ -541,9 +540,6 @@ struct DistributedWilsonOp {
   }
   void mdag_m(const Fermion& in, Fermion& out) const {
     d->mdag_m(in.field, out.field);
-  }
-  static void apply_gamma5(const Fermion& in, Fermion& out) {
-    qcd::apply_gamma5(in.field, out.field);
   }
 };
 

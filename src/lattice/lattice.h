@@ -3,7 +3,8 @@
 // Storage is one vobj per *outer* site; SIMD lane l of each vobj belongs to
 // virtual node l (paper Fig. 1).  Site-wise arithmetic maps directly onto
 // the SIMD abstraction layer; global reductions reduce over lanes at the
-// end.  peek/poke address *global* coordinates, hiding the layout.
+// end.  peek/poke address *global* coordinates, hiding the layout; a
+// coordinate outside [0, fdimensions()) aborts instead of wrapping.
 //
 // GridT defaults to the full-lattice GridCartesian; any type satisfying
 // the same indexing concept (osites/isites/outer_index/inner_index/
@@ -46,6 +47,7 @@ class Lattice {
 
   /// Scalar site object at a global coordinate.
   scalar_object peek(const Coordinate& global) const {
+    check_in_grid(global);
     const std::int64_t o = grid_->outer_index(global);
     const unsigned l = grid_->inner_index(global);
     return tensor::peek_lane(data_[static_cast<std::size_t>(o)], l);
@@ -53,6 +55,7 @@ class Lattice {
 
   /// Overwrite the site at a global coordinate.
   void poke(const Coordinate& global, const scalar_object& s) {
+    check_in_grid(global);
     const std::int64_t o = grid_->outer_index(global);
     const unsigned l = grid_->inner_index(global);
     tensor::poke_lane(data_[static_cast<std::size_t>(o)], l, s);
@@ -109,6 +112,18 @@ class Lattice {
   }
 
  private:
+  /// The grid's index maps take components modulo and divided by the
+  /// extents: an out-of-grid coordinate would land on another site, or
+  /// outside the field.
+  void check_in_grid(const Coordinate& global) const {
+    const Coordinate& dims = grid_->fdimensions();
+    for (int mu = 0; mu < Nd; ++mu)
+      SVELAT_ASSERT_MSG(global[mu] >= 0 && global[mu] < dims[mu],
+                        ("coordinate " + to_string(global) + " lies outside the " +
+                         to_string(dims) + " lattice")
+                            .c_str());
+  }
+
   const GridT* grid_;
   AlignedVector<vobj> data_;
 };

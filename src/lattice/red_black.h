@@ -2,8 +2,8 @@
 //
 // Site parity p(x) = (x+y+z+t) mod 2 splits the lattice into red/black
 // sublattices.  Because the virtual-node decomposition keeps all SIMD
-// lanes of one outer site at the same parity (enforced below, as in
-// qcd::Checkerboard), a half-checkerboard grid is simply the ordered
+// lanes of one outer site at the same parity (enforced below), a
+// half-checkerboard grid is simply the ordered
 // subset of *outer* sites with the chosen parity: the lane structure is
 // untouched, storage and traffic halve.  This is the production solver
 // layout of Grid's GridRedBlackCartesian; fields over it are

@@ -1,19 +1,19 @@
-// Batched multi-RHS Wilson operators over BlockLattice fields.
+// The batched multi-RHS Schur operator over BlockLattice fields.
 //
 // The propagator workload is many solves against ONE gauge configuration
 // (12 spin-colour columns today, thousands of sources at scale), yet a
 // sequential solve re-streams every gauge link per right-hand side.  The
 // kernels here sweep the stencil once per site and apply each loaded link
-// to all N site-contiguous columns of a BlockFermion, so the link traffic
+// to all N site-contiguous columns of a HalfBlockFermion, so the link traffic
 // and neighbour indexing amortize N-fold:
 //
 //   per-site reals moved:  sequential  N * (216 spinor + 144 link)
 //                          batched     N * 216 spinor + 144 link
 //
 // (216 = 9 spinor accesses x Ns*Nc complex, 144 = 8 link reads x Nc*Nc
-// complex.)  The batched regions ("dhop_block", "dhop_eo_block",
-// "dhop_oe_block") carry this amortized byte model, so the saving is an
-// observable GB/s / bytes-per-solve number in bench_cg --json.
+// complex.)  The batched regions ("dhop_eo_block", "dhop_oe_block") carry
+// this amortized byte model, so the saving is an observable GB/s /
+// bytes-per-solve number in bench_cg --json.
 //
 // The Schur operator and its solve driver exist only here: a single
 // right-hand side is N = 1, so the facade's single solves and its 12-wide
@@ -42,10 +42,8 @@
 
 namespace svelat::qcd {
 
-/// N right-hand-side spinor fields, site-contiguous (column j of outer
-/// site o at data[o*N + j]).
-template <class S, int N>
-using BlockFermion = lattice::BlockLattice<SpinColourVector<S>, N>;
+/// N right-hand-side spinor fields of one parity, site-contiguous (column
+/// j of half-grid site h at data[h*N + j]).
 template <class S, int N>
 using HalfBlockFermion =
     lattice::BlockLattice<SpinColourVector<S>, N, lattice::GridRedBlackCartesian>;
@@ -77,7 +75,8 @@ namespace detail {
 ///  - `post(j, pg, z, a0, a1, a2, a3)` consumes column j's hopping sum
 ///    (one colour triplet per spin) while it is still in registers -- the
 ///    hook that stores it, or fuses the Wilson diagonal, an output gamma5
-///    or a norm into the same sweep.
+///    or a norm into the same sweep (StoreColumn / DiagColumn,
+///    qcd/dhop_kernel.h).
 template <bool G5In, class S, int N, class BlockT, class TableT, class UFieldT,
           class PostF>
 inline void dhop_site_block(const BlockT& in, const TableT& st, const UFieldT* u_fwd,
@@ -98,135 +97,7 @@ inline void dhop_site_block(const BlockT& in, const TableT& st, const UFieldT* u
   }
 }
 
-/// Post hook: store column j's hopping sum into out[j].
-template <class S>
-struct StoreColumn {
-  SpinColourVector<S>* out;  ///< the output site's N columns
-
-  template <class P, class Z, class C3>
-  void operator()(int j, const P& pg, const Z&, const C3& a0, const C3& a1,
-                  const C3& a2, const C3& a3) const {
-    store_site<S>(pg, a0, a1, a2, a3, out[j]);
-  }
-};
-
-/// Post hook: the Wilson diagonal fused into the sweep, out_j = a in_j +
-/// b acc_j per component.  With G5 it stores gamma5(a gamma5(in_j) +
-/// b acc_j), the fused form of gamma5-in/gamma5-out passes.  With `norm`
-/// set it also writes norm[j] = <out_j, out_j> (per lane), computed from
-/// the registers just stored.  Same functors, operands and order as the
-/// tensor expressions (`a * in + b * acc`, tensor::innerProduct), so
-/// bitwise their values.
-template <bool G5, class S>
-struct DiagColumn {
-  const SpinColourVector<S>* in;
-  SpinColourVector<S>* out;
-  S a, b;
-  S* norm = nullptr;
-
-  template <class P, class Z, class C3>
-  void operator()(int j, const P& pg, const Z& z, const C3& a0, const C3& a1,
-                  const C3& a2, const C3& a3) const {
-    using R = HopRegs<S>;
-    const typename R::reg ar = R::load(pg, a.raw());
-    const typename R::reg br = R::load(pg, b.raw());
-    typename R::reg n;
-    const auto spin = [&](int s, const C3& acc) {
-      const bool flip = G5 && s >= 2;  // gamma5 = diag(1, 1, -1, -1)
-      C3 v;
-      for (int c = 0; c < Nc; ++c) {
-        typename R::reg x = R::load(pg, in[j](s)(c).raw());
-        if (flip) x = R::neg(pg, x);
-        v.reg[c] = R::add(pg, R::mult(pg, z, ar, x), R::mult(pg, z, br, acc.reg[c]));
-        if (flip) v.reg[c] = R::neg(pg, v.reg[c]);
-        R::store(pg, out[j](s)(c).raw(), v.reg[c]);
-      }
-      if (norm == nullptr) return;
-      typename R::reg ns = R::mult_conj(pg, z, v.reg[0], v.reg[0]);
-      for (int c = 1; c < Nc; ++c)
-        ns = R::add(pg, ns, R::mult_conj(pg, z, v.reg[c], v.reg[c]));
-      n = s == 0 ? ns : R::add(pg, n, ns);
-    };
-    spin(0, a0);
-    spin(1, a1);
-    spin(2, a2);
-    spin(3, a3);
-    if (norm != nullptr) R::store(pg, norm[j].raw(), n);
-  }
-};
-
 }  // namespace detail
-
-/// Batched full-lattice Wilson operator: the multi-RHS view of an
-/// existing WilsonDirac (shares its stencil table and double-stored
-/// gauge; construction allocates only the two block scratch fields).
-template <class S, int N>
-class BlockWilsonDirac {
- public:
-  using Block = BlockFermion<S, N>;
-
-  explicit BlockWilsonDirac(const WilsonDirac<S>& base)
-      : base_(&base),
-        tmp_m_(base.grid()),
-        bytes_(static_cast<double>(base.grid()->gsites()) *
-               block_dhop_reals_per_site(N) * sizeof(typename S::real_type)),
-        flops_(kDhopFlopsPerSite * N * static_cast<double>(base.grid()->gsites())) {}
-
-  const lattice::GridCartesian* grid() const { return base_->grid(); }
-  double mass() const { return base_->mass(); }
-
-  /// out_j = Dh in_j for all N columns in one stencil sweep.
-  void dhop(const Block& in, Block& out) const {
-    metrics::ScopedTimer mt("dhop_block", bytes_, flops_);
-    thread_for(grid()->osites(), [&](std::int64_t o) {
-      detail::dhop_site_block<false, S, N>(in, base_->stencil(), base_->u_fwd(),
-                                           base_->u_bwd(), o,
-                                           detail::StoreColumn<S>{out.site(o)});
-    });
-  }
-
-  /// out_j = (4 + m) in_j - (1/2) Dh in_j, diagonal fused into the hopping
-  /// sweep (same per-site values as the sequential dhop-then-combine, one
-  /// field pass fewer).
-  void m(const Block& in, Block& out) const {
-    SVELAT_ASSERT_MSG(&in != &out, "in-place application is not supported");
-    metrics::ScopedTimer mt("dhop_block", bytes_, flops_);
-    const S diag(static_cast<typename S::real_type>(4.0 + base_->mass()), 0);
-    const S mhalf(static_cast<typename S::real_type>(-0.5), 0);
-    thread_for(grid()->osites(), [&](std::int64_t o) {
-      detail::dhop_site_block<false, S, N>(
-          in, base_->stencil(), base_->u_fwd(), base_->u_bwd(), o,
-          detail::DiagColumn<false, S>{in.site(o), out.site(o), diag, mhalf});
-    });
-  }
-
-  /// M^dag = gamma5 M gamma5, both gamma5 applications fused into the one
-  /// hopping sweep (gamma5 on the neighbour loads, gamma5 + diagonal on
-  /// the store) -- zero extra field passes, and the in-register sign
-  /// flips reproduce the sequential pass-by-pass values bit for bit.
-  void mdag(const Block& in, Block& out) const {
-    SVELAT_ASSERT_MSG(&in != &out, "in-place application is not supported");
-    metrics::ScopedTimer mt("dhop_block", bytes_, flops_);
-    const S diag(static_cast<typename S::real_type>(4.0 + base_->mass()), 0);
-    const S mhalf(static_cast<typename S::real_type>(-0.5), 0);
-    thread_for(grid()->osites(), [&](std::int64_t o) {
-      detail::dhop_site_block<true, S, N>(
-          in, base_->stencil(), base_->u_fwd(), base_->u_bwd(), o,
-          detail::DiagColumn<true, S>{in.site(o), out.site(o), diag, mhalf});
-    });
-  }
-
-  void mdag_m(const Block& in, Block& out) const {
-    m(in, tmp_m_);
-    mdag(tmp_m_, out);
-  }
-
- private:
-  const WilsonDirac<S>* base_;
-  mutable Block tmp_m_;  ///< mdag_m intermediate (not thread-safe, as base)
-  double bytes_;         ///< amortized wall-clock model per application
-  double flops_;
-};
 
 /// The Schur operator Mhat over N columns of even half block fields -- the
 /// only Schur operator; one right-hand side is N = 1.  A view of an
@@ -431,8 +302,7 @@ std::array<solver::SolverResult, N> block_schur_half_solve(
   eo.dhop_oe(ws.x_e, ws.tmp_o);
   block_axpy(ws.x_o, 0.5, ws.tmp_o, ws.b_o);
   {
-    const typename BlockFermion<S, N>::simd_type c{
-        typename S::scalar_type(1.0 / d, 0.0)};
+    const S c{typename S::scalar_type(1.0 / d, 0.0)};
     thread_for(go->osites(), [&](std::int64_t h) {
       SpinColourVector<S>* xs = ws.x_o.site(h);
       for (int j = 0; j < N; ++j) xs[j] = c * xs[j];

@@ -6,10 +6,11 @@
 // reconstruction then run on register values (Ops<P>::Regs, simd/ops.h),
 // and the 12-register accumulator stays live across all 8 hops.  A caller's
 // `post` hook receives the accumulator still in registers and decides what
-// reaches memory: a plain store, the Wilson diagonal, gamma5, a norm.  One
-// PTRUE and one zero register are hoisted per site.  Every backend (generic,
-// sve-fcmla, sve-real) runs this one kernel through its register primitives,
-// so on the SVE backends each operation is a counted sve:: intrinsic.
+// reaches memory: a plain store, the Wilson diagonal, gamma5, a norm
+// (StoreColumn, DiagColumn below).  One PTRUE and one zero register are
+// hoisted per site.  Every backend (generic, sve-fcmla, sve-real) runs this
+// one kernel through its register primitives, so on the SVE backends each
+// operation is a counted sve:: intrinsic.
 //
 // Sizeless-type rule (sve/sve_types.h): register values are function
 // locals only -- never members, arrays or statics.  Colour triplets are the
@@ -194,16 +195,85 @@ inline void store_site(const typename HopRegs<S>::pred& pg,
   }
 }
 
-/// Hopping term of one site into `out`: the kernel with a plain store.
-template <class S, class UFieldT, class SourceF>
-inline void dhop_site(const UFieldT* u_fwd, const UFieldT* u_bwd, std::int64_t o,
-                      SourceF&& source, SpinColourVector<S>& out) {
+// Post hooks: what a sweep does with a site's hopping sum while it is still
+// in registers.  `post(j, pg, z, a0, a1, a2, a3)` receives column j's sum
+// (one colour triplet per spin); a single-field sweep is column 0.
+
+/// Post hook: store column j's hopping sum into out[j].
+template <class S>
+struct StoreColumn {
+  SpinColourVector<S>* out;  ///< the output site's columns
+
+  template <class P, class Z, class C3>
+  void operator()(int j, const P& pg, const Z&, const C3& a0, const C3& a1,
+                  const C3& a2, const C3& a3) const {
+    store_site<S>(pg, a0, a1, a2, a3, out[j]);
+  }
+};
+
+/// Post hook: the Wilson diagonal fused into the sweep, out_j = a in_j +
+/// b acc_j per component.  With G5 it stores gamma5(a gamma5(in_j) +
+/// b acc_j), the fused form of gamma5-in/gamma5-out passes.  With `norm`
+/// set it also writes norm[j] = <out_j, out_j> (per lane), computed from
+/// the registers just stored.  Same functors, operands and order as the
+/// tensor expressions (`a * in + b * acc`, tensor::innerProduct), so
+/// bitwise their values.
+template <bool G5, class S>
+struct DiagColumn {
+  const SpinColourVector<S>* in;
+  SpinColourVector<S>* out;
+  S a, b;
+  S* norm = nullptr;
+
+  template <class P, class Z, class C3>
+  void operator()(int j, const P& pg, const Z& z, const C3& a0, const C3& a1,
+                  const C3& a2, const C3& a3) const {
+    using R = HopRegs<S>;
+    const typename R::reg ar = R::load(pg, a.raw());
+    const typename R::reg br = R::load(pg, b.raw());
+    typename R::reg n;
+    const auto spin = [&](int s, const C3& acc) {
+      const bool flip = G5 && s >= 2;  // gamma5 = diag(1, 1, -1, -1)
+      C3 v;
+      for (int c = 0; c < Nc; ++c) {
+        typename R::reg x = R::load(pg, in[j](s)(c).raw());
+        if (flip) x = R::neg(pg, x);
+        v.reg[c] = R::add(pg, R::mult(pg, z, ar, x), R::mult(pg, z, br, acc.reg[c]));
+        if (flip) v.reg[c] = R::neg(pg, v.reg[c]);
+        R::store(pg, out[j](s)(c).raw(), v.reg[c]);
+      }
+      if (norm == nullptr) return;
+      typename R::reg ns = R::mult_conj(pg, z, v.reg[0], v.reg[0]);
+      for (int c = 1; c < Nc; ++c)
+        ns = R::add(pg, ns, R::mult_conj(pg, z, v.reg[c], v.reg[c]));
+      n = s == 0 ? ns : R::add(pg, n, ns);
+    };
+    spin(0, a0);
+    spin(1, a1);
+    spin(2, a2);
+    spin(3, a3);
+    if (norm != nullptr) R::store(pg, norm[j].raw(), n);
+  }
+};
+
+/// One site of one field: the hopping sum of outer site o (gamma5 on the
+/// neighbour loads with G5In) handed to `post` as column 0.
+template <bool G5In, class S, class UFieldT, class SourceF, class PostF>
+inline void hop_site(const UFieldT* u_fwd, const UFieldT* u_bwd, std::int64_t o,
+                     SourceF&& source, PostF&& post) {
   using R = HopRegs<S>;
   const typename R::pred pg = R::ptrue();
   const typename R::reg z = R::zero();
   typename R::template tuple<Nc> a0, a1, a2, a3;
-  hop_sum<false, S>(pg, z, u_fwd, u_bwd, o, source, a0, a1, a2, a3);
-  store_site<S>(pg, a0, a1, a2, a3, out);
+  hop_sum<G5In, S>(pg, z, u_fwd, u_bwd, o, source, a0, a1, a2, a3);
+  post(0, pg, z, a0, a1, a2, a3);
+}
+
+/// Hopping term of one site into `out`: the kernel with a plain store.
+template <class S, class UFieldT, class SourceF>
+inline void dhop_site(const UFieldT* u_fwd, const UFieldT* u_bwd, std::int64_t o,
+                      SourceF&& source, SpinColourVector<S>& out) {
+  hop_site<false, S>(u_fwd, u_bwd, o, source, StoreColumn<S>{&out});
 }
 
 /// The single-source form: every neighbour comes from the stencil table over

@@ -31,37 +31,6 @@
 
 namespace svelat::qcd {
 
-/// Site parity bookkeeping for a grid whose virtual-node blocks are
-/// parity-uniform (all lanes of an outer site share one parity).
-class Checkerboard {
- public:
-  explicit Checkerboard(const lattice::GridCartesian* grid) : grid_(grid) {
-    lattice::assert_parity_uniform_layout(*grid);
-    parity_.resize(static_cast<std::size_t>(grid->osites()));
-    thread_for(grid->osites(), [&](std::int64_t o) {
-      parity_[static_cast<std::size_t>(o)] =
-          static_cast<std::uint8_t>(lattice::outer_site_parity(*grid, o));
-    });
-  }
-
-  int parity(std::int64_t osite) const {
-    return parity_[static_cast<std::size_t>(osite)];
-  }
-  const lattice::GridCartesian* grid() const { return grid_; }
-
-  /// Zero all sites of the given parity.
-  template <class vobj>
-  void project_out(lattice::Lattice<vobj>& f, int parity_to_clear) const {
-    thread_for(grid_->osites(), [&](std::int64_t o) {
-      if (parity(o) == parity_to_clear) tensor::zeroit(f[o]);
-    });
-  }
-
- private:
-  const lattice::GridCartesian* grid_;
-  std::vector<std::uint8_t> parity_;
-};
-
 /// The data of the Schur operator Mhat on the even half lattice: the
 /// parity-split gauge field and parity-restricted stencils (WilsonDiracEO)
 /// that the operator reads at every width.  The operator itself is

@@ -12,9 +12,9 @@
 //                              spinors), SU(3) mac, all in the
 //                              register-resident site kernel of
 //                              qcd/dhop_kernel.h.
-//   dhop_via_shift          -- the same arithmetic at tensor level over
-//                              shifted whole fields; the kernel's bytewise
-//                              oracle (and the stencil ablation).
+//   dhop_via_cshift         -- the same arithmetic at tensor level over
+//                              Cshift-ed whole fields; the kernel's
+//                              bytewise oracle (and the stencil ablation).
 //   dhop_reference          -- scalar per-site evaluation with explicit
 //                              4x4 gamma matrices; the verification oracle
 //                              (paper Sec. V-D).
@@ -64,13 +64,6 @@ class WilsonDirac {
 
   const lattice::GridCartesian* grid() const { return grid_; }
   double mass() const { return mass_; }
-
-  // Read access to the stencil table and double-stored gauge, so the
-  // batched multi-RHS operator (qcd/block.h) sweeps the SAME neighbour
-  // indexing and links instead of rebuilding them.
-  const lattice::Stencil& stencil() const { return stencil_; }
-  const LatticeColourMatrix<S>* u_fwd() const { return u_fwd_; }
-  const LatticeColourMatrix<S>* u_bwd() const { return u_bwd_; }
 
   /// Hopping term, Eq. (1): out = Dh in.  Threaded over outer sites: each
   /// site reads neighbours from `in` (never written here) and writes only
@@ -238,28 +231,22 @@ class WilsonDiracEO {
 
 // ---------------------------------------------------------------------------
 // Shift-based implementation: materializes all eight shifted neighbour
-// fields through a caller-supplied shift functor, then does purely
-// site-local work.  Same SIMD arithmetic as WilsonDirac::dhop but without
-// stencil tables or fused neighbour fetch.  The functor is what makes the
-// hopping term transport-agnostic: lattice::Cshift gives the single-rank
-// ablation (dhop_via_cshift below), a halo-exchanging shift gives the
-// multi-rank operator (comms/distributed_dhop.h) with bitwise-identical
-// site arithmetic.
-//
-// Shift-call order per mu is part of the contract -- psi forward, psi
-// backward, gauge backward -- because distributed callers pre-post the
-// matching faces in exactly this sequence.
+// fields with lattice::Cshift, then does purely site-local work.  Same SIMD
+// arithmetic as WilsonDirac::dhop but without stencil tables or fused
+// neighbour fetch (extra field traffic + temporaries vs the stencil's table
+// lookups): the single-rank ablation, and the oracle every production hop
+// is compared against byte for byte.
 // ---------------------------------------------------------------------------
-template <class S, class ShiftF>
-void dhop_via_shift(const GaugeField<S>& gauge, const LatticeFermion<S>& in,
-                    LatticeFermion<S>& out, ShiftF&& shift) {
+template <class S>
+void dhop_via_cshift(const GaugeField<S>& gauge, const LatticeFermion<S>& in,
+                     LatticeFermion<S>& out) {
   using namespace lattice;
   const GridCartesian* g = gauge.grid();
   thread_for(g->osites(), [&](std::int64_t o) { tensor::zeroit(out[o]); });
   for (int mu = 0; mu < Nd; ++mu) {
-    const LatticeFermion<S> psi_fwd = shift(in, mu, +1);
-    const LatticeFermion<S> psi_bwd = shift(in, mu, -1);
-    const LatticeColourMatrix<S> u_bwd = shift(gauge.U[mu], mu, -1);
+    const LatticeFermion<S> psi_fwd = Cshift(in, mu, +1);
+    const LatticeFermion<S> psi_bwd = Cshift(in, mu, -1);
+    const LatticeColourMatrix<S> u_bwd = Cshift(gauge.U[mu], mu, -1);
     thread_for(g->osites(), [&](std::int64_t o) {
       {
         HalfSpinColourVector<S> h = spin_project(mu, +1, psi_fwd[o]);
@@ -275,16 +262,6 @@ void dhop_via_shift(const GaugeField<S>& gauge, const LatticeFermion<S>& in,
       }
     });
   }
-}
-
-/// The single-rank ablation: all eight neighbour fields via lattice::Cshift
-/// (extra field traffic + temporaries vs the stencil's table lookups).
-template <class S>
-void dhop_via_cshift(const GaugeField<S>& gauge, const LatticeFermion<S>& in,
-                     LatticeFermion<S>& out) {
-  dhop_via_shift(gauge, in, out, [](const auto& f, int mu, int disp) {
-    return lattice::Cshift(f, mu, disp);
-  });
 }
 
 // ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@
 //       68     4  max_iterations
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -117,7 +118,9 @@ inline MeasurementJob decode_job(const std::vector<std::uint8_t>& in,
   const std::uint32_t pre = io::get_u32(in, off, code, "job preconditioner");
   job.tolerance = io::get_f64(in, off, code, "job tolerance");
   job.max_iterations = static_cast<int>(io::get_u32(in, off, code, "job iterations"));
-  if (alg > static_cast<std::uint32_t>(solver::Algorithm::kMixedCG) ||
+  // A source component above INT32_MAX converted to a negative int.
+  const bool source_ok = std::ranges::none_of(job.source, [](int x) { return x < 0; });
+  if (!source_ok || alg > static_cast<std::uint32_t>(solver::Algorithm::kMixedCG) ||
       pre > static_cast<std::uint32_t>(solver::Preconditioner::kSchurEvenOdd) ||
       job.spin < 0 || job.spin >= qcd::Ns || job.colour < 0 || job.colour >= qcd::Nc)
     throw IoError(IoErrorCode::kCorruptPayload,

@@ -78,8 +78,8 @@ SolverResult reference_solve(const Problem& p, Algorithm alg, Field& x) {
   return ref.solve(p.b, x);
 }
 
-qcd::GaugeField<S> scatter_gauge_rank(const RankDecomposition& decomp,
-                                      const qcd::GaugeField<S>& global, int rank) {
+qcd::GaugeField<S> rank_gauge(const RankDecomposition& decomp,
+                              const qcd::GaugeField<S>& global, int rank) {
   qcd::GaugeField<S> local(decomp.grid(rank));
   for (int mu = 0; mu < lattice::Nd; ++mu)
     local.U[static_cast<std::size_t>(mu)] =
@@ -92,7 +92,7 @@ qcd::GaugeField<S> scatter_gauge_rank(const RankDecomposition& decomp,
 SolverResult rank_solve(const Problem& p, const RankDecomposition& decomp,
                         Communicator& comm, int rank, Algorithm alg,
                         Field& x_local, Compression mode = Compression::kNone) {
-  const qcd::GaugeField<S> u_local = scatter_gauge_rank(decomp, p.gauge, rank);
+  const qcd::GaugeField<S> u_local = rank_gauge(decomp, p.gauge, rank);
   const Field b_local = scatter_rank(decomp, p.b, rank);
   DistributedWilsonDirac<S> op(decomp, comm, rank, u_local, kMass, mode);
   WilsonSolver<S> ws(op, params(alg));

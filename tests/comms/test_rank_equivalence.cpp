@@ -1,26 +1,32 @@
 // Rank-equivalence property suite: scatter -> halo-exchanged operator ->
 // gather must reproduce the single-rank operator, for every transport.
 //
-// The sweep covers lattice dims, split dimension, ranks in {1, 2, 3, 4}
-// and the compressed / uncompressed wire, against
+// The shift sweep covers lattice dims, split dimension, ranks in
+// {1, 2, 3, 4} and the compressed / uncompressed wire; the hopping-term
+// sweep runs the production DistributedWilsonDirac::dhop against the
+// single-rank dhop_via_cshift.  Transports:
 //   - the simulated transport (all ranks in one process, mailbox routing),
+//   - an in-process SocketWorld, one thread per rank,
 //   - the socket transport with REAL OS processes (run_ranks forks one
-//     process per rank; each compares its own sub-lattice bitwise and the
-//     parent asserts every rank exited clean).
-// Uncompressed exchanges must match bitwise; fp16 / fp32 wires are held to
-// the respective epsilon at the rank boundary (acceptance criterion of the
-// distributed transport).
+//     process per rank; each compares its own sub-lattice and the parent
+//     asserts every rank exited clean).
+// Uncompressed exchanges must match byte for byte; fp16 / fp32 wires are
+// held to the respective epsilon at the rank boundary (acceptance
+// criterion of the distributed transport).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "comms/distributed.h"
-#include "comms/distributed_dhop.h"
+#include "comms/distributed_wilson.h"
 #include "comms/socket.h"
 #include "lattice/fill.h"
 #include "qcd/types.h"
+#include "support/parallel.h"
 #include "sve/sve.h"
 
 namespace svelat::comms {
@@ -82,12 +88,16 @@ std::string describe(const ShiftCase& c, int disp) {
 }
 
 /// Compare a rank-local result against the matching sub-lattice of the
-/// single-rank result: bitwise for an uncompressed wire, else bounded
-/// relative error.  Returns 0 on success (usable as a rank exit code).
+/// single-rank result: byte for byte for an uncompressed wire, else
+/// bounded relative error.  Returns 0 on success (usable as a rank exit
+/// code).
 int check_local(const Field& got, const Field& expect_local, Compression mode) {
-  const double diff = norm2(got - expect_local);
-  if (mode == Compression::kNone) return diff == 0.0 ? 0 : 1;
-  const double rel = std::sqrt(diff / norm2(expect_local));
+  if (mode == Compression::kNone) {
+    for (std::int64_t o = 0; o < got.osites(); ++o)
+      if (std::memcmp(&got[o], &expect_local[o], sizeof(vobj)) != 0) return 1;
+    return 0;
+  }
+  const double rel = std::sqrt(norm2(got - expect_local) / norm2(expect_local));
   return rel < error_bound(mode) ? 0 : 1;
 }
 
@@ -221,67 +231,103 @@ TEST(RankEquivalenceSocket, RootScatterGatherRoundtripsOverTheWire) {
   }
 }
 
-TEST(RankEquivalenceDhop, SimMatchesSingleRankBitwise) {
-  sve::set_vector_length(kVL);
-  const lattice::Coordinate dims{4, 4, 4, 8};
-  const int split = 3;
-  const lattice::Coordinate layout = pick_layout(dims, split);
-  lattice::GridCartesian global_grid(dims, layout);
+// --- the distributed hopping term -----------------------------------------
 
-  qcd::GaugeField<S> gauge(&global_grid);
+const lattice::Coordinate kDhopDims{4, 4, 4, 8};
+constexpr int kDhopSplit = 3;
+
+/// The deterministic global problem, rebuilt identically by every rank
+/// process: gauge links, source and the single-rank oracle's result.
+struct DhopProblem {
+  DhopProblem()
+      : grid(kDhopDims, pick_layout(kDhopDims, kDhopSplit)),
+        gauge(&grid),
+        psi(&grid),
+        expect(&grid) {
+    for (int mu = 0; mu < lattice::Nd; ++mu)
+      gaussian_fill(SiteRNG(500 + mu), gauge.U[static_cast<std::size_t>(mu)]);
+    gaussian_fill(SiteRNG(kSeed), psi);
+    qcd::dhop_via_cshift(gauge, psi, expect);
+  }
+
+  lattice::GridCartesian grid;
+  qcd::GaugeField<S> gauge;
+  Field psi, expect;
+};
+
+struct DhopCase {
+  int ranks;
+  Compression mode;
+};
+
+std::vector<DhopCase> dhop_cases() {
+  return {{2, Compression::kNone},
+          {4, Compression::kNone},
+          {2, Compression::kF16},
+          {4, Compression::kF32}};
+}
+
+std::string describe(const DhopCase& c) {
+  return "ranks=" + std::to_string(c.ranks) + " wire=" + compression_name(c.mode);
+}
+
+/// One rank's production hop, DistributedWilsonDirac::dhop, against its
+/// sub-lattice of the single-rank dhop_via_cshift.  Returns 0 on success.
+int dhop_rank_body(const DhopProblem& p, const DhopCase& c, int rank,
+                   Communicator& comm) {
+  const RankDecomposition decomp(kDhopDims, kDhopSplit, c.ranks,
+                                 pick_layout(kDhopDims, kDhopSplit));
+  qcd::GaugeField<S> u_local(decomp.grid(rank));
   for (int mu = 0; mu < lattice::Nd; ++mu)
-    gaussian_fill(SiteRNG(500 + mu), gauge.U[static_cast<std::size_t>(mu)]);
-  Field psi(&global_grid);
-  gaussian_fill(SiteRNG(kSeed), psi);
-  Field expect(&global_grid);
-  qcd::dhop_via_cshift(gauge, psi, expect);
+    u_local.U[static_cast<std::size_t>(mu)] =
+        scatter_rank(decomp, p.gauge.U[static_cast<std::size_t>(mu)], rank);
+  const DistributedWilsonDirac<S> op(decomp, comm, rank, u_local, 0.0, c.mode);
+  Field out(decomp.grid(rank));
+  op.dhop(scatter_rank(decomp, p.psi, rank), out);
+  return check_local(out, scatter_rank(decomp, p.expect, rank), c.mode);
+}
 
-  for (const int ranks : {1, 2, 4}) {
-    const RankDecomposition decomp(dims, split, ranks, layout);
-    SimCommunicator comm(ranks);
-    DistributedGauge<S> u(decomp);
-    scatter_gauge(decomp, gauge, u);
-    DistributedField<vobj> in(decomp), out(decomp);
-    scatter(decomp, psi, in);
-    distributed_dhop(decomp, comm, u, in, out);
-    Field result(&global_grid);
-    result.set_zero();
-    gather(decomp, out, result);
-    EXPECT_EQ(norm2(result - expect), 0.0) << "ranks=" << ranks;
+TEST(RankEquivalenceDhop, SimOneRankMatchesSingleRank) {
+  sve::set_vector_length(kVL);
+  const DhopProblem p;
+  for (const Compression mode :
+       {Compression::kNone, Compression::kF16, Compression::kF32}) {
+    SimCommunicator comm(1);
+    const DhopCase c{1, mode};
+    EXPECT_EQ(dhop_rank_body(p, c, 0, comm), 0) << describe(c);
   }
 }
 
-TEST(RankEquivalenceDhop, SocketMatchesSingleRankBitwiseInRealProcesses) {
-  const lattice::Coordinate dims{4, 4, 4, 8};
-  const int split = 3;
-  for (const int ranks : {2, 4}) {
+TEST(RankEquivalenceDhop, ThreadedSocketWorldMatchesSingleRank) {
+  // One thread per rank over its SocketWorld endpoint, so posts and recvs
+  // genuinely interleave; site loops run serially inside rank threads.
+  sve::set_vector_length(kVL);
+  const DhopProblem p;
+  for (const DhopCase& c : dhop_cases()) {
+    SocketWorld world(c.ranks);
+    std::vector<int> status(static_cast<std::size_t>(c.ranks), -1);
+    set_force_serial(true);
+    std::vector<std::thread> threads;
+    for (int r = 0; r < c.ranks; ++r)
+      threads.emplace_back([&, r] {
+        status[static_cast<std::size_t>(r)] = dhop_rank_body(p, c, r, world.rank(r));
+      });
+    for (std::thread& t : threads) t.join();
+    set_force_serial(false);
+    for (int r = 0; r < c.ranks; ++r)
+      EXPECT_EQ(status[static_cast<std::size_t>(r)], 0) << describe(c) << " rank=" << r;
+  }
+}
+
+TEST(RankEquivalenceDhop, SocketMatchesSingleRankInRealProcesses) {
+  for (const DhopCase& c : dhop_cases()) {
     const LaunchReport report =
-        run_ranks(ranks, [&](int rank, SocketCommunicator& comm) {
+        run_ranks(c.ranks, [&](int rank, SocketCommunicator& comm) {
           sve::set_vector_length(kVL);
-          const lattice::Coordinate layout = pick_layout(dims, split);
-          const RankDecomposition decomp(dims, split, ranks, layout);
-          lattice::GridCartesian global_grid(dims, layout);
-
-          qcd::GaugeField<S> gauge(&global_grid);
-          for (int mu = 0; mu < lattice::Nd; ++mu)
-            gaussian_fill(SiteRNG(500 + mu), gauge.U[static_cast<std::size_t>(mu)]);
-          Field psi(&global_grid);
-          gaussian_fill(SiteRNG(kSeed), psi);
-
-          qcd::GaugeField<S> u_local(decomp.grid(rank));
-          for (int mu = 0; mu < lattice::Nd; ++mu)
-            u_local.U[static_cast<std::size_t>(mu)] =
-                scatter_rank(decomp, gauge.U[static_cast<std::size_t>(mu)], rank);
-          const Field in = scatter_rank(decomp, psi, rank);
-          Field out(decomp.grid(rank));
-          rank_dhop(decomp, comm, rank, u_local, in, out);
-
-          Field expect(&global_grid);
-          qcd::dhop_via_cshift(gauge, psi, expect);
-          return check_local(out, scatter_rank(decomp, expect, rank),
-                             Compression::kNone);
+          const DhopProblem p;
+          return dhop_rank_body(p, c, rank, comm);
         });
-    EXPECT_TRUE(report.ok) << "ranks=" << ranks << ": " << report.describe();
+    EXPECT_TRUE(report.ok) << describe(c) << ": " << report.describe();
   }
 }
 

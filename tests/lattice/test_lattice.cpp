@@ -150,5 +150,16 @@ TEST_F(LatticeTest, MismatchedGridsRejected) {
   EXPECT_DEATH((void)(a + b), "different grids");
 }
 
+TEST_F(LatticeTest, OutOfGridCoordinateRejected) {
+  // Index maps take components modulo the extents: without the bound,
+  // t = T wraps onto another site and t = -1 writes before the field.
+  Field f(&grid_);
+  f.set_zero();
+  const Field::scalar_object s = tensor::Zero<Field::scalar_object>();
+  EXPECT_DEATH(f.poke({3, 3, 3, 4}, s), "coordinate \\[3 3 3 4\\] lies outside");
+  EXPECT_DEATH(f.poke({3, 3, 3, -1}, s), "coordinate \\[3 3 3 -1\\] lies outside");
+  EXPECT_DEATH((void)f.peek({0, 0, 0, 4}), "lies outside");
+}
+
 }  // namespace
 }  // namespace svelat::lattice

@@ -1,13 +1,13 @@
-// Batched multi-RHS operator kernels, column by column.
+// Batched multi-RHS Schur operator kernels, column by column.
 //
 // qcd/block.h's contract: column j of every batched kernel performs the
 // same floating-point operations in the same order as a single-column
 // application, so batched applications are BITWISE equal per column --
-// including the fused gamma5 (mdag / mhat_dag) and fused-diagonal forms.
-// The full operator is checked against WilsonDirac; the Schur operator
-// has no other implementation, so its N-wide columns are checked against
-// N = 1 (mhat, mhat_dag and mhat_norm2 per column are pinned bytewise
-// against the tensor-level reference by DhopOracle, test_dhop_variants).
+// including the fused gamma5 (mhat_dag) and fused-diagonal forms.  The
+// Schur operator has no other implementation, so its N-wide columns are
+// checked against N = 1 (mhat, mhat_dag and mhat_norm2 per column are
+// pinned bytewise against the tensor-level reference by DhopOracle,
+// test_dhop_variants).
 // mhat_norm2's RETURNED pAp value regroups <p, Mhat^dag Mhat p> into
 // |Mhat p|^2 through the chunked reduction tree: bitwise equal to
 // norm2(Mhat p), eps-equal to the two-pass inner product.
@@ -23,7 +23,6 @@ namespace svelat::qcd {
 namespace {
 
 using S = simd::SimdComplex<double, simd::kVLB256, simd::SveFcmla>;
-using Field = LatticeFermion<S>;
 using Half = HalfLatticeFermion<S>;
 
 template <class FieldT>
@@ -44,8 +43,7 @@ struct BlockDhopFixture {
       : vl(8 * S::vlb),
         grid({4, 4, 4, 8}, lattice::GridCartesian::default_simd_layout(S::Nsimd())),
         gauge(&grid),
-        dirac((random_gauge(SiteRNG(2018), gauge), gauge), 0.2),
-        eo(gauge, 0.2) {}
+        eo((random_gauge(SiteRNG(2018), gauge), gauge), 0.2) {}
 
   /// A block field plus its per-column sequential twins, on either grid.
   template <class GridP, class BlockT, class ColT>
@@ -61,41 +59,10 @@ struct BlockDhopFixture {
   sve::VLGuard vl;
   lattice::GridCartesian grid;
   GaugeField<S> gauge;
-  WilsonDirac<S> dirac;
   SchurEvenOddWilson<S> eo;
 };
 
 constexpr int N = 4;
-
-TEST(BlockDhop, FullOperatorColumnsMatchSequentialBitwise) {
-  BlockDhopFixture<N> f;
-  BlockWilsonDirac<S, N> bop(f.dirac);
-  BlockFermion<S, N> in(&f.grid), out(&f.grid);
-  std::vector<Field> cols;
-  f.fill(&f.grid, in, cols, 10);
-
-  Field seq(&f.grid), col(&f.grid);
-  const auto check = [&](const char* what, auto&& batched, auto&& sequential) {
-    batched(in, out);
-    for (int j = 0; j < N; ++j) {
-      sequential(cols[static_cast<std::size_t>(j)], seq);
-      out.copy_out_column(j, col);
-      EXPECT_TRUE(fields_bitwise(col, seq)) << what << " col " << j;
-    }
-  };
-  check(
-      "dhop", [&](auto& i, auto& o) { bop.dhop(i, o); },
-      [&](auto& i, auto& o) { f.dirac.dhop(i, o); });
-  check(
-      "m", [&](auto& i, auto& o) { bop.m(i, o); },
-      [&](auto& i, auto& o) { f.dirac.m(i, o); });
-  check(
-      "mdag", [&](auto& i, auto& o) { bop.mdag(i, o); },
-      [&](auto& i, auto& o) { f.dirac.mdag(i, o); });
-  check(
-      "mdag_m", [&](auto& i, auto& o) { bop.mdag_m(i, o); },
-      [&](auto& i, auto& o) { f.dirac.mdag_m(i, o); });
-}
 
 TEST(BlockDhop, SchurNormalOperatorColumnsMatchWidthOneBitwise) {
   BlockDhopFixture<N> f;

@@ -6,14 +6,16 @@
 // exercised everywhere.
 //
 // Forms: WilsonDirac::dhop, WilsonDiracEO::dhop_eo / dhop_oe,
-// BlockWilsonDirac::m / mdag and BlockSchurEvenOddWilson::mhat / mhat_dag /
-// mhat_norm2 per column, and the 2-rank DistributedWilsonDirac (interior
-// and boundary sweeps).  Backends generic, sve-fcmla and sve-real; f64 and
-// f32; VL 128, 256 and 512.  The parity and Schur references run the
-// tensor-level hop on zero-padded full fields: a site of one parity only
-// reads sites of the other, so the padding never enters its arithmetic.
+// BlockSchurEvenOddWilson::mhat / mhat_dag / mhat_norm2 per column, and
+// the 2-rank DistributedWilsonDirac's dhop, m and mdag (interior and
+// boundary sweeps, the fused diagonal and gamma5 hooks).  Backends
+// generic, sve-fcmla and sve-real; f64 and f32; VL 128, 256 and 512.  The
+// parity and Schur references run the tensor-level hop on zero-padded full
+// fields: a site of one parity only reads sites of the other, so the
+// padding never enters its arithmetic.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -163,42 +165,6 @@ TYPED_TEST(DhopOracle, EvenOddDhop) {
 /// Column j of every block form holds source kSources[j].
 constexpr int kCols = 2;
 
-TYPED_TEST(DhopOracle, BlockWilsonMAndMdag) {
-  using S = TypeParam;
-  using Field = LatticeFermion<S>;
-  const double mass = 0.2;
-  const WilsonDirac<S> dirac(this->gauge_, mass);
-  const BlockWilsonDirac<S, kCols> bop(dirac);
-  BlockFermion<S, kCols> in(&this->grid_), out_m(&this->grid_), out_mdag(&this->grid_);
-  std::vector<Field> cols;
-  for (int j = 0; j < kCols; ++j) {
-    cols.push_back(this->source(kSources[j]));
-    in.copy_in_column(j, cols.back());
-  }
-  bop.m(in, out_m);
-  bop.mdag(in, out_mdag);
-
-  const S diag(static_cast<typename S::real_type>(4.0 + mass), 0);
-  const S mhalf(static_cast<typename S::real_type>(-0.5), 0);
-  Field got(&this->grid_), want(&this->grid_), g5(&this->grid_);
-  for (int j = 0; j < kCols; ++j) {
-    const Field& x = cols[static_cast<std::size_t>(j)];
-    const Field hop = this->ref_dhop(x);
-    thread_for(x.osites(),
-               [&](std::int64_t o) { want[o] = diag * x[o] + mhalf * hop[o]; });
-    out_m.copy_out_column(j, got);
-    EXPECT_TRUE(bytes_equal(got, want)) << "m " << source_name(kSources[j]);
-
-    apply_gamma5(x, g5);
-    const Field hop5 = this->ref_dhop(g5);
-    thread_for(x.osites(), [&](std::int64_t o) {
-      want[o] = gamma5(diag * g5[o] + mhalf * hop5[o]);
-    });
-    out_mdag.copy_out_column(j, got);
-    EXPECT_TRUE(bytes_equal(got, want)) << "mdag " << source_name(kSources[j]);
-  }
-}
-
 TYPED_TEST(DhopOracle, BlockSchurMhatAndMhatDag) {
   using S = TypeParam;
   using Half = HalfLatticeFermion<S>;
@@ -270,21 +236,34 @@ TYPED_TEST(DhopOracle, DistributedTwoRankDhop) {
   const lattice::Coordinate dims{4, 4, 4, 8};
   const int split = 3;
   const int ranks = 2;
+  const double mass = 0.2;
   const lattice::Coordinate layout = comms::split_simd_layout(dims, split, S::Nsimd());
   lattice::GridCartesian global(dims, layout);
   GaugeField<S> gauge(&global);
   random_gauge(SiteRNG(42), gauge);
   const comms::RankDecomposition decomp(dims, split, ranks, layout);
+  const S diag(static_cast<typename S::real_type>(4.0 + mass), 0);
+  const S mhalf(static_cast<typename S::real_type>(-0.5), 0);
 
   for (const Source src : kSources) {
-    Field psi(&global), want(&global);
+    // References at tensor level: Dh x, M x = diag x - Dh x / 2 and
+    // M^dag x = gamma5 (diag gamma5 x - Dh gamma5 x / 2).
+    Field psi(&global), want(&global), want_m(&global), want_mdag(&global),
+        g5(&global), hop5(&global);
     fill_source(src, psi);
     dhop_via_cshift(gauge, psi, want);
+    thread_for(psi.osites(),
+               [&](std::int64_t o) { want_m[o] = diag * psi[o] + mhalf * want[o]; });
+    apply_gamma5(psi, g5);
+    dhop_via_cshift(gauge, g5, hop5);
+    thread_for(psi.osites(), [&](std::int64_t o) {
+      want_mdag[o] = gamma5(diag * g5[o] + mhalf * hop5[o]);
+    });
 
     // One thread per rank over an in-process socket world; site loops run
     // serially inside rank threads.
     comms::SocketWorld world(ranks);
-    std::vector<int> equal(ranks, 0);
+    std::vector<std::array<bool, 3>> equal(ranks);
     set_force_serial(true);
     std::vector<std::thread> threads;
     for (int r = 0; r < ranks; ++r)
@@ -294,17 +273,25 @@ TYPED_TEST(DhopOracle, DistributedTwoRankDhop) {
           u_local.U[static_cast<std::size_t>(mu)] =
               comms::scatter_rank(decomp, gauge.U[static_cast<std::size_t>(mu)], r);
         const Field in = comms::scatter_rank(decomp, psi, r);
-        const comms::DistributedWilsonDirac<S> op(decomp, world.rank(r), r, u_local, 0.0);
+        const comms::DistributedWilsonDirac<S> op(decomp, world.rank(r), r, u_local,
+                                                  mass);
         Field out(decomp.grid(r));
+        std::array<bool, 3>& eq = equal[static_cast<std::size_t>(r)];
         op.dhop(in, out);
-        equal[static_cast<std::size_t>(r)] =
-            bytes_equal(out, comms::scatter_rank(decomp, want, r));
+        eq[0] = bytes_equal(out, comms::scatter_rank(decomp, want, r));
+        op.m(in, out);
+        eq[1] = bytes_equal(out, comms::scatter_rank(decomp, want_m, r));
+        op.mdag(in, out);
+        eq[2] = bytes_equal(out, comms::scatter_rank(decomp, want_mdag, r));
       });
     for (std::thread& t : threads) t.join();
     set_force_serial(false);
-    for (int r = 0; r < ranks; ++r)
-      EXPECT_TRUE(equal[static_cast<std::size_t>(r)])
-          << "rank " << r << " " << source_name(src);
+    for (int r = 0; r < ranks; ++r) {
+      const std::array<bool, 3>& eq = equal[static_cast<std::size_t>(r)];
+      EXPECT_TRUE(eq[0]) << "dhop rank " << r << " " << source_name(src);
+      EXPECT_TRUE(eq[1]) << "m rank " << r << " " << source_name(src);
+      EXPECT_TRUE(eq[2]) << "mdag rank " << r << " " << source_name(src);
+    }
   }
 }
 
@@ -327,6 +314,32 @@ TEST(DhopKernelCeiling, FcmlaVL512InstructionsPerSite) {
   const double per_site =
       static_cast<double>(scope.delta().total()) / static_cast<double>(grid.gsites());
   EXPECT_LE(per_site, 170.25);
+}
+
+// Per-site instruction ceiling of the distributed normal operator at
+// sve-fcmla/512: M^dag M on one rank, each of M and M^dag one sweep with
+// the diagonal and gamma5 fused into it (202,524 instructions over 512
+// sites).  Separate diagonal and gamma5 passes over the field would cost
+// 469.55 per site.
+TEST(DhopKernelCeiling, DistributedMdagMFcmlaVL512InstructionsPerSite) {
+  using S = SC<double, simd::kVLB512, simd::SveFcmla>;
+  sve::VLGuard vl(512);
+  const lattice::Coordinate dims{4, 4, 4, 8};
+  const int split = 3;
+  const comms::RankDecomposition decomp(
+      dims, split, 1, comms::split_simd_layout(dims, split, S::Nsimd()));
+  const lattice::GridCartesian* grid = decomp.grid(0);
+  GaugeField<S> gauge(grid);
+  random_gauge(SiteRNG(2018), gauge);
+  LatticeFermion<S> psi(grid), out(grid);
+  gaussian_fill(SiteRNG(5), psi);
+  comms::SimCommunicator comm(1);
+  const comms::DistributedWilsonDirac<S> op(decomp, comm, 0, gauge, 0.2);
+  const sve::CounterScope scope;
+  op.mdag_m(psi, out);
+  const double per_site =
+      static_cast<double>(scope.delta().total()) / static_cast<double>(grid->gsites());
+  EXPECT_LE(per_site, 395.5546875);
 }
 
 TEST(DhopVariants, WideVector1024LatticeWorks) {

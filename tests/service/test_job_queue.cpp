@@ -79,6 +79,15 @@ TEST(MeasurementJob, DecodeRejectsEveryDefectClass) {
   } catch (const io::IoError& e) {
     EXPECT_EQ(e.code(), io::IoErrorCode::kCorruptPayload);
   }
+
+  std::vector<std::uint8_t> negative_t = good;
+  for (std::size_t k = 32; k < 36; ++k) negative_t[k] = 0xFF;  // source t: u32 -1
+  try {
+    decode_job(negative_t);
+    FAIL() << "source component above INT32_MAX accepted";
+  } catch (const io::IoError& e) {
+    EXPECT_EQ(e.code(), io::IoErrorCode::kCorruptPayload);
+  }
 }
 
 // --- the FIFO state machine -------------------------------------------------
