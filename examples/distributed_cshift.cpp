@@ -108,9 +108,10 @@ int rank_body(int rank, comms::SocketCommunicator& comm,
   }
 
   // --- distributed Wilson hopping term (always full precision) ----------
-  // The production operator: construction posts the one gauge face, each
-  // dhop posts both fermion faces and sweeps the interior while they are
-  // in flight.  Bytes and time cover construction plus one dhop.
+  // The production operator: construction posts the one gauge face, and
+  // dhop runs one sweep per parity, each posting both half faces of its
+  // input and sweeping the interior while they are in flight.  Bytes and
+  // time cover construction plus one dhop.
   Field dpsi(decomp.grid(rank));
   comm.reset_counters();
   StopWatch sw;

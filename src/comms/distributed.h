@@ -272,28 +272,37 @@ void gather_root(const RankDecomposition& decomp, Communicator& comm, int rank,
 
 namespace detail {
 
-/// Phase 1 of the shifted exchange: rank `rank` posts the boundary face the
-/// neighbour needs.  Typed-status form: retries transients per the
-/// communicator's policy and returns the final CommStatus, never throws.
+/// Phase 1 of a split-dimension exchange: rank `rank` posts the boundary
+/// face the neighbour needs, `pack(slice)` marshalling the edge slice.
+/// Typed-status form: retries transients per the communicator's policy and
+/// returns the final CommStatus, never throws.
 ///   disp=+1: result(x_mu = L-1) = f(rank+1, x_mu = 0)   -> face 0 goes back.
 ///   disp=-1: result(x_mu = 0)   = f(rank-1, x_mu = L-1) -> face L-1 forward.
-template <class vobj>
-CommStatus try_post_shift_face(const RankDecomposition& decomp, Communicator& comm,
-                               int rank, const lattice::Lattice<vobj>& local_in,
-                               int disp, Compression mode, int tag) {
-  const int mu = decomp.split_dim();
+template <class PackF>
+CommStatus try_post_face(const RankDecomposition& decomp, Communicator& comm, int rank,
+                         int disp, Compression mode, int tag, PackF&& pack) {
   const int R = decomp.ranks();
   const int dest = (disp == 1) ? (rank - 1 + R) % R : (rank + 1) % R;
-  const int slice = (disp == 1) ? 0 : decomp.local_dims()[mu] - 1;
+  const int slice = (disp == 1) ? 0 : decomp.local_dims()[decomp.split_dim()] - 1;
   std::vector<std::uint8_t> wire;
   {
     // Wall-clock region over pack + compress only (metrics bytes = wire
     // bytes); the send leg is transport time, not marshalling throughput.
     metrics::ScopedTimer mt("cshift_pack");
-    wire = compress(pack_face(local_in, mu, slice), mode);
+    wire = compress(pack(slice), mode);
     mt.add_bytes(static_cast<double>(wire.size()));
   }
   return comm.send_status(rank, dest, tag, wire);
+}
+
+/// try_post_face of a whole face of a full field (the shifted exchange).
+template <class vobj>
+CommStatus try_post_shift_face(const RankDecomposition& decomp, Communicator& comm,
+                               int rank, const lattice::Lattice<vobj>& local_in,
+                               int disp, Compression mode, int tag) {
+  return try_post_face(decomp, comm, rank, disp, mode, tag, [&](int slice) {
+    return pack_face(local_in, decomp.split_dim(), slice);
+  });
 }
 
 /// Throwing wrapper around try_post_shift_face (the historical API): a

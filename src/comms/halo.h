@@ -75,6 +75,38 @@ inline std::size_t face_site_index(const lattice::Coordinate& dims, int mu,
   return idx;
 }
 
+/// Append one site object to a wire buffer: its complex components as flat
+/// (real, imag) doubles, the per-site encoding of every face.
+template <class sobj>
+void pack_site(std::vector<double>& buf, const sobj& s) {
+  using C = tensor::scalar_element_t<sobj>;
+  constexpr std::size_t ncomp = sizeof(sobj) / sizeof(C);
+  const C* comp = reinterpret_cast<const C*>(&s);
+  for (std::size_t k = 0; k < ncomp; ++k) {
+    buf.push_back(static_cast<double>(comp[k].real()));
+    buf.push_back(static_cast<double>(comp[k].imag()));
+  }
+}
+
+/// The site objects of a buffer of pack_site encodings, in buffer order.
+template <class sobj>
+std::vector<sobj> unpack_sites(const std::vector<double>& buf) {
+  using C = tensor::scalar_element_t<sobj>;
+  using R = typename C::value_type;
+  constexpr std::size_t ncomp = sizeof(sobj) / sizeof(C);
+  SVELAT_ASSERT(buf.size() % (2 * ncomp) == 0);
+  std::vector<sobj> sites(buf.size() / (2 * ncomp));
+  std::size_t idx = 0;
+  for (auto& s : sites) {
+    C* comp = reinterpret_cast<C*>(&s);
+    for (std::size_t k = 0; k < ncomp; ++k) {
+      comp[k] = C(static_cast<R>(buf[idx]), static_cast<R>(buf[idx + 1]));
+      idx += 2;
+    }
+  }
+  return sites;
+}
+
 /// Face of a field: all sites with x[mu] == slice, packed as flat doubles
 /// (real, imag per component) in lexicographic face order.
 template <class vobj>
@@ -93,12 +125,7 @@ std::vector<double> pack_face(const lattice::Lattice<vobj>& f, int mu, int slice
     for (int b = 0; b < face_extent(dims, mu, 1); ++b)
       for (int c = 0; c < face_extent(dims, mu, 2); ++c) {
         face_coor(mu, slice, a, b, c, x);
-        const sobj s = f.peek(x);
-        const C* comp = reinterpret_cast<const C*>(&s);
-        for (std::size_t k = 0; k < ncomp; ++k) {
-          buf.push_back(static_cast<double>(comp[k].real()));
-          buf.push_back(static_cast<double>(comp[k].imag()));
-        }
+        pack_site(buf, f.peek(x));
       }
   return buf;
 }
@@ -106,23 +133,8 @@ std::vector<double> pack_face(const lattice::Lattice<vobj>& f, int mu, int slice
 /// Scalar site objects of the face, in the same order pack_face uses.
 template <class vobj>
 std::vector<typename lattice::Lattice<vobj>::scalar_object> unpack_face(
-    const std::vector<double>& buf, const lattice::Lattice<vobj>& proto) {
-  using sobj = typename lattice::Lattice<vobj>::scalar_object;
-  using C = tensor::scalar_element_t<sobj>;
-  using R = typename C::value_type;
-  constexpr std::size_t ncomp = sizeof(sobj) / sizeof(C);
-  SVELAT_ASSERT(buf.size() % (2 * ncomp) == 0);
-  (void)proto;
-  std::vector<sobj> sites(buf.size() / (2 * ncomp));
-  std::size_t idx = 0;
-  for (auto& s : sites) {
-    C* comp = reinterpret_cast<C*>(&s);
-    for (std::size_t k = 0; k < ncomp; ++k) {
-      comp[k] = C(static_cast<R>(buf[idx]), static_cast<R>(buf[idx + 1]));
-      idx += 2;
-    }
-  }
-  return sites;
+    const std::vector<double>& buf, const lattice::Lattice<vobj>&) {
+  return unpack_sites<typename lattice::Lattice<vobj>::scalar_object>(buf);
 }
 
 /// Compress a double buffer for the wire.

@@ -167,7 +167,8 @@ CommStatus SocketCommunicator::read_exact(int fd, void* data, std::size_t n) {
       done += static_cast<std::size_t>(r);
       continue;
     }
-    if (r == 0) return CommStatus::kTornFrame;  // EOF inside the frame
+    // EOF or a reset inside the frame: the peer died mid-write.
+    if (r == 0 || (r < 0 && errno == ECONNRESET)) return CommStatus::kTornFrame;
     if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       // The sender writes header + payload back to back; the remainder of
       // a started frame arrives promptly -- a stall here means the peer
@@ -188,7 +189,10 @@ CommStatus SocketCommunicator::drain_frame(int from, int timeout_ms) {
   // Read the header byte by byte so EOF on a frame BOUNDARY (the peer
   // completed all its sends and exited; its descriptor polls readable
   // forever) is distinguishable from EOF inside a frame (a torn write:
-  // the peer died).  Only the latter breaks the stream.
+  // the peer died).  Only the latter breaks the stream.  A peer that died
+  // with frames of ours unread resets the stream instead of closing it:
+  // once its buffered frames are consumed, recv fails with ECONNRESET,
+  // which classifies like EOF.
   FrameHeader h;
   auto* hp = reinterpret_cast<std::uint8_t*>(&h);
   std::size_t got = 0;
@@ -198,7 +202,7 @@ CommStatus SocketCommunicator::drain_frame(int from, int timeout_ms) {
       got += static_cast<std::size_t>(r);
       continue;
     }
-    if (r == 0) {
+    if (r == 0 || errno == ECONNRESET) {
       const CommStatus st =
           got == 0 ? CommStatus::kPeerExited : CommStatus::kTornFrame;
       peer_status_[static_cast<std::size_t>(from)] = st;
@@ -274,7 +278,7 @@ bool SocketCommunicator::has_pending(int to, int from, int tag) {
     while (peer_state(from) == CommStatus::kOk && wait_ready(fd, POLLIN, 0)) {
       FrameHeader h;
       const ssize_t p = ::recv(fd, &h, sizeof h, MSG_PEEK);
-      if (p == 0) {
+      if (p == 0 || (p < 0 && errno == ECONNRESET)) {
         peer_status_[static_cast<std::size_t>(from)] = CommStatus::kPeerExited;
         break;
       }

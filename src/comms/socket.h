@@ -88,9 +88,9 @@ class SocketCommunicator final : public Communicator {
   /// cannot be resynchronized).
   CommStatus write_all(int to, const void* data, std::size_t n);
   /// Read one complete frame from `from` into the inbox.  kOk: a frame
-  /// was drained.  kTimeout: none arrived in time.  kPeerExited: EOF on a
-  /// frame boundary (the peer completed its sends and exited -- recorded
-  /// in peer_status_).  kTornFrame / kDesync: the stream is broken
+  /// was drained.  kTimeout: none arrived in time.  kPeerExited: EOF or
+  /// ECONNRESET on a frame boundary (the peer exited, having completed
+  /// its sends -- recorded in peer_status_).  kTornFrame / kDesync: the stream is broken
   /// (sticky in peer_status_).
   CommStatus drain_frame(int from, int timeout_ms);
   /// Read exactly n bytes from fd (payload follows its header promptly).

@@ -13,7 +13,9 @@
 // innerProduct/norm2 would produce, so per-column results are BITWISE
 // identical at every width N -- which is why column j of a 12-wide batched
 // solve equals the single (N = 1) solve of that column bit for bit
-// (docs/ARCHITECTURE.md, "Multi-RHS").
+// (docs/ARCHITECTURE.md, "Multi-RHS").  On a rank's half grid the same
+// tree runs over every rank's sites through the grid's ReduceRing
+// (ring_reduce), so a distributed Schur solve sees the single-rank scalars.
 #pragma once
 
 #include <array>
@@ -41,6 +43,14 @@ struct ColumnArray {
     return a;
   }
 };
+
+/// The ring a reduction over `grid`'s sites runs on: a rank's half grid
+/// carries one (lattice/red_black.h); without it ring_reduce is
+/// parallel_reduce.
+inline const ReduceRing* reduce_ring(const GridCartesian*) { return nullptr; }
+inline const ReduceRing* reduce_ring(const GridRedBlackCartesian* grid) {
+  return grid->ring();
+}
 
 /// Which columns a masked block kernel touches.  Frozen (inactive) columns
 /// are left bit-for-bit untouched -- the mechanism that lets a stalled
@@ -163,13 +173,14 @@ template <class vobj, int N, class GridT>
 std::array<double, N> block_norm2(const BlockLattice<vobj, N, GridT>& a) {
   using simd_type = typename BlockLattice<vobj, N, GridT>::simd_type;
   using Acc = ColumnArray<simd_type, N>;
-  const Acc acc =
-      parallel_reduce(a.osites(), Acc::filled(simd_type::zero()), [&](std::int64_t o) {
-        const vobj* as = a.site(o);
-        Acc t;
-        for (int j = 0; j < N; ++j) t.v[j] = tensor::innerProduct(as[j], as[j]);
-        return t;
-      });
+  const auto term = [&](std::int64_t o) {
+    const vobj* as = a.site(o);
+    Acc t;
+    for (int j = 0; j < N; ++j) t.v[j] = tensor::innerProduct(as[j], as[j]);
+    return t;
+  };
+  const Acc acc = ring_reduce(reduce_ring(a.grid()), a.osites(),
+                              Acc::filled(simd_type::zero()), term);
   std::array<double, N> out;
   for (int j = 0; j < N; ++j)
     out[static_cast<std::size_t>(j)] = std::real(reduce(acc.v[j]));
@@ -192,20 +203,21 @@ std::array<double, N> block_axpy_norm2(BlockLattice<vobj, N, GridT>& r,
   for (int j = 0; j < N; ++j)
     coeff[static_cast<std::size_t>(j)] =
         simd_type{typename simd_type::scalar_type(a[static_cast<std::size_t>(j)])};
-  const Acc acc =
-      parallel_reduce(x.osites(), Acc::filled(simd_type::zero()), [&](std::int64_t o) {
-        const vobj* xs = x.site(o);
-        const vobj* ys = y.site(o);
-        vobj* rs = r.site(o);
-        Acc t = Acc::filled(simd_type::zero());
-        for (int j = 0; j < N; ++j) {
-          if (!active[static_cast<std::size_t>(j)]) continue;
-          const vobj v = coeff[static_cast<std::size_t>(j)] * xs[j] + ys[j];
-          rs[j] = v;
-          t.v[j] = tensor::innerProduct(v, v);
-        }
-        return t;
-      });
+  const auto term = [&](std::int64_t o) {
+    const vobj* xs = x.site(o);
+    const vobj* ys = y.site(o);
+    vobj* rs = r.site(o);
+    Acc t = Acc::filled(simd_type::zero());
+    for (int j = 0; j < N; ++j) {
+      if (!active[static_cast<std::size_t>(j)]) continue;
+      const vobj v = coeff[static_cast<std::size_t>(j)] * xs[j] + ys[j];
+      rs[j] = v;
+      t.v[j] = tensor::innerProduct(v, v);
+    }
+    return t;
+  };
+  const Acc acc = ring_reduce(reduce_ring(x.grid()), x.osites(),
+                              Acc::filled(simd_type::zero()), term);
   std::array<double, N> out;
   for (int j = 0; j < N; ++j)
     out[static_cast<std::size_t>(j)] = std::real(reduce(acc.v[j]));
@@ -249,8 +261,9 @@ void block_xp_update(BlockLattice<vobj, N, GridT>& x, BlockLattice<vobj, N, Grid
 // Width-1 block fields are single fields to the generic Krylov loops
 // (solver/bicgstab.h over BlockSchurEvenOddWilson<S, 1>).  These are the
 // free functions those loops call, each lattice.h's per-site expression
-// through the same reduction tree, so a loop over a width-1 block computes
-// the bits it would compute over the column as a Lattice.
+// through the same reduction tree (over the grid's ring, if any), so a loop
+// over a width-1 block computes the bits it would compute over the column
+// as a Lattice.
 
 template <class vobj, class GridT>
 void sub(BlockLattice<vobj, 1, GridT>& r, const BlockLattice<vobj, 1, GridT>& x,
@@ -269,9 +282,11 @@ auto innerProduct(const BlockLattice<vobj, 1, GridT>& a,
                   const BlockLattice<vobj, 1, GridT>& b) {
   a.check_same(b);
   using simd_type = typename BlockLattice<vobj, 1, GridT>::simd_type;
-  const simd_type acc = parallel_reduce(a.osites(), simd_type::zero(), [&](std::int64_t o) {
+  const auto term = [&](std::int64_t o) {
     return tensor::innerProduct(a.at(o, 0), b.at(o, 0));
-  });
+  };
+  const simd_type acc =
+      ring_reduce(reduce_ring(a.grid()), a.osites(), simd_type::zero(), term);
   return reduce(acc);
 }
 
@@ -287,11 +302,13 @@ double axpy_norm2(BlockLattice<vobj, 1, GridT>& r, const C& a,
   x.check_same(y);
   using simd_type = typename BlockLattice<vobj, 1, GridT>::simd_type;
   const simd_type coeff{typename simd_type::scalar_type(a)};
-  const simd_type acc = parallel_reduce(x.osites(), simd_type::zero(), [&](std::int64_t o) {
+  const auto term = [&](std::int64_t o) {
     const vobj v = coeff * x.at(o, 0) + y.at(o, 0);
     r.at(o, 0) = v;
     return tensor::innerProduct(v, v);
-  });
+  };
+  const simd_type acc =
+      ring_reduce(reduce_ring(x.grid()), x.osites(), simd_type::zero(), term);
   return std::real(reduce(acc));
 }
 

@@ -13,6 +13,11 @@
 // GridCartesian (osites/isites/outer_index/inner_index/global_coor/
 // global_index), so fills, peek/poke and the reduction kernels work on
 // half fields unchanged.
+//
+// A half grid of one rank's sub-lattice carries that rank's ReduceRing
+// (support/parallel.h): the block-field reductions of lattice/block.h, which
+// every Schur solve goes through, then sum over all ranks' sites exactly as
+// one process sums the global half grid.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +56,12 @@ inline int outer_site_parity(const GridCartesian& grid, std::int64_t osite) {
 
 class GridRedBlackCartesian {
  public:
-  GridRedBlackCartesian(const GridCartesian* full, int parity)
-      : full_(full), parity_(parity) {
+  /// `ring`: the cross-rank reduction ring when `full` is one rank's
+  /// sub-lattice (its rank slabs contiguous in global site order), null on
+  /// a single-rank grid.
+  GridRedBlackCartesian(const GridCartesian* full, int parity,
+                        const ReduceRing* ring = nullptr)
+      : full_(full), parity_(parity), ring_(ring) {
     SVELAT_ASSERT_MSG(parity == kParityEven || parity == kParityOdd,
                       "parity must be 0 (even) or 1 (odd)");
     assert_parity_uniform_layout(*full);
@@ -73,6 +82,8 @@ class GridRedBlackCartesian {
 
   const GridCartesian* full_grid() const { return full_; }
   int parity() const { return parity_; }
+  /// The ring this grid's block-field reductions run over (null: one rank).
+  const ReduceRing* ring() const { return ring_; }
 
   /// Number of outer sites of this parity (half the full grid's).
   std::int64_t osites() const { return static_cast<std::int64_t>(h2f_.size()); }
@@ -116,6 +127,7 @@ class GridRedBlackCartesian {
  private:
   const GridCartesian* full_;
   int parity_;
+  const ReduceRing* ring_;
   std::vector<std::int64_t> h2f_;  ///< half osite -> full osite (ascending)
   std::vector<std::int64_t> f2h_;  ///< full osite -> half osite or -1
 };

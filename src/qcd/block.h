@@ -3,9 +3,10 @@
 // The propagator workload is many solves against ONE gauge configuration
 // (12 spin-colour columns today, thousands of sources at scale), yet a
 // sequential solve re-streams every gauge link per right-hand side.  The
-// kernels here sweep the stencil once per site and apply each loaded link
-// to all N site-contiguous columns of a HalfBlockFermion, so the link traffic
-// and neighbour indexing amortize N-fold:
+// hop sweeps (SchurEvenOddWilson::sweep, qcd/even_odd.h) visit the stencil
+// once per site and apply each loaded link to all N site-contiguous
+// columns of a HalfBlockFermion, so the link traffic and neighbour
+// indexing amortize N-fold:
 //
 //   per-site reals moved:  sequential  N * (216 spinor + 144 link)
 //                          batched     N * 216 spinor + 144 link
@@ -17,7 +18,9 @@
 //
 // The Schur operator and its solve driver exist only here: a single
 // right-hand side is N = 1, so the facade's single solves and its 12-wide
-// propagator batches run the same code.
+// propagator batches run the same code -- and so does a distributed solve,
+// at N = 1 over one rank's slab, with comms::DistributedWilsonDirac as the
+// hop provider.
 //
 // Correctness contract: column j of every batched kernel performs the
 // SAME floating-point operations in the SAME order at every width N --
@@ -34,6 +37,7 @@
 
 #include <array>
 #include <span>
+#include <utility>
 
 #include "lattice/block.h"
 #include "qcd/even_odd.h"
@@ -48,102 +52,42 @@ template <class S, int N>
 using HalfBlockFermion =
     lattice::BlockLattice<SpinColourVector<S>, N, lattice::GridRedBlackCartesian>;
 
-/// Memory-traffic model of one batched dhop site in reals: the 8 link
-/// reads are shared by all N columns, the 9 spinor accesses pay per
-/// column.
-inline constexpr double block_dhop_reals_per_site(int n) {
-  return 9.0 * (Ns * Nc * 2) * n + 8.0 * (Nc * Nc * 2);
-}
-
-namespace detail {
-
-/// One batched site of the hopping term.  The column loop is OUTER and
-/// the direction loop inner: each column runs the register-resident site
-/// kernel (qcd/dhop_kernel.h) with its accumulator live in registers,
-/// while the 8 gauge links and stencil entries -- pulled from memory by
-/// column 0 -- stay L1-resident for columns 1..N-1, so their cache/DRAM
-/// traffic amortizes N-fold.  One PTRUE and zero register serve all
-/// columns.
-///
-/// Two bitwise-exact fusion hooks eliminate the sequential path's
-/// separate field passes (each a full read+write stream in the
-/// memory-bound regime):
-///  - G5In: applies gamma5 to the neighbour spinor in registers, exactly
-///    the values a prior `tmp = gamma5 in` pass would have produced
-///    (gamma5 is a sign flip, and sign flips commute bitwise with the
-///    lane permutation).
-///  - `post(j, pg, z, a0, a1, a2, a3)` consumes column j's hopping sum
-///    (one colour triplet per spin) while it is still in registers -- the
-///    hook that stores it, or fuses the Wilson diagonal, an output gamma5
-///    or a norm into the same sweep (StoreColumn / DiagColumn,
-///    qcd/dhop_kernel.h).
-template <bool G5In, class S, int N, class BlockT, class TableT, class UFieldT,
-          class PostF>
-inline void dhop_site_block(const BlockT& in, const TableT& st, const UFieldT* u_fwd,
-                            const UFieldT* u_bwd, std::int64_t o, PostF&& post) {
-  using R = HopRegs<S>;
-  const typename R::pred pg = R::ptrue();
-  const typename R::reg z = R::zero();
-  for (int j = 0; j < N; ++j) {
-    typename R::template tuple<Nc> a0, a1, a2, a3;
-    hop_sum<G5In, S>(
-        pg, z, u_fwd, u_bwd, o,
-        [&](int dir) {
-          return stencil_source<S>(
-              st, o, dir, [&](std::int64_t s) -> const auto& { return in.at(s, j); });
-        },
-        a0, a1, a2, a3);
-    post(j, pg, z, a0, a1, a2, a3);
-  }
-}
-
-}  // namespace detail
-
 /// The Schur operator Mhat over N columns of even half block fields -- the
-/// only Schur operator; one right-hand side is N = 1.  A view of an
-/// existing SchurEvenOddWilson (shares parity stencils and split gauge
-/// through WilsonDiracEO's accessors).
-template <class S, int N>
+/// only Schur operator; one right-hand side is N = 1.  It takes its hopping
+/// terms from a hop provider: SchurEvenOddWilson (one process, any N) or
+/// comms::DistributedWilsonDirac (one rank's slab, N = 1), each with
+///
+///   even_grid(), odd_grid(), diag()
+///   sweep<G5In>(parity, in, hook)   hop into every site h of `parity`
+///                                   from the opposite-parity block `in`,
+///                                   site h's sums to the post hook hook(h)
+///
+/// The operator holds only scratch; every reduction runs over its grids'
+/// ring (lattice/block.h), so the same code is bitwise the same solve on
+/// one rank and on many.
+template <class S, int N, class Hops = SchurEvenOddWilson<S>>
 class BlockSchurEvenOddWilson {
  public:
   using HalfBlock = HalfBlockFermion<S, N>;
 
-  explicit BlockSchurEvenOddWilson(const SchurEvenOddWilson<S>& base)
-      : base_(&base),
-        tmp_odd_(base.odd_grid()),
-        tmp_mhat_(base.even_grid()),
-        half_bytes_(static_cast<double>(base.even_grid()->full_grid()->gsites()) /
-                    2.0 * block_dhop_reals_per_site(N) *
-                    sizeof(typename S::real_type)),
-        half_flops_(kDhopFlopsPerSite * N *
-                    static_cast<double>(base.even_grid()->full_grid()->gsites()) /
-                    2.0) {}
+  explicit BlockSchurEvenOddWilson(const Hops& hops)
+      : hops_(&hops),
+        tmp_odd_(hops.odd_grid()),
+        tmp_mhat_(hops.even_grid()),
+        norms_(static_cast<std::size_t>(hops.even_grid()->osites())) {}
 
-  const SchurEvenOddWilson<S>& base() const { return *base_; }
-  const lattice::GridRedBlackCartesian* even_grid() const {
-    return base_->even_grid();
-  }
-  const lattice::GridRedBlackCartesian* odd_grid() const { return base_->odd_grid(); }
-  double diag() const { return base_->diag(); }
+  const lattice::GridRedBlackCartesian* even_grid() const { return hops_->even_grid(); }
+  const lattice::GridRedBlackCartesian* odd_grid() const { return hops_->odd_grid(); }
+  double diag() const { return hops_->diag(); }
 
   /// out_o,j = Dh_oe in_e,j for all columns.
   void dhop_oe(const HalfBlock& in_even, HalfBlock& out_odd) const {
-    const WilsonDiracEO<S>& k = base_->kernels();
-    metrics::ScopedTimer mt("dhop_oe_block", half_bytes_, half_flops_);
-    thread_for(odd_grid()->osites(), [&](std::int64_t h) {
-      detail::dhop_site_block<false, S, N>(in_even, k.st_oe(), k.u_fwd_o(), k.u_bwd_o(),
-                                           h, detail::StoreColumn<S>{out_odd.site(h)});
-    });
+    store_sweep<false>(lattice::kParityOdd, in_even, out_odd);
   }
 
   /// out_e,j = Dh_eo in_o,j for all columns.
   void dhop_eo(const HalfBlock& in_odd, HalfBlock& out_even) const {
-    const WilsonDiracEO<S>& k = base_->kernels();
-    metrics::ScopedTimer mt("dhop_eo_block", half_bytes_, half_flops_);
-    thread_for(even_grid()->osites(), [&](std::int64_t h) {
-      detail::dhop_site_block<false, S, N>(in_odd, k.st_eo(), k.u_fwd_e(), k.u_bwd_e(),
-                                           h, detail::StoreColumn<S>{out_even.site(h)});
-    });
+    store_sweep<false>(lattice::kParityEven, in_odd, out_even);
   }
 
   /// Mhat in_j = (4+m) in_j - Dh_eo Dh_oe in_j / (4 (4+m)), diagonal fused
@@ -159,14 +103,7 @@ class BlockSchurEvenOddWilson {
   /// passes, and the in-register sign flips reproduce the pass-by-pass
   /// values bit for bit.
   void mhat_dag(const HalfBlock& in, HalfBlock& out) const {
-    const WilsonDiracEO<S>& k = base_->kernels();
-    {
-      metrics::ScopedTimer mt("dhop_oe_block", half_bytes_, half_flops_);
-      thread_for(odd_grid()->osites(), [&](std::int64_t h) {
-        detail::dhop_site_block<true, S, N>(in, k.st_oe(), k.u_fwd_o(), k.u_bwd_o(), h,
-                                            detail::StoreColumn<S>{tmp_odd_.site(h)});
-      });
-    }
+    store_sweep<true>(lattice::kParityOdd, in, tmp_odd_);
     mhat_second_sweep</*G5=*/true>(in, out);
   }
 
@@ -183,26 +120,21 @@ class BlockSchurEvenOddWilson {
   /// value equals that inner product in exact arithmetic but regroups the
   /// sum (per-site |v|^2 through the deterministic chunked tree); the tree
   /// keeps it thread-count-invariant and column-independent, so a
-  /// column's CG is the same arithmetic at every width.
+  /// column's CG is the same arithmetic at every width.  The sweep stores
+  /// each site's norms and the tree sums them afterwards, in site order:
+  /// a distributed sweep visits its interior sites before its boundary.
   std::array<double, N> mhat_norm2(const HalfBlock& in, HalfBlock& out) const {
     dhop_oe(in, tmp_odd_);
-    const WilsonDiracEO<S>& k = base_->kernels();
-    const double d = diag();
-    const S a(typename S::scalar_type(d, 0.0));
-    const S b(typename S::scalar_type(-0.25 / d, 0.0));
+    const auto [a, b] = diag_coefficients();
     using Acc = lattice::ColumnArray<S, N>;
     Acc acc = Acc::filled(S::zero());
-    {
-      metrics::ScopedTimer mt("dhop_eo_block", half_bytes_, half_flops_);
-      acc = parallel_reduce(
-          even_grid()->osites(), Acc::filled(S::zero()), [&](std::int64_t h) {
-            Acc t;
-            detail::dhop_site_block<false, S, N>(
-                tmp_odd_, k.st_eo(), k.u_fwd_e(), k.u_bwd_e(), h,
-                detail::DiagColumn<false, S>{in.site(h), out.site(h), a, b, t.v});
-            return t;
-          });
-    }
+    hops_->template sweep<false>(lattice::kParityEven, tmp_odd_, [&](std::int64_t h) {
+      return detail::DiagColumn<false, S>{in.site(h), out.site(h), a, b,
+                                          norms_[static_cast<std::size_t>(h)].v};
+    });
+    acc = ring_reduce(
+        lattice::reduce_ring(even_grid()), even_grid()->osites(), Acc::filled(S::zero()),
+        [&](std::int64_t h) { return norms_[static_cast<std::size_t>(h)]; });
     std::array<double, N> out_n;
     for (int j = 0; j < N; ++j)
       out_n[static_cast<std::size_t>(j)] = std::real(reduce(acc.v[j]));
@@ -210,6 +142,21 @@ class BlockSchurEvenOddWilson {
   }
 
  private:
+  /// out = Dh in into the sites of `parity`, stored as computed.
+  template <bool G5In>
+  void store_sweep(int parity, const HalfBlock& in, HalfBlock& out) const {
+    hops_->template sweep<G5In>(parity, in, [&](std::int64_t h) {
+      return detail::StoreColumn<S>{out.site(h)};
+    });
+  }
+
+  /// The diagonal update out = a in + b Dh_eo Dh_oe in of Mhat.
+  std::pair<S, S> diag_coefficients() const {
+    const double d = diag();
+    return {S(typename S::scalar_type(d, 0.0)),
+            S(typename S::scalar_type(-0.25 / d, 0.0))};
+  }
+
   /// Shared second sweep of mhat/mhat_dag: out = Dh_eo tmp_odd_ with the
   /// diagonal fused into the store.  With G5 the store computes
   /// gamma5(a gamma5(in) + b acc) -- the fused form of mhat_dag's
@@ -217,26 +164,20 @@ class BlockSchurEvenOddWilson {
   /// whose gamma5 twin already drove the first sweep).
   template <bool G5>
   void mhat_second_sweep(const HalfBlock& in, HalfBlock& out) const {
-    const WilsonDiracEO<S>& k = base_->kernels();
-    const double d = diag();
-    const S a(typename S::scalar_type(d, 0.0));
-    const S b(typename S::scalar_type(-0.25 / d, 0.0));
-    metrics::ScopedTimer mt("dhop_eo_block", half_bytes_, half_flops_);
-    thread_for(even_grid()->osites(), [&](std::int64_t h) {
-      detail::dhop_site_block<false, S, N>(
-          tmp_odd_, k.st_eo(), k.u_fwd_e(), k.u_bwd_e(), h,
-          detail::DiagColumn<G5, S>{in.site(h), out.site(h), a, b});
+    const auto [a, b] = diag_coefficients();
+    hops_->template sweep<false>(lattice::kParityEven, tmp_odd_, [&](std::int64_t h) {
+      return detail::DiagColumn<G5, S>{in.site(h), out.site(h), a, b};
     });
   }
 
-  const SchurEvenOddWilson<S>* base_;
+  const Hops* hops_;
   // Hot-loop scratch (not thread-safe across concurrent applications; the
   // solvers apply sequentially).  Distinct buffers because mhat_dag_mhat's
   // intermediate stays live across the nested mhat_dag.
   mutable HalfBlock tmp_odd_;
   mutable HalfBlock tmp_mhat_;
-  double half_bytes_;  ///< amortized wall-clock model per application
-  double half_flops_;
+  /// mhat_norm2's per-site column norms, summed after the sweep.
+  mutable AlignedVector<lattice::ColumnArray<S, N>> norms_;
 };
 
 /// Half block-field scratch of the Schur driver (block_schur_half_solve).
@@ -246,7 +187,8 @@ template <class S, int N>
 struct BlockSchurWorkspace {
   using HalfBlock = HalfBlockFermion<S, N>;
 
-  explicit BlockSchurWorkspace(const BlockSchurEvenOddWilson<S, N>& eo)
+  template <class Hops>
+  explicit BlockSchurWorkspace(const BlockSchurEvenOddWilson<S, N, Hops>& eo)
       : b_e(eo.even_grid()),
         b_o(eo.odd_grid()),
         b_prime(eo.even_grid()),
@@ -274,9 +216,9 @@ namespace detail {
 /// shared coefficient is column-independent and every per-column
 /// reduction follows the single-column tree, so column j's numbers are
 /// bitwise the N = 1 solve's.
-template <class S, int N, class SolveEven>
+template <class S, int N, class Hops, class SolveEven>
 std::array<solver::SolverResult, N> block_schur_half_solve(
-    const BlockSchurEvenOddWilson<S, N>& eo, BlockSchurWorkspace<S, N>& ws,
+    const BlockSchurEvenOddWilson<S, N, Hops>& eo, BlockSchurWorkspace<S, N>& ws,
     std::span<const LatticeFermion<S>, static_cast<std::size_t>(N)> b,
     std::span<LatticeFermion<S>, static_cast<std::size_t>(N)> x, const SolveEven& solve_even) {
   using namespace lattice;

@@ -1,6 +1,8 @@
 // Block conjugate gradient: N simultaneous CG recurrences over one
 // batched Schur operator -- the only Schur CG; a single right-hand side
-// runs it at N = 1.
+// runs it at N = 1, on one rank or on a rank's slab (the operator's hop
+// provider and its grids' reduction ring make the difference, not this
+// loop).
 //
 // This is NOT a block-Krylov method -- each column runs the classical CG
 // recurrence with its own alpha/beta/residual, so convergence behaviour
@@ -53,9 +55,9 @@ namespace svelat::solver {
 /// residual per column afterwards, which is the number the facade
 /// reports -- the epilogue operator application would be paid for
 /// nothing.
-template <class S, int N>
+template <class S, int N, class Hops>
 std::array<SolverResult, N> block_conjugate_gradient(
-    const qcd::BlockSchurEvenOddWilson<S, N>& eo,
+    const qcd::BlockSchurEvenOddWilson<S, N, Hops>& eo,
     SolverWorkspace<qcd::HalfBlockFermion<S, N>>& pool,
     const qcd::HalfBlockFermion<S, N>& b, qcd::HalfBlockFermion<S, N>& x,
     double tolerance, int max_iterations, StallGuard guard = {}) {

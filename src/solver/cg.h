@@ -116,9 +116,8 @@ SolverResult conjugate_gradient(const LinearOp& op, const Field& b, Field& x,
 }
 
 /// M^dag M wrapper for a Wilson-like operator (anything exposing
-/// m/mdag/mdag_m over a matching field): the CG target.  Generic so the
-/// single-rank qcd::WilsonDirac and the halo-exchanged
-/// comms::DistributedWilsonOp slot in interchangeably.
+/// m/mdag/mdag_m over a matching field): the CG target.  Generic over the
+/// operator and its precision (qcd::WilsonDirac in double or fp32).
 template <class Op>
 struct WilsonNormalOp {
   const Op& dirac;

@@ -17,7 +17,9 @@
 // block CG of qcd/block.h and solver/block_cg.h, at width N = 1 for a
 // single right-hand side and N = kBlockWidth for solve_batched's full
 // chunks (BiCGSTAB runs the generic loop of solver/bicgstab.h on the
-// N = 1 operator).
+// N = 1 operator).  A distributed solver runs the same N = 1 engine on one
+// rank's half-checkerboard slabs, with comms::DistributedWilsonDirac as
+// the operator's hop provider.
 //
 // Construction pays the expensive setup once -- Schur operator data
 // (stencil tables + parity-split gauge), single-precision gauge copy --
@@ -112,16 +114,19 @@ class WilsonSolver {
 
   /// Distributed mode: the facade over one rank's halo-exchanged Wilson
   /// operator (comms/distributed_wilson.h).  `b` and `x` are this rank's
-  /// slabs; reductions inside the Krylov loop are exact global ring
-  /// reductions, so every rank's SolverResult is bitwise identical to the
-  /// single-rank solve on the gathered fields.  Checkerboarding across
-  /// the rank cut is not implemented, so the preconditioner is forced to
-  /// kNone; kMixedCG would need a second fp32 operator per rank.
+  /// slabs.  CG and BiCGSTAB run the N = 1 Schur engine on the rank's half
+  /// slabs, and every reduction is an exact ring reduction over all ranks,
+  /// so every rank's SolverResult and solution slab are bitwise those of
+  /// the single-rank solve with the same params on the same layout.
+  /// kSchurEvenOdd (the default) is the only preconditioner: kNone has no
+  /// distributed path, and kMixedCG would need a second fp32 operator per
+  /// rank.
   WilsonSolver(const comms::DistributedWilsonDirac<S>& op, SolverParams params = {})
       : mass_(op.mass()), params_(params), dop_(&op) {
     SVELAT_ASSERT_MSG(params_.algorithm != Algorithm::kMixedCG,
                       "distributed solves support kCG and kBiCGSTAB only");
-    params_.preconditioner = Preconditioner::kNone;
+    SVELAT_ASSERT_MSG(schur(),
+                      "distributed solves run the Schur engine: kNone is not supported");
   }
 
   // Operators and workspaces hold pointers to member grids; moving or
@@ -202,21 +207,22 @@ class WilsonSolver {
   /// Solve M x_i = b_i for a batch of right-hand sides.  Under
   /// Algorithm::kCG x Preconditioner::kSchurEvenOdd, full chunks of
   /// kBlockWidth columns run the Schur engine at N = kBlockWidth, which
-  /// loads each gauge link once for all of them; remainder columns and
-  /// every other configuration run solve() per column.  A chunk's column
-  /// does the same arithmetic as solve() does at N = 1, so every column's
-  /// solution, iterations, residual history and residuals are BITWISE
-  /// those of solve() on it, whichever path it took.  Per-column
-  /// convergence is independent: a stalled column freezes and reports
-  /// converged == false without perturbing its siblings.
-  /// SolverResult::block_width records the width each column ran at.
+  /// loads each gauge link once for all of them; remainder columns, every
+  /// other configuration and every distributed solver run solve() per
+  /// column.  A chunk's column does the same arithmetic as solve() does
+  /// at N = 1, so every column's solution, iterations, residual history
+  /// and residuals are BITWISE those of solve() on it, whichever path it
+  /// took.  Per-column convergence is independent: a stalled column
+  /// freezes and reports converged == false without perturbing its
+  /// siblings.  SolverResult::block_width records the width each column
+  /// ran at.
   std::vector<SolverResult> solve_batched(const std::vector<Fermion>& b,
                                           std::vector<Fermion>& x) {
     SVELAT_ASSERT_MSG(b.size() == x.size(),
                       "solve_batched needs one solution field per rhs");
     std::vector<SolverResult> out(b.size());
     std::size_t i = 0;
-    if (params_.algorithm == Algorithm::kCG && schur()) {
+    if (params_.algorithm == Algorithm::kCG && schur() && dop_ == nullptr) {
       for (; i + kBlockWidth <= b.size(); i += kBlockWidth)
         solve_block_chunk(b, x, i, out);
     }
@@ -235,10 +241,23 @@ class WilsonSolver {
   /// dispatch without the facade bookkeeping ("solve" region, wall clock,
   /// fallback, logging) -- shared by solve() and the fallback path.
   SolverResult attempt(const Fermion& b, Fermion& x, StallGuard guard) {
-    if (dop_ != nullptr) return distributed_attempt(b, x, guard);
     const double tol = params_.tolerance;
     const int max_it = params_.max_iterations;
     SolverResult res;
+    if (dop_ != nullptr) {
+      // A communication failure that survives the retry ladder surfaces as
+      // a typed verdict in the result, never an abort or a hang.
+      try {
+        auto& e = engine(dist_, *dop_);
+        res = params_.algorithm == Algorithm::kCG ? e.cg(b, x, tol, max_it, guard)
+                                                  : e.bicgstab(b, x, tol, max_it, guard);
+      } catch (const comms::CommError& err) {
+        res.converged = false;
+        res.comm_status = err.status();
+        res.comm_detail = err.what();
+      }
+      return res;
+    }
     switch (params_.algorithm) {
       case Algorithm::kCG:
         res = schur() ? engine(single_, *eo_).cg(b, x, tol, max_it, guard)
@@ -251,37 +270,6 @@ class WilsonSolver {
       case Algorithm::kMixedCG:
         res = mixed(b, x, guard);
         break;
-    }
-    return res;
-  }
-
-  /// The distributed dispatch: bind this rank's slabs to the operator and
-  /// run the operator-generic Krylov loop on them.  A communication
-  /// failure that survives the retry ladder surfaces as a typed verdict
-  /// in the result (comm_status / comm_detail), never an abort or a hang.
-  SolverResult distributed_attempt(const Fermion& b, Fermion& x,
-                                   StallGuard guard) {
-    SolverResult res;
-    // The rank-slab bindings live in the solver (lazily built on first
-    // use) so repeated distributed solves reuse their field storage; the
-    // copy-assignments below reuse existing capacity.
-    if (!db_) db_.emplace(dop_);
-    if (!dx_) dx_.emplace(dop_);
-    comms::DistributedFermion<S>&db = *db_, &dx = *dx_;
-    db.field = b;
-    dx.field = x;
-    try {
-      const comms::DistributedWilsonOp<S> op{dop_};
-      res = params_.algorithm == Algorithm::kCG
-                ? solve_wilson(op, db, dx, params_.tolerance,
-                               params_.max_iterations, guard, &kws_d_)
-                : solve_wilson_bicgstab(op, db, dx, params_.tolerance,
-                                        params_.max_iterations, guard, &kws_d_);
-      x = dx.field;
-    } catch (const comms::CommError& e) {
-      res.converged = false;
-      res.comm_status = e.status();
-      res.comm_detail = e.what();
     }
     return res;
   }
@@ -316,7 +304,8 @@ class WilsonSolver {
     res.algorithm = fbp.algorithm;
     res.preconditioner = fbp.preconditioner;
     res.target_residual = fbp.tolerance;
-    res.solution_norm = solution_norm(x);
+    // As in solve(): no ring reduction over a mesh the fallback found broken.
+    if (res.comm_status == comms::CommStatus::kOk) res.solution_norm = solution_norm(x);
     res.fallback_used = true;
     res.fallback_from = params_.algorithm;
     res.first_attempt_iterations = first.iterations;
@@ -325,19 +314,20 @@ class WilsonSolver {
   }
 
   /// Everything one N-wide Schur solve over scalar T needs: the block
-  /// operator view, the Schur driver's scratch and the Krylov work-field
-  /// pool.  Built on the first solve of its width and reused ever after:
-  /// a warm solve constructs no fields.
-  template <class T, int N>
+  /// operator view over its hop provider (the single-rank Schur data or a
+  /// rank's distributed operator), the Schur driver's scratch and the
+  /// Krylov work-field pool.  Built on the first solve of its width and
+  /// reused ever after: a warm solve constructs no fields.
+  template <class T, int N, class Hops = qcd::SchurEvenOddWilson<T>>
   struct SchurEngine {
     using Fermion = qcd::LatticeFermion<T>;
     using HalfBlock = qcd::HalfBlockFermion<T, N>;
 
-    qcd::BlockSchurEvenOddWilson<T, N> eo;
+    qcd::BlockSchurEvenOddWilson<T, N, Hops> eo;
     qcd::BlockSchurWorkspace<T, N> ws;
     SolverWorkspace<HalfBlock> krylov;
 
-    explicit SchurEngine(const qcd::SchurEvenOddWilson<T>& base) : eo(base), ws(eo) {}
+    explicit SchurEngine(const Hops& hops) : eo(hops), ws(eo) {}
 
     /// M x_j = b_j for N columns: CG on the normal equations
     /// Mhat^dag Mhat x_e = Mhat^dag b'_e.
@@ -379,11 +369,11 @@ class WilsonSolver {
     }
   };
 
-  /// The engine in `slot`, built over `base` on first use.
-  template <class T, int N>
-  static SchurEngine<T, N>& engine(std::optional<SchurEngine<T, N>>& slot,
-                                   const qcd::SchurEvenOddWilson<T>& base) {
-    if (!slot) slot.emplace(base);
+  /// The engine in `slot`, built over `hops` on first use.
+  template <class T, int N, class Hops>
+  static SchurEngine<T, N, Hops>& engine(std::optional<SchurEngine<T, N, Hops>>& slot,
+                                         const Hops& hops) {
+    if (!slot) slot.emplace(hops);
     return *slot;
   }
 
@@ -480,8 +470,10 @@ class WilsonSolver {
   double mass_;
   SolverParams params_;
   /// Distributed mode: the externally owned halo-exchanged operator
-  /// (null for the classic gauge-field constructors).
+  /// (null for the classic gauge-field constructors) and the N = 1 Schur
+  /// engine over it.
   const comms::DistributedWilsonDirac<S>* dop_ = nullptr;
+  std::optional<SchurEngine<S, 1, comms::DistributedWilsonDirac<S>>> dist_;
 
   // Engaged per configuration (see constructor): only what the chosen
   // algorithm x preconditioner combination needs is built.
@@ -510,9 +502,6 @@ class WilsonSolver {
   // (pinned by tests/solver/test_allocation.cpp).
   SolverWorkspace<Fermion> kws_;
   SolverWorkspace<qcd::LatticeFermion<InnerScalar>> kws_f_;
-  SolverWorkspace<comms::DistributedFermion<S>> kws_d_;
-  /// Distributed-mode rank-slab bindings, reused across solves.
-  std::optional<comms::DistributedFermion<S>> db_, dx_;
 };
 
 }  // namespace svelat::solver

@@ -25,9 +25,9 @@
 namespace svelat::solver {
 
 /// Lazily-constructed pool of solver work fields.  `Field` is any
-/// grid-constructible field (Lattice<vobj>, the half-checkerboard block
-/// fields of the Schur engines, or comms::DistributedFermion, whose
-/// grid() returns the distributed operator it binds to).
+/// grid-constructible field: Lattice<vobj>, or the half-checkerboard block
+/// fields of the Schur engines (on one rank's half grid for a distributed
+/// solve).
 template <class Field>
 class SolverWorkspace {
  public:

@@ -30,6 +30,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <type_traits>
 #include <vector>
 
 #if defined(SVELAT_USE_OPENMP) && defined(_OPENMP)
@@ -210,31 +212,29 @@ void thread_for(std::int64_t n, F&& f) {
 /// so the floating-point summation tree is a function of n alone.
 inline constexpr std::int64_t kReduceChunk = 64;
 
-/// Deterministic parallel sum: total of term(i) for i = 0..n-1, grouped in
-/// kReduceChunk-sized chunks (invariant 1 above).  T needs operator+= and
-/// copy construction; `zero` is the additive identity.
+namespace detail {
+
+/// The chunk partials of a reduction: term(i) for i in [lo, hi) folded in
+/// kReduceChunk-sized chunks from lo (the last may be short), each chunk
+/// from zero in index order, threaded over chunks.  Returns per-thread
+/// scratch (grows once, reused across calls) so solver-loop reductions
+/// stay allocation-free after warm-up.  Not reentrant: term() must not
+/// itself reduce over the same T.
 template <class T, class F>
-T parallel_reduce(std::int64_t n, const T& zero, F&& term) {
-  const std::int64_t chunks = (n + kReduceChunk - 1) / kReduceChunk;
-  if (chunks <= 1) {
-    T acc = zero;
-    for (std::int64_t i = 0; i < n; ++i) acc += term(i);
-    return acc;
-  }
-  // Per-thread scratch (grows once, reused across calls) so solver-loop
-  // reductions stay allocation-free after warm-up.  Not reentrant: term()
-  // must not itself call parallel_reduce with the same T.  The local
-  // reference is essential: lambdas don't capture thread_local variables,
-  // so chunk_sum must reach the *caller's* buffer through a captured
-  // automatic variable, not re-resolve TLS on each worker.
+const AlignedVector<T>& chunk_partials(std::int64_t lo, std::int64_t hi, const T& zero,
+                                       F& term) {
+  const std::int64_t chunks = (hi - lo + kReduceChunk - 1) / kReduceChunk;
+  // The local reference is essential: lambdas don't capture thread_local
+  // variables, so chunk_sum must reach the *caller's* buffer through a
+  // captured automatic variable, not re-resolve TLS on each worker.
   thread_local AlignedVector<T> partial_tls;
   AlignedVector<T>& partial = partial_tls;
   partial.assign(static_cast<std::size_t>(chunks), zero);
   const auto chunk_sum = [&](std::int64_t c) {
-    const std::int64_t lo = c * kReduceChunk;
-    const std::int64_t hi = std::min(n, lo + kReduceChunk);
+    const std::int64_t begin = lo + c * kReduceChunk;
+    const std::int64_t end = std::min(hi, begin + kReduceChunk);
     T acc = zero;
-    for (std::int64_t i = lo; i < hi; ++i) acc += term(i);
+    for (std::int64_t i = begin; i < end; ++i) acc += term(i);
     partial[static_cast<std::size_t>(c)] = acc;
   };
   if (in_parallel_region()) {
@@ -245,9 +245,101 @@ T parallel_reduce(std::int64_t n, const T& zero, F&& term) {
   } else {
     thread_for(chunks, chunk_sum);
   }
+  return partial;
+}
+
+}  // namespace detail
+
+/// Deterministic parallel sum: total of term(i) for i = 0..n-1, grouped in
+/// kReduceChunk-sized chunks (invariant 1 above).  T needs operator+= and
+/// copy construction; `zero` is the additive identity.
+template <class T, class F>
+T parallel_reduce(std::int64_t n, const T& zero, F&& term) {
+  if (n <= kReduceChunk) {
+    T acc = zero;
+    for (std::int64_t i = 0; i < n; ++i) acc += term(i);
+    return acc;
+  }
   T total = zero;
-  for (const T& p : partial) total += p;  // chunk order: fixed grouping
+  for (const T& p : detail::chunk_partials(0, n, zero, term))
+    total += p;  // chunk order: fixed grouping
   return total;
+}
+
+/// Transport of ring_reduce across ranks: the carry travels rank 0 -> 1 ->
+/// ... -> R-1, and rank R-1 broadcasts the total.  comms/ implements it
+/// over a Communicator; a failed exchange throws (comms::CommError), so a
+/// reduction over a broken ring never returns a value.
+class ReduceRing {
+ public:
+  virtual ~ReduceRing() = default;
+  virtual int rank() const = 0;
+  virtual int ranks() const = 0;
+  /// Receive the carry, `bytes` long, from rank - 1.
+  virtual void recv_carry(void* data, std::size_t bytes) const = 0;
+  /// Send the carry to rank + 1.
+  virtual void send_carry(const void* data, std::size_t bytes) const = 0;
+  /// Rank R-1 sends `data` to every other rank; the others receive into it.
+  virtual void broadcast(void* data, std::size_t bytes) const = 0;
+};
+
+/// parallel_reduce over the concatenation of every rank's n_r terms, in rank
+/// order: bitwise the single-process sum of the same terms, at any rank
+/// count.  Chunk boundaries are counted GLOBALLY, so a chunk may straddle
+/// ranks: a carry {total, open chunk, count} rides the ring, each rank first
+/// finishes the chunk its predecessor left open, then folds its own whole
+/// chunks (threadable: partials from zero, summed in chunk order), then
+/// hands the tail on.  Rank R-1 folds the last open chunk and broadcasts.
+/// Without a ring (or on one rank) this is parallel_reduce.  T must be
+/// trivially copyable: the carry crosses the wire as bytes.
+template <class T, class F>
+T ring_reduce(const ReduceRing* ring, std::int64_t n, const T& zero, F&& term) {
+  if (ring == nullptr || ring->ranks() == 1) return parallel_reduce(n, zero, term);
+  static_assert(std::is_trivially_copyable_v<T>, "the carry crosses the wire as bytes");
+  T total = zero;
+  T chunk = zero;
+  std::int64_t count = 0;  // terms folded into the open chunk
+  std::uint8_t carry[2 * sizeof(T) + sizeof(std::int64_t)];
+  if (ring->rank() != 0) {
+    ring->recv_carry(carry, sizeof carry);
+    std::memcpy(&total, carry, sizeof(T));
+    std::memcpy(&chunk, carry + sizeof(T), sizeof(T));
+    std::memcpy(&count, carry + 2 * sizeof(T), sizeof count);
+  }
+
+  // Finish the predecessor's open chunk term by term.
+  std::int64_t i = 0;
+  for (; i < n && count != 0; ++i) {
+    chunk += term(i);
+    if (++count == kReduceChunk) {
+      total += chunk;
+      chunk = zero;
+      count = 0;
+    }
+  }
+  // Whole chunks, each folded from zero: parallel_reduce's tree.
+  if (const std::int64_t end = i + (n - i) / kReduceChunk * kReduceChunk; end > i) {
+    for (const T& p : detail::chunk_partials(i, end, zero, term)) total += p;
+    i = end;
+  }
+  // The trailing partial chunk rides the carry to the successor.
+  for (; i < n; ++i) {
+    chunk += term(i);
+    ++count;
+  }
+
+  T result = zero;
+  if (ring->rank() != ring->ranks() - 1) {
+    std::memcpy(carry, &total, sizeof(T));
+    std::memcpy(carry + sizeof(T), &chunk, sizeof(T));
+    std::memcpy(carry + 2 * sizeof(T), &count, sizeof count);
+    ring->send_carry(carry, sizeof carry);
+  } else {
+    if (count != 0) total += chunk;
+    result = total;
+  }
+  ring->broadcast(&result, sizeof result);
+  return result;
 }
 
 }  // namespace svelat

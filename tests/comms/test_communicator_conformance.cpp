@@ -214,5 +214,24 @@ TEST(SocketPeerExit, CleanExitIsNotATornFrame) {
   EXPECT_EQ(survivor.try_send(1, 0, 3, Payload{9}), CommStatus::kPeerExited);
 }
 
+// Socket-specific: a peer that dies with frames of ours still unread does
+// not close its stream cleanly -- the kernel resets it, and once the frames
+// the peer did send are consumed, recv fails with ECONNRESET instead of
+// returning EOF.  On a frame boundary that is the same verdict as a clean
+// exit: kPeerExited, not an I/O error.
+TEST(SocketPeerExit, DeathWithUnreadFramesIsPeerExited) {
+  auto mesh = make_socket_mesh(2);
+  auto gone = std::make_unique<SocketCommunicator>(2, 1, std::move(mesh[1]), 500);
+  SocketCommunicator survivor(2, 0, std::move(mesh[0]), 500);
+  gone->send(1, 0, 1, Payload{7});
+  survivor.send(0, 1, 2, Payload{1, 2, 3});  // never read by rank 1
+  gone.reset();  // rank 1's descriptors close with that frame unread
+
+  EXPECT_EQ(survivor.recv(0, 1, 1), (Payload{7}));  // sent before it died
+  Payload out;
+  EXPECT_EQ(survivor.recv_status(0, 1, 3, out), CommStatus::kPeerExited);
+  EXPECT_EQ(survivor.try_send(0, 1, 4, Payload{9}), CommStatus::kPeerExited);
+}
+
 }  // namespace
 }  // namespace svelat::comms

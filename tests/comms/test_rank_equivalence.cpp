@@ -354,5 +354,33 @@ TEST(RankEquivalenceSocket, WireTrafficMatchesFaceSize) {
   EXPECT_TRUE(report.ok) << report.describe();
 }
 
+TEST(RankEquivalenceSocket, ParitySweepSendsTwoHalfFaces) {
+  // One parity sweep of the distributed operator posts the two faces of
+  // its half-field input, each holding only the source-parity sites of an
+  // edge slice: half of a full face's bytes.
+  const lattice::Coordinate dims{4, 4, 4, 8};
+  const LaunchReport report = run_ranks(2, [&](int rank, SocketCommunicator& comm) {
+    sve::set_vector_length(kVL);
+    const RankDecomposition decomp(dims, 3, 2, pick_layout(dims, 3));
+    qcd::GaugeField<S> gauge(decomp.grid(rank));
+    for (int mu = 0; mu < lattice::Nd; ++mu)
+      gaussian_fill(SiteRNG(500 + mu), gauge.U[static_cast<std::size_t>(mu)]);
+    Field psi(decomp.grid(rank));
+    gaussian_fill(SiteRNG(kSeed), psi);
+    const DistributedWilsonDirac<S> op(decomp, comm, rank, gauge, 0.0);
+    using HalfBlock = DistributedWilsonDirac<S>::HalfBlock;
+    HalfBlock in(op.odd_grid()), out(op.even_grid());
+    lattice::pick_checkerboard(psi, in, 0);
+    comm.reset_counters();  // the construction-time gauge face is sent
+    op.sweep<false>(lattice::kParityEven, in, [&](std::int64_t h) {
+      return qcd::detail::StoreColumn<S>{out.site(h)};
+    });
+    // Two half faces of 4^3 / 2 sites, 12 complex = 24 doubles per site.
+    const std::size_t expected = 2u * 32u * 24u * sizeof(double);
+    return comm.bytes_sent() == expected ? 0 : 1;
+  });
+  EXPECT_TRUE(report.ok) << report.describe();
+}
+
 }  // namespace
 }  // namespace svelat::comms

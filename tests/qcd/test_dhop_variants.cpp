@@ -7,8 +7,9 @@
 //
 // Forms: WilsonDirac::dhop, WilsonDiracEO::dhop_eo / dhop_oe,
 // BlockSchurEvenOddWilson::mhat / mhat_dag / mhat_norm2 per column, and
-// the 2-rank DistributedWilsonDirac's dhop, m and mdag (interior and
-// boundary sweeps, the fused diagonal and gamma5 hooks).  Backends
+// the 2-rank DistributedWilsonDirac's dhop and the Schur operator over it
+// (interior and boundary parity sweeps, half faces, the fused diagonal and
+// gamma5 hooks).  Backends
 // generic, sve-fcmla and sve-real; f64 and f32; VL 128, 256 and 512.  The
 // parity and Schur references run the tensor-level hop on zero-padded full
 // fields: a site of one parity only reads sites of the other, so the
@@ -36,6 +37,15 @@ bool bytes_equal(const FieldT& a, const FieldT& b) {
   if (a.osites() != b.osites()) return false;
   for (std::int64_t o = 0; o < a.osites(); ++o)
     if (std::memcmp(&a[o], &b[o], sizeof(a[o])) != 0) return false;
+  return true;
+}
+
+template <class vobj, class GridT>
+bool bytes_equal(const lattice::BlockLattice<vobj, 1, GridT>& a,
+                 const lattice::BlockLattice<vobj, 1, GridT>& b) {
+  if (a.osites() != b.osites()) return false;
+  for (std::int64_t o = 0; o < a.osites(); ++o)
+    if (std::memcmp(&a.at(o, 0), &b.at(o, 0), sizeof(vobj)) != 0) return false;
   return true;
 }
 
@@ -233,6 +243,8 @@ TYPED_TEST(DhopOracle, BlockSchurMhatAndMhatDag) {
 TYPED_TEST(DhopOracle, DistributedTwoRankDhop) {
   using S = TypeParam;
   using Field = LatticeFermion<S>;
+  using HalfBlock = HalfBlockFermion<S, 1>;
+  using DistOp = comms::DistributedWilsonDirac<S>;
   const lattice::Coordinate dims{4, 4, 4, 8};
   const int split = 3;
   const int ranks = 2;
@@ -242,28 +254,31 @@ TYPED_TEST(DhopOracle, DistributedTwoRankDhop) {
   GaugeField<S> gauge(&global);
   random_gauge(SiteRNG(42), gauge);
   const comms::RankDecomposition decomp(dims, split, ranks, layout);
-  const S diag(static_cast<typename S::real_type>(4.0 + mass), 0);
-  const S mhalf(static_cast<typename S::real_type>(-0.5), 0);
+  // The single-rank N = 1 Schur operator: the reference of the
+  // distributed one, whose boundary sites read their off-rank neighbours
+  // (gamma5 applied on load in mhat_dag) from the ghost half faces.
+  const SchurEvenOddWilson<S> schur(gauge, mass);
+  const BlockSchurEvenOddWilson<S, 1> bop(schur);
 
   for (const Source src : kSources) {
-    // References at tensor level: Dh x, M x = diag x - Dh x / 2 and
-    // M^dag x = gamma5 (diag gamma5 x - Dh gamma5 x / 2).
-    Field psi(&global), want(&global), want_m(&global), want_mdag(&global),
-        g5(&global), hop5(&global);
+    Field psi(&global), want(&global), want_mhat(&global), want_dag(&global);
     fill_source(src, psi);
     dhop_via_cshift(gauge, psi, want);
-    thread_for(psi.osites(),
-               [&](std::int64_t o) { want_m[o] = diag * psi[o] + mhalf * want[o]; });
-    apply_gamma5(psi, g5);
-    dhop_via_cshift(gauge, g5, hop5);
-    thread_for(psi.osites(), [&](std::int64_t o) {
-      want_mdag[o] = gamma5(diag * g5[o] + mhalf * hop5[o]);
-    });
+    HalfBlock in(schur.even_grid()), out(schur.even_grid());
+    lattice::pick_checkerboard(psi, in, 0);
+    // Even-site results on full fields, so scatter_rank cuts each slab.
+    want_mhat.set_zero();
+    want_dag.set_zero();
+    bop.mhat(in, out);
+    lattice::set_checkerboard(want_mhat, out, 0);
+    bop.mhat_dag(in, out);
+    lattice::set_checkerboard(want_dag, out, 0);
+    const double want_pap = bop.mhat_norm2(in, out)[0];
 
     // One thread per rank over an in-process socket world; site loops run
     // serially inside rank threads.
     comms::SocketWorld world(ranks);
-    std::vector<std::array<bool, 3>> equal(ranks);
+    std::vector<std::array<bool, 4>> equal(ranks);
     set_force_serial(true);
     std::vector<std::thread> threads;
     for (int r = 0; r < ranks; ++r)
@@ -272,25 +287,33 @@ TYPED_TEST(DhopOracle, DistributedTwoRankDhop) {
         for (int mu = 0; mu < lattice::Nd; ++mu)
           u_local.U[static_cast<std::size_t>(mu)] =
               comms::scatter_rank(decomp, gauge.U[static_cast<std::size_t>(mu)], r);
-        const Field in = comms::scatter_rank(decomp, psi, r);
-        const comms::DistributedWilsonDirac<S> op(decomp, world.rank(r), r, u_local,
-                                                  mass);
-        Field out(decomp.grid(r));
-        std::array<bool, 3>& eq = equal[static_cast<std::size_t>(r)];
-        op.dhop(in, out);
-        eq[0] = bytes_equal(out, comms::scatter_rank(decomp, want, r));
-        op.m(in, out);
-        eq[1] = bytes_equal(out, comms::scatter_rank(decomp, want_m, r));
-        op.mdag(in, out);
-        eq[2] = bytes_equal(out, comms::scatter_rank(decomp, want_mdag, r));
+        const Field psi_r = comms::scatter_rank(decomp, psi, r);
+        const DistOp op(decomp, world.rank(r), r, u_local, mass);
+        std::array<bool, 4>& eq = equal[static_cast<std::size_t>(r)];
+        Field out_full(decomp.grid(r));
+        op.dhop(psi_r, out_full);
+        eq[0] = bytes_equal(out_full, comms::scatter_rank(decomp, want, r));
+
+        const BlockSchurEvenOddWilson<S, 1, DistOp> dop(op);
+        HalfBlock in_r(op.even_grid()), out_r(op.even_grid()), ref_r(op.even_grid());
+        lattice::pick_checkerboard(psi_r, in_r, 0);
+        dop.mhat(in_r, out_r);
+        lattice::pick_checkerboard(comms::scatter_rank(decomp, want_mhat, r), ref_r, 0);
+        eq[1] = bytes_equal(out_r, ref_r);
+        dop.mhat_dag(in_r, out_r);
+        lattice::pick_checkerboard(comms::scatter_rank(decomp, want_dag, r), ref_r, 0);
+        eq[2] = bytes_equal(out_r, ref_r);
+        // The fused pAp through the ring on the half grids.
+        eq[3] = dop.mhat_norm2(in_r, out_r)[0] == want_pap;
       });
     for (std::thread& t : threads) t.join();
     set_force_serial(false);
     for (int r = 0; r < ranks; ++r) {
-      const std::array<bool, 3>& eq = equal[static_cast<std::size_t>(r)];
+      const std::array<bool, 4>& eq = equal[static_cast<std::size_t>(r)];
       EXPECT_TRUE(eq[0]) << "dhop rank " << r << " " << source_name(src);
-      EXPECT_TRUE(eq[1]) << "m rank " << r << " " << source_name(src);
-      EXPECT_TRUE(eq[2]) << "mdag rank " << r << " " << source_name(src);
+      EXPECT_TRUE(eq[1]) << "mhat rank " << r << " " << source_name(src);
+      EXPECT_TRUE(eq[2]) << "mhat_dag rank " << r << " " << source_name(src);
+      EXPECT_TRUE(eq[3]) << "mhat_norm2 pAp rank " << r << " " << source_name(src);
     }
   }
 }
@@ -316,13 +339,15 @@ TEST(DhopKernelCeiling, FcmlaVL512InstructionsPerSite) {
   EXPECT_LE(per_site, 170.25);
 }
 
-// Per-site instruction ceiling of the distributed normal operator at
-// sve-fcmla/512: M^dag M on one rank, each of M and M^dag one sweep with
-// the diagonal and gamma5 fused into it (202,524 instructions over 512
-// sites).  Separate diagonal and gamma5 passes over the field would cost
-// 469.55 per site.
-TEST(DhopKernelCeiling, DistributedMdagMFcmlaVL512InstructionsPerSite) {
+// Per-site instruction ceiling of the distributed Schur normal operator at
+// sve-fcmla/512: Mhat^dag Mhat on one rank's half slab, four parity sweeps
+// with the diagonal and gamma5 fused into them.  The bound is the
+// single-rank BlockSchurEvenOddWilson<S, 1> count on this setup (189,212
+// instructions over the 512 full-lattice sites): the half faces and the
+// overlap schedule cost no vector instructions.
+TEST(DhopKernelCeiling, DistributedSchurMhatDagMhatFcmlaVL512InstructionsPerSite) {
   using S = SC<double, simd::kVLB512, simd::SveFcmla>;
+  using DistOp = comms::DistributedWilsonDirac<S>;
   sve::VLGuard vl(512);
   const lattice::Coordinate dims{4, 4, 4, 8};
   const int split = 3;
@@ -331,15 +356,18 @@ TEST(DhopKernelCeiling, DistributedMdagMFcmlaVL512InstructionsPerSite) {
   const lattice::GridCartesian* grid = decomp.grid(0);
   GaugeField<S> gauge(grid);
   random_gauge(SiteRNG(2018), gauge);
-  LatticeFermion<S> psi(grid), out(grid);
+  LatticeFermion<S> psi(grid);
   gaussian_fill(SiteRNG(5), psi);
   comms::SimCommunicator comm(1);
-  const comms::DistributedWilsonDirac<S> op(decomp, comm, 0, gauge, 0.2);
+  const DistOp op(decomp, comm, 0, gauge, 0.2);
+  const BlockSchurEvenOddWilson<S, 1, DistOp> bop(op);
+  HalfBlockFermion<S, 1> in(op.even_grid()), out(op.even_grid());
+  lattice::pick_checkerboard(psi, in, 0);
   const sve::CounterScope scope;
-  op.mdag_m(psi, out);
+  bop.mhat_dag_mhat(in, out);
   const double per_site =
       static_cast<double>(scope.delta().total()) / static_cast<double>(grid->gsites());
-  EXPECT_LE(per_site, 395.5546875);
+  EXPECT_LE(per_site, 369.5546875);
 }
 
 TEST(DhopVariants, WideVector1024LatticeWorks) {

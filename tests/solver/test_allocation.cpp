@@ -103,8 +103,9 @@ TEST(Allocation, WarmMixedPrecisionSolveAllocatesNothing) {
 }
 
 TEST(Allocation, WarmDistributedSolveAllocatesNothing) {
-  // One rank over the in-process SimCommunicator: the halo-exchanged
-  // operator's mdag / mdag_m run in every CG iteration.
+  // One rank over the in-process SimCommunicator: the Schur engine's
+  // parity sweeps over the halo-exchanged operator and the ring
+  // reductions on its half grids run in every CG iteration.
   sve::VLGuard vl(8 * S::vlb);
   const lattice::Coordinate dims{4, 4, 4, 8};
   constexpr int kSplit = 3;
@@ -122,7 +123,7 @@ TEST(Allocation, WarmDistributedSolveAllocatesNothing) {
     u_local.U[static_cast<std::size_t>(mu)] =
         comms::scatter_rank(decomp, gauge.U[static_cast<std::size_t>(mu)], 0);
   const comms::DistributedWilsonDirac<S> op(decomp, comm, 0, u_local, 0.2);
-  WilsonSolver<S> solver(op, base_params().with_preconditioner(Preconditioner::kNone));
+  WilsonSolver<S> solver(op, base_params());
   const Field b_local = comms::scatter_rank(decomp, b, 0);
   Field x_local(decomp.grid(0));
   expect_warm_solve_allocates_nothing(solver, b_local, x_local, "distributed CG");

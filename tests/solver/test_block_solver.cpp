@@ -208,9 +208,10 @@ TEST(BlockSolver, SlowColumnFreezesWithoutPoisoningSiblings) {
 }
 
 TEST(BlockSolver, DistributedBatchFallsBackToSequentialBitwise) {
-  // The Schur engine is single-rank; a batched call on a distributed
-  // operator must run solve() per column -- bitwise the single-rank
-  // facade's at every rank.  Two socket ranks, two columns.
+  // A distributed solver runs the Schur engine at N = 1 only; a batched
+  // call on a distributed operator must run solve() per column -- bitwise
+  // the single-rank facade's at every rank.  Two socket ranks, two
+  // columns.
   sve::VLGuard vl(8 * S::vlb);
   const lattice::Coordinate dims{4, 4, 4, 8};
   constexpr int kSplit = 3;
@@ -224,10 +225,8 @@ TEST(BlockSolver, DistributedBatchFallsBackToSequentialBitwise) {
     b.emplace_back(&grid);
     gaussian_fill(SiteRNG(1234 + c), b.back());
   }
-  const SolverParams dparams = SolverParams{}
-                                   .with_preconditioner(Preconditioner::kNone)
-                                   .with_tolerance(kTol)
-                                   .with_max_iterations(2000);
+  const SolverParams dparams =
+      SolverParams{}.with_tolerance(kTol).with_max_iterations(2000);
 
   // Single-rank reference on the same simd layout.
   std::vector<Field> x_ref;
