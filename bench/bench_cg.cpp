@@ -359,8 +359,7 @@ struct WallClockStats {
 WallClockStats capture_wall_clock() {
   WallClockStats w;
   w.solve = metrics::get("solve");
-  combined_rates({"dhop", "dhop_eo", "dhop_oe", "dhop_eo_block", "dhop_oe_block"},
-                 &w.dhop_gb, &w.dhop_gflop);
+  combined_rates({"dhop", "dhop_eo_block", "dhop_oe_block"}, &w.dhop_gb, &w.dhop_gflop);
   combined_rates({"cg_linalg", "bicgstab_linalg", "block_cg_linalg"}, &w.linalg_gb,
                  &w.linalg_gflop);
   w.report = metrics::report();

@@ -54,22 +54,23 @@ void bench_dhop(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(sites));
 }
 
-// Parity-restricted hopping kernel on half-checkerboard fields: one
-// application writes V/2 sites from V/2-site operands.  insns/site stays
-// at the full-dhop level (same shared site arithmetic); insns/apply --
-// and with it the traffic of one Schur Mhat -- halves relative to the
-// zero-padded full-lattice application.
+// Parity-restricted hopping term on half-checkerboard fields: the Schur
+// operator's Dh_eo at one right-hand side, which writes V/2 sites from
+// V/2-site operands.  insns/site stays at the full-dhop level (same shared
+// site arithmetic); insns/apply -- and with it the traffic of one Schur
+// Mhat -- halves relative to the zero-padded full-lattice application.
 template <typename S>
 void bench_dhop_eo(benchmark::State& state) {
   DslashSetup<S> setup;
-  const qcd::WilsonDiracEO<S> eo(setup.gauge, 0.0);
-  qcd::HalfLatticeFermion<S> in_o(eo.odd_grid()), out_e(eo.even_grid());
-  lattice::pick_checkerboard(setup.in, in_o);
+  const qcd::SchurEvenOddWilson<S> schur(setup.gauge, 0.0);
+  const qcd::BlockSchurEvenOddWilson<S, 1> eo(schur);
+  qcd::HalfBlockFermion<S, 1> in_o(eo.odd_grid()), out_e(eo.even_grid());
+  lattice::pick_checkerboard(setup.in, in_o, 0);
   sve::CounterScope scope;
   std::size_t iters = 0;
   for (auto _ : state) {
     eo.dhop_eo(in_o, out_e);
-    benchmark::DoNotOptimize(out_e[0]);
+    benchmark::DoNotOptimize(out_e.at(0, 0));
     ++iters;
   }
   const auto d = scope.delta();

@@ -8,19 +8,23 @@
 // parity-restricted hopping sweep, sweep<G5In>(parity, in, hook): the
 // hopping term into every site of the target parity, read from the
 // opposite-parity half field `in`, each site's sum handed to a post hook
-// while still in registers.  Every sweep is one pass of the overlap
-// schedule:
+// while still in registers.  The arithmetic is not its own: it holds one
+// qcd::SchurEvenOddWilson, the hop core, built on its slab, and keeps
+// only the distributed parts -- face posts and waits, the interior,
+// boundary and half-face site lists, the ghost buffers and the gauge face.
+// Every sweep is one pass of the overlap schedule:
 //
 //   phase 1  post      both half faces of `in` go onto the wire
 //                      (tags 200/201)                  ["cshift_pack"]
-//   phase 2  interior  sweep the target sites whose stencils are entirely
-//                      local while the faces are in flight
-//                                                      ["dhop_interior"]
+//   phase 2  interior  the core's sweep over the target sites whose
+//                      stencils are entirely local, while the faces are
+//                      in flight                       ["dhop_interior"]
 //   phase 3  wait      recv + decompress + unpack the two ghost half
 //                      faces                           ["dhop_wire_wait"]
-//   phase 4  boundary  sweep only the target sites on the split-dimension
-//                      edge slices, with the off-rank neighbour fetched
-//                      from the ghost faces            ["dhop_faces"]
+//   phase 4  boundary  the core's sweep over the target sites on the
+//                      split-dimension edge slices, with the off-rank
+//                      neighbour fetched from the ghost faces
+//                                                      ["dhop_faces"]
 //
 // The engine's post hooks (StoreColumn, DiagColumn: qcd/dhop_kernel.h)
 // fuse the Schur diagonal, gamma5 and mhat_norm2's per-site norms into the
@@ -35,16 +39,19 @@
 // opposite parities, so the source-parity site of face index i sits at
 // i / 2 of the half face.
 //
-// Links stay in the one double-stored full-grid gauge and are read at
-// full_osite(h).  The gauge link face (tag 202) crosses the wire ONCE, at
-// construction: u_bwd[split] is a Cshift whose edge slice belongs to the
-// neighbouring rank, and the gauge field never changes during a solve.
+// Links are the core's one double-stored full-grid gauge, read at
+// full_osite(h) -- the same layout a single-rank solve reads.  The gauge
+// link face (tag 202) crosses the wire ONCE, at construction: u_bwd[split]
+// is a Cshift whose edge slice belongs to the neighbouring rank, and the
+// gauge field never changes during a solve.  It is completed into the
+// core's backward links at the first sweep, so the constructor never
+// blocks on a receive.
 //
-// Boundary sites run the same site kernel with a source hook that routes
-// exactly the split-dimension off-rank hop to a spinor gathered from the
-// ghost face; every other hop, and every interior site, is the parity
-// stencil source -- so each site's arithmetic is bitwise that of the
-// single-rank qcd::SchurEvenOddWilson::sweep.
+// Boundary sites run the core's sweep with a per-hop source hook that
+// routes exactly the split-dimension off-rank hop to a spinor gathered
+// from the ghost face; every other hop, and every interior site, is the
+// parity stencil source -- so each site's arithmetic is bitwise that of
+// the single-rank qcd::SchurEvenOddWilson::sweep.
 //
 // Reductions: the operator's half grids carry the rank's ReduceRing
 // (CommReduceRing below), so every block-field reduction of the Schur
@@ -69,7 +76,7 @@
 
 #include "comms/distributed.h"
 #include "lattice/block.h"
-#include "qcd/wilson.h"
+#include "qcd/even_odd.h"
 
 namespace svelat::comms {
 
@@ -141,48 +148,37 @@ class DistributedWilsonDirac {
       : decomp_(decomp),
         comm_(comm),
         rank_(rank),
-        mass_(mass),
         mode_(mode),
-        grid_(checked_grid(decomp, rank)),
         ring_(comm, rank, decomp.ranks()),
-        even_(grid_, lattice::kParityEven, &ring_),
-        odd_(grid_, lattice::kParityOdd, &ring_),
-        par_{Parity(&even_, &odd_), Parity(&odd_, &even_)},
-        u_fwd_{gauge_local.U[0], gauge_local.U[1], gauge_local.U[2],
-               gauge_local.U[3]},
-        u_bwd_{lattice::Cshift(gauge_local.U[0], 0, -1),
-               lattice::Cshift(gauge_local.U[1], 1, -1),
-               lattice::Cshift(gauge_local.U[2], 2, -1),
-               lattice::Cshift(gauge_local.U[3], 3, -1)} {
-    SVELAT_ASSERT_MSG(gauge_local.grid()->fdimensions() == decomp.local_dims(),
-                      "gauge field must live on this rank's sub-lattice");
-    build_parity_tables();
+        core_(checked_gauge(decomp, rank, gauge_local), mass, &ring_) {
+    build_site_lists();
     // The one gauge exchange: u_bwd[split]'s edge slice is the
     // neighbouring rank's face.  Post now, complete lazily at first use
     // so all-ranks in-process construction (everyone posts before anyone
     // receives) works single-threaded.
-    detail::post_shift_face(decomp_, comm_, rank_, u_fwd_[decomp_.split_dim()],
-                            -1, mode_, kDhopTagBase + 2);
+    detail::post_shift_face(decomp_, comm_, rank_, core_.u_fwd(decomp_.split_dim()), -1,
+                            mode_, kDhopTagBase + 2);
   }
 
-  // Stencil tables, half grids and ghost buffers are sized to this rank,
-  // and the half grids point at the member ring: never copied or moved.
+  // Site lists, the core's half grids and the ghost buffers are sized to
+  // this rank, and the half grids point at the member ring: never copied
+  // or moved.
   DistributedWilsonDirac(const DistributedWilsonDirac&) = delete;
   DistributedWilsonDirac& operator=(const DistributedWilsonDirac&) = delete;
 
-  const lattice::GridCartesian* grid() const { return grid_; }
+  const lattice::GridCartesian* grid() const { return core_.even_grid()->full_grid(); }
   const RankDecomposition& decomp() const { return decomp_; }
   Communicator& comm() const { return comm_; }
   int rank() const { return rank_; }
-  double mass() const { return mass_; }
+  double mass() const { return core_.mass(); }
   Compression mode() const { return mode_; }
 
   // --- the hop provider of the Schur operator -----------------------------
 
   /// This rank's half grids; both carry the rank's ReduceRing.
-  const lattice::GridRedBlackCartesian* even_grid() const { return &even_; }
-  const lattice::GridRedBlackCartesian* odd_grid() const { return &odd_; }
-  double diag() const { return 4.0 + mass_; }
+  const lattice::GridRedBlackCartesian* even_grid() const { return core_.even_grid(); }
+  const lattice::GridRedBlackCartesian* odd_grid() const { return core_.odd_grid(); }
+  double diag() const { return core_.diag(); }
 
   /// The overlap schedule for one target parity: posts the half faces of
   /// `in` (the opposite parity), sweeps the interior sites of `parity`
@@ -193,11 +189,11 @@ class DistributedWilsonDirac {
   void sweep(int parity, const Block& in, HookF&& hook) const {
     static_assert(Block::block_size == 1,
                   "the distributed hop provider serves one column");
-    const bool even = parity == lattice::kParityEven;
-    const lattice::GridRedBlackCartesian& target = even ? even_ : odd_;
-    SVELAT_ASSERT_MSG(*in.grid() == (even ? odd_ : even_),
+    // Checked before the face packing below indexes `in`.
+    SVELAT_ASSERT_MSG(*in.grid() == *(parity == lattice::kParityEven ? odd_grid()
+                                                                       : even_grid()),
                       "a sweep reads the opposite parity of this rank's half grids");
-    const Parity& p = par_[parity];
+    const Sites& p = sites_[parity];
     throw_on_failure(try_complete_setup());
     // Phase 1: both half faces onto the wire before any arithmetic.
     const auto pack = [&](int slice) { return pack_half_face(in, slice); };
@@ -205,20 +201,12 @@ class DistributedWilsonDirac {
         detail::try_post_face(decomp_, comm_, rank_, +1, mode_, kDhopTagBase + 0, pack));
     throw_on_failure(
         detail::try_post_face(decomp_, comm_, rank_, -1, mode_, kDhopTagBase + 1, pack));
-    // A rank-local hop: the parity stencil over `in`.
-    const auto local = [&](std::int64_t h, int dir) {
-      return qcd::detail::stencil_source<S>(
-          p.stencil, h, dir, [&](std::int64_t s) -> const auto& { return in.at(s, 0); });
-    };
-    // Phase 2: interior sites overlap with the in-flight faces.
+    // Phase 2: interior sites overlap with the in-flight faces; every hop
+    // is the parity stencil's.
     {
       metrics::ScopedTimer mt("dhop_interior", p.interior_bytes, p.interior_flops);
-      thread_for(static_cast<std::int64_t>(p.interior.size()), [&](std::int64_t i) {
-        const std::int64_t h = p.interior[static_cast<std::size_t>(i)];
-        qcd::detail::hop_site<G5In, S>(
-            u_fwd_, u_bwd_, target.full_osite(h), [&](int dir) { return local(h, dir); },
-            hook(h));
-      });
+      sweep_list<G5In>(parity, in, p.interior,
+                       [](std::int64_t) { return qcd::detail::StencilHops{}; }, hook);
     }
     // Phase 3: the wire wait -- recv, decompress, unpack into the ghost
     // faces (bytes = wire bytes actually waited on).
@@ -230,36 +218,11 @@ class DistributedWilsonDirac {
     // Phase 4: boundary sites, off-rank hops served from the ghosts.
     {
       metrics::ScopedTimer mt("dhop_faces", p.boundary_bytes, p.boundary_flops);
-      const int split = decomp_.split_dim();
-      const int edge = decomp_.local_dims()[split] - 1;
-      const lattice::Coordinate dims = grid_->fdimensions();
-      thread_for(static_cast<std::int64_t>(p.boundary.size()), [&](std::int64_t i) {
-        const std::int64_t h = p.boundary[static_cast<std::size_t>(i)];
-        const std::int64_t o = target.full_osite(h);
-        qcd::SpinColourVector<S> ghost_site;  // an off-rank neighbour, gathered
-        qcd::detail::hop_site<G5In, S>(
-            u_fwd_, u_bwd_, o,
-            [&](int dir) -> qcd::detail::HopSource<S> {
-              const bool fwd_cut = dir == split;
-              const bool bwd_cut = dir == lattice::Nd + split;
-              if (fwd_cut || bwd_cut) {
-                // All lanes of an outer site share the split coordinate
-                // (simd_layout[split] == 1), so one lane decides.
-                const lattice::Coordinate x0 = grid_->global_coor(o, 0);
-                if ((fwd_cut && x0[split] == edge) || (bwd_cut && x0[split] == 0)) {
-                  const std::vector<sobj>& ghost = fwd_cut ? ghost_fwd_ : ghost_bwd_;
-                  for (unsigned l = 0; l < grid_->isites(); ++l) {
-                    const lattice::Coordinate x = grid_->global_coor(o, l);
-                    tensor::poke_lane(ghost_site, l,
-                                      ghost[face_site_index(dims, split, x) / 2]);
-                  }
-                  return {&ghost_site, 0};
-                }
-              }
-              return local(h, dir);
-            },
-            hook(h));
-      });
+      const lattice::GridRedBlackCartesian* target =
+          parity == lattice::kParityEven ? even_grid() : odd_grid();
+      sweep_list<G5In>(
+          parity, in, p.boundary,
+          [&](std::int64_t h) { return GhostHops(*this, target->full_osite(h)); }, hook);
     }
   }
 
@@ -268,7 +231,7 @@ class DistributedWilsonDirac {
   /// Hopping term on full fields, out = Dh in: the two parity sweeps over
   /// per-call half scratch.
   void dhop(const Fermion& in, Fermion& out) const {
-    HalfBlock in_e(&even_), in_o(&odd_), out_e(&even_), out_o(&odd_);
+    HalfBlock in_e(even_grid()), in_o(odd_grid()), out_e(even_grid()), out_o(odd_grid());
     lattice::pick_checkerboard(in, in_e, 0);
     lattice::pick_checkerboard(in, in_o, 0);
     const auto store = [](HalfBlock& f) {
@@ -284,7 +247,7 @@ class DistributedWilsonDirac {
   /// the single-rank norm2 of the gathered field (the ring continues
   /// parallel_reduce's chunk tree over the global site order).
   double global_norm2(const Fermion& a) const {
-    const S acc = ring_reduce(&ring_, grid_->osites(), S::zero(), [&](std::int64_t o) {
+    const S acc = ring_reduce(&ring_, grid()->osites(), S::zero(), [&](std::int64_t o) {
       return tensor::innerProduct(a[o], a[o]);
     });
     return std::real(reduce(acc));
@@ -297,15 +260,10 @@ class DistributedWilsonDirac {
     unsigned lane;
   };
 
-  /// Per target parity: the parity stencil into the opposite parity and
-  /// the interior / boundary split of the target sites.  Per source
-  /// parity: its sites on the two edge slices, in half-face order.
-  struct Parity {
-    Parity(const lattice::GridRedBlackCartesian* target,
-           const lattice::GridRedBlackCartesian* source)
-        : stencil(target, source) {}
-
-    lattice::StencilRedBlack stencil;
+  /// Per target parity: the interior / boundary split of its half sites.
+  /// Per source parity: its sites on the two edge slices, in half-face
+  /// order.
+  struct Sites {
     std::vector<std::int64_t> interior;  ///< half sites, all hops local
     std::vector<std::int64_t> boundary;  ///< half sites on the rank cut
     double interior_bytes = 0.0, interior_flops = 0.0;
@@ -313,10 +271,57 @@ class DistributedWilsonDirac {
     std::vector<FaceSite> face[2];  ///< sites on slice 0 / slice L-1
   };
 
-  static const lattice::GridCartesian* checked_grid(const RankDecomposition& decomp,
-                                                    int rank) {
+  /// Per-hop source hook of a boundary site: the split-dimension hop off
+  /// the rank's edge reads a spinor gathered from the ghost half face,
+  /// every other hop the parity stencil's neighbour.
+  class GhostHops {
+   public:
+    GhostHops(const DistributedWilsonDirac& op, std::int64_t osite)
+        : op_(op), osite_(osite) {}
+
+    qcd::detail::HopSource<S> operator()(int dir,
+                                         const qcd::detail::HopSource<S>& local) {
+      const int split = op_.decomp_.split_dim();
+      const bool fwd_cut = dir == split;
+      if (!fwd_cut && dir != lattice::Nd + split) return local;
+      // All lanes of an outer site share the split coordinate
+      // (simd_layout[split] == 1), so one lane decides.
+      const lattice::GridCartesian* g = op_.grid();
+      const int t = g->global_coor(osite_, 0)[split];
+      if (t != (fwd_cut ? op_.decomp_.local_dims()[split] - 1 : 0)) return local;
+      const std::vector<sobj>& ghost = fwd_cut ? op_.ghost_fwd_ : op_.ghost_bwd_;
+      for (unsigned l = 0; l < g->isites(); ++l) {
+        const lattice::Coordinate x = g->global_coor(osite_, l);
+        tensor::poke_lane(ghost_site_, l,
+                          ghost[face_site_index(g->fdimensions(), split, x) / 2]);
+      }
+      return {&ghost_site_, 0};
+    }
+
+   private:
+    const DistributedWilsonDirac& op_;
+    std::int64_t osite_;  ///< the site's full-grid outer index
+    // An off-rank neighbour, gathered; the kernel loads it before asking
+    // for the next hop.
+    qcd::SpinColourVector<S> ghost_site_;
+  };
+
+  /// The core's sweep over the target sites listed in `sites`.
+  template <bool G5In, class SourceF, class HookF>
+  void sweep_list(int parity, const HalfBlock& in, const std::vector<std::int64_t>& sites,
+                  SourceF&& source, HookF&& hook) const {
+    core_.template sweep_sites<G5In>(
+        parity, in, static_cast<std::int64_t>(sites.size()),
+        [&](std::int64_t i) { return sites[static_cast<std::size_t>(i)]; }, source, hook);
+  }
+
+  static const qcd::GaugeField<S>& checked_gauge(const RankDecomposition& decomp,
+                                                 int rank,
+                                                 const qcd::GaugeField<S>& gauge_local) {
     const int split = decomp.split_dim();
     const lattice::GridCartesian* g = decomp.grid(rank);
+    SVELAT_ASSERT_MSG(*gauge_local.grid() == *g,
+                      "gauge field must live on this rank's sub-lattice");
     SVELAT_ASSERT_MSG(g->simd_layout()[split] == 1,
                       "split dimension cannot be SIMD-decomposed "
                       "(use split_simd_layout)");
@@ -327,7 +332,7 @@ class DistributedWilsonDirac {
         decomp.ranks() == 1 || split == lattice::Nd - 1,
         "exact global reductions need rank slabs contiguous in site order: "
         "split the slowest dimension (t)");
-    return g;
+    return gauge_local;
   }
 
   void throw_on_failure(CommStatus st) const {
@@ -340,17 +345,17 @@ class DistributedWilsonDirac {
   /// each parity's edge-slice sites in half-face order.  With local extent
   /// L == 2 every site is boundary and the interior sweep is empty -- the
   /// schedule still pipelines the posts first.
-  void build_parity_tables() {
+  void build_site_lists() {
     const int split = decomp_.split_dim();
     const int l_split = decomp_.local_dims()[split];
-    const lattice::Coordinate rdims = grid_->rdimensions();
-    const lattice::Coordinate dims = grid_->fdimensions();
+    const lattice::Coordinate rdims = grid()->rdimensions();
+    const lattice::Coordinate dims = grid()->fdimensions();
     const double site_bytes = qcd::kDhopRealsPerSite * sizeof(typename S::real_type);
-    const double nsimd = static_cast<double>(grid_->isites());
+    const double nsimd = static_cast<double>(grid()->isites());
     for (int parity : {lattice::kParityEven, lattice::kParityOdd}) {
       const lattice::GridRedBlackCartesian& g =
-          parity == lattice::kParityEven ? even_ : odd_;
-      Parity& p = par_[parity];
+          parity == lattice::kParityEven ? *even_grid() : *odd_grid();
+      Sites& p = sites_[parity];
       for (std::int64_t h = 0; h < g.osites(); ++h) {
         // simd_layout[split] == 1: the outer coordinate IS the site's
         // split coordinate, identical for every lane.
@@ -375,16 +380,17 @@ class DistributedWilsonDirac {
       }
     }
     half_face_doubles_ =
-        par_[0].face[0].size() * detail_components<qcd::SpinColourVector<S>>() * 2;
+        sites_[0].face[0].size() * detail_components<qcd::SpinColourVector<S>>() * 2;
   }
 
-  /// Complete the construction-time gauge face exchange exactly once.
+  /// Complete the construction-time gauge face exchange exactly once, into
+  /// the core's backward links.
   CommStatus try_complete_setup() const {
     if (!setup_pending_) return CommStatus::kOk;
     const int split = decomp_.split_dim();
     const CommStatus st =
-        detail::try_complete_shift(decomp_, comm_, rank_, u_fwd_[split],
-                                   u_bwd_[split], -1, mode_, kDhopTagBase + 2);
+        detail::try_complete_shift(decomp_, comm_, rank_, core_.u_fwd(split),
+                                   core_.u_bwd(split), -1, mode_, kDhopTagBase + 2);
     if (st == CommStatus::kOk) setup_pending_ = false;
     return st;
   }
@@ -393,7 +399,7 @@ class DistributedWilsonDirac {
   /// half-face order.
   std::vector<double> pack_half_face(const HalfBlock& in, int slice) const {
     const std::vector<FaceSite>& sites =
-        par_[in.grid()->parity()].face[slice == 0 ? 0 : 1];
+        sites_[in.grid()->parity()].face[slice == 0 ? 0 : 1];
     std::vector<double> buf;
     buf.reserve(half_face_doubles_);
     for (const FaceSite& f : sites)
@@ -419,18 +425,15 @@ class DistributedWilsonDirac {
   const RankDecomposition& decomp_;
   Communicator& comm_;
   int rank_;
-  double mass_;
   Compression mode_;
-  const lattice::GridCartesian* grid_;
   CommReduceRing ring_;
-  lattice::GridRedBlackCartesian even_;
-  lattice::GridRedBlackCartesian odd_;
-  Parity par_[2];  ///< indexed by parity
+  // The hop core on this rank's slab: half grids (carrying ring_),
+  // parity stencils, links and the one parity sweep.  Mutable: its
+  // u_bwd[split] edge slice is completed from the neighbour's face at
+  // first use.
+  mutable qcd::SchurEvenOddWilson<S> core_;
+  Sites sites_[2];  ///< indexed by parity
   std::size_t half_face_doubles_ = 0;
-  // Double-stored gauge like WilsonDirac; u_bwd_[split]'s edge slice is
-  // completed from the neighbour's face at first use.
-  qcd::LatticeColourMatrix<S> u_fwd_[lattice::Nd];
-  mutable qcd::LatticeColourMatrix<S> u_bwd_[lattice::Nd];
   mutable bool setup_pending_ = true;
   // Per-sweep face buffers.  The operator allocates no field buffers, but
   // face marshalling is not allocation-free: packing, compress and

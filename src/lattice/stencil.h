@@ -69,8 +69,9 @@ class Stencil {
 
 /// Parity-restricted stencil: for each site of the target half grid, the
 /// 8 neighbours expressed as indices into the opposite-parity half grid.
-/// dhop_eo/dhop_oe walk this table to read one parity and write the other
-/// over half-volume fields -- half the traffic of the zero-padded path.
+/// The Schur operator's parity sweeps (qcd::SchurEvenOddWilson) walk this
+/// table to read one parity and write the other over half-volume fields --
+/// half the traffic of the zero-padded path.
 class StencilRedBlack {
  public:
   using Entry = StencilEntry;

@@ -55,7 +55,8 @@ using HalfBlockFermion =
 /// The Schur operator Mhat over N columns of even half block fields -- the
 /// only Schur operator; one right-hand side is N = 1.  It takes its hopping
 /// terms from a hop provider: SchurEvenOddWilson (one process, any N) or
-/// comms::DistributedWilsonDirac (one rank's slab, N = 1), each with
+/// comms::DistributedWilsonDirac (one rank's slab, N = 1; its sweeps are
+/// the same SchurEvenOddWilson sweep over site lists), each with
 ///
 ///   even_grid(), odd_grid(), diag()
 ///   sweep<G5In>(parity, in, hook)   hop into every site h of `parity`
@@ -145,6 +146,9 @@ class BlockSchurEvenOddWilson {
   /// out = Dh in into the sites of `parity`, stored as computed.
   template <bool G5In>
   void store_sweep(int parity, const HalfBlock& in, HalfBlock& out) const {
+    SVELAT_ASSERT_MSG(
+        *out.grid() == *(parity == lattice::kParityEven ? even_grid() : odd_grid()),
+        "a hop writes the target parity of the operator's half grids");
     hops_->template sweep<G5In>(parity, in, [&](std::int64_t h) {
       return detail::StoreColumn<S>{out.site(h)};
     });

@@ -256,39 +256,25 @@ struct DiagColumn {
   }
 };
 
-/// One site of one field: the hopping sum of outer site o (gamma5 on the
-/// neighbour loads with G5In) handed to `post` as column 0.
-template <bool G5In, class S, class UFieldT, class SourceF, class PostF>
-inline void hop_site(const UFieldT* u_fwd, const UFieldT* u_bwd, std::int64_t o,
-                     SourceF&& source, PostF&& post) {
+/// Hopping term of outer site o into `out`, every neighbour from the stencil
+/// table over `in` (WilsonDirac::dhop's full Stencil; `o` indexes the table,
+/// the gauge fields and the output site).  The half-checkerboard sweeps of
+/// the Schur operator are qcd::SchurEvenOddWilson's (qcd/even_odd.h).
+template <class S, class FermT, class TableT, class UFieldT>
+inline void dhop_site(const FermT& in, const TableT& st, const UFieldT* u_fwd,
+                      const UFieldT* u_bwd, std::int64_t o, SpinColourVector<S>& out) {
   using R = HopRegs<S>;
   const typename R::pred pg = R::ptrue();
   const typename R::reg z = R::zero();
   typename R::template tuple<Nc> a0, a1, a2, a3;
-  hop_sum<G5In, S>(pg, z, u_fwd, u_bwd, o, source, a0, a1, a2, a3);
-  post(0, pg, z, a0, a1, a2, a3);
-}
-
-/// Hopping term of one site into `out`: the kernel with a plain store.
-template <class S, class UFieldT, class SourceF>
-inline void dhop_site(const UFieldT* u_fwd, const UFieldT* u_bwd, std::int64_t o,
-                      SourceF&& source, SpinColourVector<S>& out) {
-  hop_site<false, S>(u_fwd, u_bwd, o, source, StoreColumn<S>{&out});
-}
-
-/// The single-source form: every neighbour comes from the stencil table over
-/// `in` (the full Stencil reads the same grid, StencilRedBlack the opposite
-/// parity).  `o` indexes the table, the gauge fields and the output site.
-template <class S, class FermT, class TableT, class UFieldT>
-inline void dhop_site(const FermT& in, const TableT& st, const UFieldT* u_fwd,
-                      const UFieldT* u_bwd, std::int64_t o, SpinColourVector<S>& out) {
-  dhop_site<S>(
-      u_fwd, u_bwd, o,
+  hop_sum<false, S>(
+      pg, z, u_fwd, u_bwd, o,
       [&](int dir) {
         return stencil_source<S>(st, o, dir,
                                  [&](std::int64_t s) -> const auto& { return in[s]; });
       },
-      out);
+      a0, a1, a2, a3);
+  store_site<S>(pg, a0, a1, a2, a3, out);
 }
 
 }  // namespace svelat::qcd::detail

@@ -31,14 +31,11 @@ using LatticeFermion = lattice::Lattice<SpinColourVector<S>>;
 template <class S>
 using LatticeColourMatrix = lattice::Lattice<ColourMatrix<S>>;
 
-// Half-checkerboard (single-parity) fields: half the outer sites of the
+// Half-checkerboard (single-parity) fermions: half the outer sites of the
 // full grid, same lane structure (lattice/red_black.h).
 template <class S>
 using HalfLatticeFermion =
     lattice::Lattice<SpinColourVector<S>, lattice::GridRedBlackCartesian>;
-template <class S>
-using HalfLatticeColourMatrix =
-    lattice::Lattice<ColourMatrix<S>, lattice::GridRedBlackCartesian>;
 
 /// The four directional link fields U_mu(x).
 template <class S>

@@ -19,6 +19,11 @@
 //                              4x4 gamma matrices; the verification oracle
 //                              (paper Sec. V-D).
 //
+// The parity-restricted hop on half-checkerboard fields, Dh_eo / Dh_oe, is
+// the one hop core of the Schur operator: SchurEvenOddWilson
+// (qcd/even_odd.h), driven through BlockSchurEvenOddWilson<S, N>::dhop_eo
+// / dhop_oe (qcd/block.h).
+//
 // gamma_5 hermiticity (gamma5 M gamma5 = M^dag) supplies M^dag without a
 // second operator implementation.
 #pragma once
@@ -119,114 +124,6 @@ class WilsonDirac {
   mutable Fermion tmp_m_;
   double dhop_bytes_;  ///< wall-clock metrics model of one application
   double dhop_flops_;
-};
-
-// ---------------------------------------------------------------------------
-// Parity-restricted hopping kernels on half-checkerboard fields.
-//
-// Dh couples only opposite parities, so restricted to a target parity it
-// is a map between the two half lattices:
-//
-//   dhop_eo:  out_e = Dh_eo in_o     (reads odd sites, writes even sites)
-//   dhop_oe:  out_o = Dh_oe in_e     (reads even sites, writes odd sites)
-//
-// Fields, gauge links and stencil tables are all half-volume, so one
-// application moves half the memory and executes half the instructions of
-// a full-lattice dhop -- the production layout of Grid's red-black
-// preconditioned solvers (paper Sec. II-A).  Arithmetic per site is
-// bitwise identical to WilsonDirac::dhop (the shared site kernel).
-// ---------------------------------------------------------------------------
-template <class S>
-class WilsonDiracEO {
- public:
-  using HalfFermion = HalfLatticeFermion<S>;
-
-  WilsonDiracEO(const GaugeField<S>& gauge, double mass)
-      : mass_(mass),
-        even_(gauge.grid(), lattice::kParityEven),
-        odd_(gauge.grid(), lattice::kParityOdd),
-        st_eo_(&even_, &odd_),
-        st_oe_(&odd_, &even_),
-        u_fwd_e_{HalfLatticeColourMatrix<S>(&even_), HalfLatticeColourMatrix<S>(&even_),
-                 HalfLatticeColourMatrix<S>(&even_), HalfLatticeColourMatrix<S>(&even_)},
-        u_bwd_e_{HalfLatticeColourMatrix<S>(&even_), HalfLatticeColourMatrix<S>(&even_),
-                 HalfLatticeColourMatrix<S>(&even_), HalfLatticeColourMatrix<S>(&even_)},
-        u_fwd_o_{HalfLatticeColourMatrix<S>(&odd_), HalfLatticeColourMatrix<S>(&odd_),
-                 HalfLatticeColourMatrix<S>(&odd_), HalfLatticeColourMatrix<S>(&odd_)},
-        u_bwd_o_{HalfLatticeColourMatrix<S>(&odd_), HalfLatticeColourMatrix<S>(&odd_),
-                 HalfLatticeColourMatrix<S>(&odd_), HalfLatticeColourMatrix<S>(&odd_)} {
-    // Each parity-restricted application moves half the full lattice's
-    // sites through the same per-site traffic/flop model.
-    half_bytes_ = static_cast<double>(gauge.grid()->gsites()) / 2.0 *
-                  kDhopRealsPerSite * sizeof(typename S::real_type);
-    half_flops_ = kDhopFlopsPerSite * static_cast<double>(gauge.grid()->gsites()) / 2.0;
-    // Split the double-stored gauge (U_mu(x) and U_mu(x - mu^)) by the
-    // parity of the *target* site x, so each kernel reads compact links.
-    for (int mu = 0; mu < lattice::Nd; ++mu) {
-      lattice::pick_checkerboard(gauge.U[mu], u_fwd_e_[mu]);
-      lattice::pick_checkerboard(gauge.U[mu], u_fwd_o_[mu]);
-      const LatticeColourMatrix<S> shifted = lattice::Cshift(gauge.U[mu], mu, -1);
-      lattice::pick_checkerboard(shifted, u_bwd_e_[mu]);
-      lattice::pick_checkerboard(shifted, u_bwd_o_[mu]);
-    }
-  }
-
-  // Half fields hold pointers to the member grids: moving the operator
-  // would dangle them.
-  WilsonDiracEO(const WilsonDiracEO&) = delete;
-  WilsonDiracEO& operator=(const WilsonDiracEO&) = delete;
-
-  double mass() const { return mass_; }
-  const lattice::GridRedBlackCartesian* even_grid() const { return &even_; }
-  const lattice::GridRedBlackCartesian* odd_grid() const { return &odd_; }
-
-  // Read access to the parity stencils and split gauge for the batched
-  // multi-RHS kernels (qcd/block.h): one link/stencil stream, N spinors.
-  const lattice::StencilRedBlack& st_eo() const { return st_eo_; }
-  const lattice::StencilRedBlack& st_oe() const { return st_oe_; }
-  const HalfLatticeColourMatrix<S>* u_fwd_e() const { return u_fwd_e_; }
-  const HalfLatticeColourMatrix<S>* u_bwd_e() const { return u_bwd_e_; }
-  const HalfLatticeColourMatrix<S>* u_fwd_o() const { return u_fwd_o_; }
-  const HalfLatticeColourMatrix<S>* u_bwd_o() const { return u_bwd_o_; }
-
-  /// out_e = Dh_eo in_o: read the odd half field, write the even one.
-  void dhop_eo(const HalfFermion& in_odd, HalfFermion& out_even) const {
-    SVELAT_ASSERT_MSG(
-        in_odd.grid()->parity() == lattice::kParityOdd &&
-            out_even.grid()->parity() == lattice::kParityEven,
-        "dhop_eo maps an odd-parity field to an even-parity field");
-    metrics::ScopedTimer mt("dhop_eo", half_bytes_, half_flops_);
-    thread_for(even_.osites(), [&](std::int64_t h) {
-      detail::dhop_site<S>(in_odd, st_eo_, u_fwd_e_, u_bwd_e_, h, out_even[h]);
-    });
-  }
-
-  /// out_o = Dh_oe in_e: read the even half field, write the odd one.
-  void dhop_oe(const HalfFermion& in_even, HalfFermion& out_odd) const {
-    SVELAT_ASSERT_MSG(
-        in_even.grid()->parity() == lattice::kParityEven &&
-            out_odd.grid()->parity() == lattice::kParityOdd,
-        "dhop_oe maps an even-parity field to an odd-parity field");
-    metrics::ScopedTimer mt("dhop_oe", half_bytes_, half_flops_);
-    thread_for(odd_.osites(), [&](std::int64_t h) {
-      detail::dhop_site<S>(in_even, st_oe_, u_fwd_o_, u_bwd_o_, h, out_odd[h]);
-    });
-  }
-
- private:
-  double mass_;
-  lattice::GridRedBlackCartesian even_;
-  lattice::GridRedBlackCartesian odd_;
-  lattice::StencilRedBlack st_eo_;  ///< target even, source odd
-  lattice::StencilRedBlack st_oe_;  ///< target odd, source even
-  // Gauge links split by target parity: u_fwd_p[mu] = U_mu(x) and
-  // u_bwd_p[mu] = U_mu(x - mu^) for x of parity p.
-  HalfLatticeColourMatrix<S> u_fwd_e_[lattice::Nd];
-  HalfLatticeColourMatrix<S> u_bwd_e_[lattice::Nd];
-  HalfLatticeColourMatrix<S> u_fwd_o_[lattice::Nd];
-  HalfLatticeColourMatrix<S> u_bwd_o_[lattice::Nd];
-  double half_bytes_ = 0.0;  ///< wall-clock metrics model per application
-  double half_flops_ = 0.0;
 };
 
 // ---------------------------------------------------------------------------

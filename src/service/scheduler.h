@@ -65,8 +65,8 @@ struct JobResult {
   bool converged = false;
   std::uint32_t iterations = 0;
   double wall_seconds = 0.0;         ///< the solve() facade wall clock
-  /// dhop + dhop_eo + dhop_oe + dhop_eo_block + dhop_oe_block combined
-  /// (the full-lattice and Schur hopping sweeps).
+  /// dhop + dhop_eo_block + dhop_oe_block combined (the full-lattice and
+  /// Schur hopping sweeps).
   double dhop_gb_per_sec = 0.0;
   double dhop_gflop_per_sec = 0.0;
   /// cg_linalg + bicgstab_linalg + block_cg_linalg combined (the
@@ -169,8 +169,8 @@ JobResult measure_job(const qcd::GaugeField<S>& gauge, const MeasurementJob& job
   out.converged = res.converged;
   out.iterations = static_cast<std::uint32_t>(res.iterations);
   out.wall_seconds = res.wall_seconds;
-  detail::combined_rates({"dhop", "dhop_eo", "dhop_oe", "dhop_eo_block", "dhop_oe_block"},
-                         out.dhop_gb_per_sec, out.dhop_gflop_per_sec);
+  detail::combined_rates({"dhop", "dhop_eo_block", "dhop_oe_block"}, out.dhop_gb_per_sec,
+                         out.dhop_gflop_per_sec);
   detail::combined_rates({"cg_linalg", "bicgstab_linalg", "block_cg_linalg"},
                          out.linalg_gb_per_sec, out.linalg_gflop_per_sec);
   out.correlator = detail::timeslice_norms(x[0]);

@@ -22,10 +22,10 @@
 // the operator's hop provider.
 //
 // Construction pays the expensive setup once -- Schur operator data
-// (stencil tables + parity-split gauge), single-precision gauge copy --
-// and each Schur engine is built on the first solve of its width, so
-// repeated solves against the same configuration (the 12 spin-colour
-// columns of a propagator) only pay iterations.
+// (half grids, stencil tables, double-stored gauge), single-precision
+// gauge copy -- and each Schur engine is built on the first solve of its
+// width, so repeated solves against the same configuration (the 12
+// spin-colour columns of a propagator) only pay iterations.
 //
 // The zero-padded even-odd formulation is not reachable from here: it is
 // a test-only oracle (tests/qcd/padded_oracle.h).
@@ -167,7 +167,7 @@ class WilsonSolver {
   SolverResult solve(const Fermion& b, Fermion& x) {
     StopWatch sw;
     const StallGuard guard{params_.stall_window, params_.divergence_factor};
-    SolverResult res = attempt(b, x, guard);
+    SolverResult res = attempt(params_.algorithm, b, x, guard);
     res.algorithm = params_.algorithm;
     res.preconditioner = params_.preconditioner;
     res.target_residual = params_.tolerance;
@@ -189,9 +189,8 @@ class WilsonSolver {
     // The same reading is the "solve" region, whose calls/sec IS the
     // solves-per-second figure (no byte/flop model -- the inner kernels
     // carry those at dhop / linalg granularity).  Exactly ONE region call
-    // per facade-level solve: the fallback path runs through the nested
-    // solver's attempt(), never its solve(), so a degraded solve does not
-    // double-count itself.
+    // per facade-level solve: the fallback path runs through attempt(),
+    // never solve(), so a degraded solve does not double-count itself.
     metrics::record("solve", res.wall_seconds, 0.0, 0.0);
     if (params_.verbosity >= 1) log_info() << "WilsonSolver " << res.summary();
     return res;
@@ -237,10 +236,11 @@ class WilsonSolver {
     return std::sqrt(dop_ != nullptr ? dop_->global_norm2(x) : norm2(x));
   }
 
-  /// One configured solve attempt: the algorithm x preconditioner
-  /// dispatch without the facade bookkeeping ("solve" region, wall clock,
-  /// fallback, logging) -- shared by solve() and the fallback path.
-  SolverResult attempt(const Fermion& b, Fermion& x, StallGuard guard) {
+  /// One solve attempt with `algorithm` on the configured preconditioner:
+  /// the dispatch without the facade bookkeeping ("solve" region, wall
+  /// clock, fallback, logging) -- shared by solve() and the fallback path.
+  SolverResult attempt(Algorithm algorithm, const Fermion& b, Fermion& x,
+                       StallGuard guard) {
     const double tol = params_.tolerance;
     const int max_it = params_.max_iterations;
     SolverResult res;
@@ -249,8 +249,8 @@ class WilsonSolver {
       // a typed verdict in the result, never an abort or a hang.
       try {
         auto& e = engine(dist_, *dop_);
-        res = params_.algorithm == Algorithm::kCG ? e.cg(b, x, tol, max_it, guard)
-                                                  : e.bicgstab(b, x, tol, max_it, guard);
+        res = algorithm == Algorithm::kCG ? e.cg(b, x, tol, max_it, guard)
+                                          : e.bicgstab(b, x, tol, max_it, guard);
       } catch (const comms::CommError& err) {
         res.converged = false;
         res.comm_status = err.status();
@@ -258,13 +258,13 @@ class WilsonSolver {
       }
       return res;
     }
-    switch (params_.algorithm) {
+    switch (algorithm) {
       case Algorithm::kCG:
-        res = schur() ? engine(single_, *eo_).cg(b, x, tol, max_it, guard)
+        res = schur() ? engine(single_, schur_data()).cg(b, x, tol, max_it, guard)
                       : solve_wilson(*dirac_, b, x, tol, max_it, guard, &kws_);
         break;
       case Algorithm::kBiCGSTAB:
-        res = schur() ? engine(single_, *eo_).bicgstab(b, x, tol, max_it, guard)
+        res = schur() ? engine(single_, schur_data()).bicgstab(b, x, tol, max_it, guard)
                       : solve_wilson_bicgstab(*dirac_, b, x, tol, max_it, guard, &kws_);
         break;
       case Algorithm::kMixedCG:
@@ -278,32 +278,20 @@ class WilsonSolver {
   /// kMixedCG both degrade to plain double-precision kCG (normal
   /// equations -- slower per iteration, but positive definite and immune
   /// to both BiCGSTAB breakdown and the fp32 precision floor).  The
-  /// fallback runs with guards and further fallback off, from a zero
-  /// guess, and its result carries the degradation report.  It calls the
-  /// nested solver's attempt(), NOT solve(): the facade-level "solve"
+  /// fallback runs attempt() on this solver's own operators and engines
+  /// (only kMixedCG x kSchurEvenOdd builds its double-precision Schur data
+  /// here, on first use), with guards off, from a zero guess, and its
+  /// result carries the degradation report.  The facade-level "solve"
   /// metrics region, wall clock and summary log belong to the caller,
   /// which finishes assembling the result (combined wall_seconds) before
   /// anything is logged.
   SolverResult fallback_solve(const Fermion& b, Fermion& x,
                               const SolverResult& first) {
-    SolverParams fbp = params_;
-    fbp.algorithm = Algorithm::kCG;
-    fbp.fallback = FallbackPolicy::kNone;
-    fbp.stall_window = 0;
-    fbp.divergence_factor = 0.0;
-    fbp.verbosity = 0;
     x.set_zero();
-    SolverResult res;
-    if (dop_ != nullptr) {
-      WilsonSolver fb(*dop_, fbp);
-      res = fb.attempt(b, x, StallGuard{});
-    } else {
-      WilsonSolver fb(*gauge_, mass_, fbp);
-      res = fb.attempt(b, x, StallGuard{});
-    }
-    res.algorithm = fbp.algorithm;
-    res.preconditioner = fbp.preconditioner;
-    res.target_residual = fbp.tolerance;
+    SolverResult res = attempt(Algorithm::kCG, b, x, StallGuard{});
+    res.algorithm = Algorithm::kCG;
+    res.preconditioner = params_.preconditioner;
+    res.target_residual = params_.tolerance;
     // As in solve(): no ring reduction over a mesh the fallback found broken.
     if (res.comm_status == comms::CommStatus::kOk) res.solution_norm = solution_norm(x);
     res.fallback_used = true;
@@ -311,6 +299,13 @@ class WilsonSolver {
     res.first_attempt_iterations = first.iterations;
     res.stall = first.stall;
     return res;
+  }
+
+  /// The double-precision Schur data, built on first use by a kMixedCG
+  /// solver's fallback (kCG and kBiCGSTAB build it at construction).
+  const qcd::SchurEvenOddWilson<S>& schur_data() {
+    if (!eo_) eo_.emplace(*gauge_, mass_);
+    return *eo_;
   }
 
   /// Everything one N-wide Schur solve over scalar T needs: the block
@@ -476,7 +471,8 @@ class WilsonSolver {
   std::optional<SchurEngine<S, 1, comms::DistributedWilsonDirac<S>>> dist_;
 
   // Engaged per configuration (see constructor): only what the chosen
-  // algorithm x preconditioner combination needs is built.
+  // algorithm x preconditioner combination needs is built.  A kMixedCG x
+  // kSchurEvenOdd solver engages eo_ on its first fallback.
   std::optional<qcd::WilsonDirac<S>> dirac_;
   std::optional<qcd::SchurEvenOddWilson<S>> eo_;
   /// Schur engines, each built on the first solve of its width: solve()

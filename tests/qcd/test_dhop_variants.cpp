@@ -5,8 +5,8 @@
 // +0.0; the point source makes most lanes exact zeros, so signed zeros are
 // exercised everywhere.
 //
-// Forms: WilsonDirac::dhop, WilsonDiracEO::dhop_eo / dhop_oe,
-// BlockSchurEvenOddWilson::mhat / mhat_dag / mhat_norm2 per column, and
+// Forms: WilsonDirac::dhop, BlockSchurEvenOddWilson::dhop_eo / dhop_oe at
+// N = 1, mhat / mhat_dag / mhat_norm2 per column, and
 // the 2-rank DistributedWilsonDirac's dhop and the Schur operator over it
 // (interior and boundary parity sweeps, half faces, the fused diagonal and
 // gamma5 hooks).  Backends
@@ -155,20 +155,31 @@ TYPED_TEST(DhopOracle, WilsonDiracDhop) {
 TYPED_TEST(DhopOracle, EvenOddDhop) {
   using Field = LatticeFermion<TypeParam>;
   using Half = HalfLatticeFermion<TypeParam>;
-  const WilsonDiracEO<TypeParam> eo(this->gauge_, 0.0);
+  const SchurEvenOddWilson<TypeParam> schur(this->gauge_, 0.0);
+  const BlockSchurEvenOddWilson<TypeParam, 1> eo(schur);
+  // Dh of a half field into the opposite parity: the operator's
+  // dhop_eo / dhop_oe at N = 1.
+  const auto hop = [&](const Half& in) {
+    const bool to_even = in.grid()->parity() == lattice::kParityOdd;
+    HalfBlockFermion<TypeParam, 1> bin(in.grid()),
+        bout(to_even ? eo.even_grid() : eo.odd_grid());
+    bin.copy_in_column(0, in);
+    if (to_even) eo.dhop_eo(bin, bout);
+    else eo.dhop_oe(bin, bout);
+    Half out(bout.grid());
+    bout.copy_out_column(0, out);
+    return out;
+  };
   for (const Source src : kSources) {
     const Field psi = this->source(src);
     Half in_e(eo.even_grid()), in_o(eo.odd_grid());
     lattice::pick_checkerboard(psi, in_e);
     lattice::pick_checkerboard(psi, in_o);
-    Half out_e(eo.even_grid()), out_o(eo.odd_grid());
     Half ref_e(eo.even_grid()), ref_o(eo.odd_grid());
-    eo.dhop_eo(in_o, out_e);
-    eo.dhop_oe(in_e, out_o);
     this->ref_dhop_half(in_o, ref_e);
     this->ref_dhop_half(in_e, ref_o);
-    EXPECT_TRUE(bytes_equal(out_e, ref_e)) << "dhop_eo " << source_name(src);
-    EXPECT_TRUE(bytes_equal(out_o, ref_o)) << "dhop_oe " << source_name(src);
+    EXPECT_TRUE(bytes_equal(hop(in_o), ref_e)) << "dhop_eo " << source_name(src);
+    EXPECT_TRUE(bytes_equal(hop(in_e), ref_o)) << "dhop_oe " << source_name(src);
   }
 }
 
@@ -339,12 +350,14 @@ TEST(DhopKernelCeiling, FcmlaVL512InstructionsPerSite) {
   EXPECT_LE(per_site, 170.25);
 }
 
-// Per-site instruction ceiling of the distributed Schur normal operator at
-// sve-fcmla/512: Mhat^dag Mhat on one rank's half slab, four parity sweeps
-// with the diagonal and gamma5 fused into them.  The bound is the
-// single-rank BlockSchurEvenOddWilson<S, 1> count on this setup (189,212
-// instructions over the 512 full-lattice sites): the half faces and the
-// overlap schedule cost no vector instructions.
+// Per-site instruction ceiling of the Schur normal operator at
+// sve-fcmla/512: Mhat^dag Mhat at one right-hand side, four parity sweeps
+// with the diagonal and gamma5 fused into them, through both callers of
+// the one SchurEvenOddWilson sweep on the same grid -- the single-rank
+// hop provider and the one-rank DistributedWilsonDirac (interior and
+// boundary site lists, half faces, overlap schedule).  The bound is
+// 189,212 instructions over the 512 full-lattice sites: the distributed
+// schedule adds no vector instructions.
 TEST(DhopKernelCeiling, DistributedSchurMhatDagMhatFcmlaVL512InstructionsPerSite) {
   using S = SC<double, simd::kVLB512, simd::SveFcmla>;
   using DistOp = comms::DistributedWilsonDirac<S>;
@@ -358,16 +371,21 @@ TEST(DhopKernelCeiling, DistributedSchurMhatDagMhatFcmlaVL512InstructionsPerSite
   random_gauge(SiteRNG(2018), gauge);
   LatticeFermion<S> psi(grid);
   gaussian_fill(SiteRNG(5), psi);
+  const auto per_site = [&](const auto& bop) {
+    HalfBlockFermion<S, 1> in(bop.even_grid()), out(bop.even_grid());
+    lattice::pick_checkerboard(psi, in, 0);
+    const sve::CounterScope scope;
+    bop.mhat_dag_mhat(in, out);
+    return static_cast<double>(scope.delta().total()) /
+           static_cast<double>(grid->gsites());
+  };
+  const SchurEvenOddWilson<S> schur(gauge, 0.2);
+  EXPECT_LE(per_site(BlockSchurEvenOddWilson<S, 1>(schur)), 369.5546875)
+      << "single-rank SchurEvenOddWilson";
   comms::SimCommunicator comm(1);
   const DistOp op(decomp, comm, 0, gauge, 0.2);
-  const BlockSchurEvenOddWilson<S, 1, DistOp> bop(op);
-  HalfBlockFermion<S, 1> in(op.even_grid()), out(op.even_grid());
-  lattice::pick_checkerboard(psi, in, 0);
-  const sve::CounterScope scope;
-  bop.mhat_dag_mhat(in, out);
-  const double per_site =
-      static_cast<double>(scope.delta().total()) / static_cast<double>(grid->gsites());
-  EXPECT_LE(per_site, 369.5546875);
+  EXPECT_LE(per_site(BlockSchurEvenOddWilson<S, 1, DistOp>(op)), 369.5546875)
+      << "one-rank DistributedWilsonDirac";
 }
 
 TEST(DhopVariants, WideVector1024LatticeWorks) {

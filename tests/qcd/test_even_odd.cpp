@@ -174,13 +174,28 @@ TEST_F(EvenOddTest, SchurSolveVerifiesAgainstM) {
 // ---------------------------------------------------------------------------
 
 using HalfFermion = HalfLatticeFermion<S>;
+using HalfBlock = HalfBlockFermion<S, 1>;
+
+/// The Schur operator's hop at one right-hand side: out = Dh in from the
+/// half field `in` into the opposite parity.
+HalfFermion schur_hop(const BlockSchurEvenOddWilson<S, 1>& eo, const HalfFermion& in) {
+  const bool to_even = in.grid()->parity() == lattice::kParityOdd;
+  HalfBlock bin(in.grid()), bout(to_even ? eo.even_grid() : eo.odd_grid());
+  bin.copy_in_column(0, in);
+  if (to_even) eo.dhop_eo(bin, bout);
+  else eo.dhop_oe(bin, bout);
+  HalfFermion out(bout.grid());
+  bout.copy_out_column(0, out);
+  return out;
+}
 
 TEST_F(EvenOddTest, DhopEoOeMatchZeroPaddedBitwise) {
-  // The parity-restricted kernels share the site kernel with the full
-  // dhop, so on identical inputs every site result is bitwise equal to
-  // the zero-padded dhop_parity path.
+  // The Schur operator's hops share the site kernel with the full dhop,
+  // so on identical inputs every site result is bitwise equal to the
+  // zero-padded dhop_parity path.
   const EvenOddWilson<S> eo_full(*gauge_, 0.0);
-  const WilsonDiracEO<S> eo(*gauge_, 0.0);
+  const SchurEvenOddWilson<S> schur(*gauge_, 0.0);
+  const BlockSchurEvenOddWilson<S, 1> eo(schur);
   const Checkerboard& cb = eo_full.checkerboard();
 
   Fermion f(grid_.get()), padded(grid_.get());
@@ -190,9 +205,9 @@ TEST_F(EvenOddTest, DhopEoOeMatchZeroPaddedBitwise) {
   Fermion f_o = f;
   cb.project_out(f_o, 0);  // odd support
   eo_full.dhop_parity(f_o, padded, 0);
-  HalfFermion in_o(eo.odd_grid()), out_e(eo.even_grid());
+  HalfFermion in_o(eo.odd_grid());
   lattice::pick_checkerboard(f, in_o);
-  eo.dhop_eo(in_o, out_e);
+  const HalfFermion out_e = schur_hop(eo, in_o);
   HalfFermion expect_e(eo.even_grid());
   lattice::pick_checkerboard(padded, expect_e);
   EXPECT_EQ(norm2(out_e - expect_e), 0.0);
@@ -201,9 +216,9 @@ TEST_F(EvenOddTest, DhopEoOeMatchZeroPaddedBitwise) {
   Fermion f_e = f;
   cb.project_out(f_e, 1);  // even support
   eo_full.dhop_parity(f_e, padded, 1);
-  HalfFermion in_e(eo.even_grid()), out_o(eo.odd_grid());
+  HalfFermion in_e(eo.even_grid());
   lattice::pick_checkerboard(f, in_e);
-  eo.dhop_oe(in_e, out_o);
+  const HalfFermion out_o = schur_hop(eo, in_e);
   HalfFermion expect_o(eo.odd_grid());
   lattice::pick_checkerboard(padded, expect_o);
   EXPECT_EQ(norm2(out_o - expect_o), 0.0);
@@ -212,7 +227,8 @@ TEST_F(EvenOddTest, DhopEoOeMatchZeroPaddedBitwise) {
 TEST_F(EvenOddTest, DhopEoOeMatchScalarReference) {
   // Against the verification oracle: Dh applied to a single-parity source
   // equals dhop_eo + dhop_oe of the corresponding half fields.
-  const WilsonDiracEO<S> eo(*gauge_, 0.0);
+  const SchurEvenOddWilson<S> schur(*gauge_, 0.0);
+  const BlockSchurEvenOddWilson<S, 1> eo(schur);
   Fermion f(grid_.get()), ref(grid_.get());
   gaussian_fill(SiteRNG(13), f);
   dhop_reference(*gauge_, f, ref);
@@ -220,13 +236,23 @@ TEST_F(EvenOddTest, DhopEoOeMatchScalarReference) {
   HalfFermion f_e(eo.even_grid()), f_o(eo.odd_grid());
   lattice::pick_checkerboard(f, f_e);
   lattice::pick_checkerboard(f, f_o);
-  HalfFermion dh_e(eo.even_grid()), dh_o(eo.odd_grid());
-  eo.dhop_eo(f_o, dh_e);  // even sites of Dh f read only odd sites
-  eo.dhop_oe(f_e, dh_o);
   Fermion rebuilt(grid_.get());
-  lattice::set_checkerboard(rebuilt, dh_e);
-  lattice::set_checkerboard(rebuilt, dh_o);
+  lattice::set_checkerboard(rebuilt, schur_hop(eo, f_o));  // even sites read odd
+  lattice::set_checkerboard(rebuilt, schur_hop(eo, f_e));
   EXPECT_LT(norm2(rebuilt - ref) / norm2(ref), 1e-24);
+}
+
+TEST_F(EvenOddTest, SchurHopsRejectWrongParity) {
+  // The sweep asserts its input's parity and dhop_eo/dhop_oe their
+  // output's: a hop on the wrong checkerboard is a bug, never a result.
+  const SchurEvenOddWilson<S> schur(*gauge_, 0.0);
+  const BlockSchurEvenOddWilson<S, 1> eo(schur);
+  HalfBlock even(eo.even_grid()), even2(eo.even_grid()), odd(eo.odd_grid()),
+      odd2(eo.odd_grid());
+  EXPECT_DEATH(eo.dhop_eo(even, even2), "opposite parity");  // even input
+  EXPECT_DEATH(eo.dhop_oe(odd, odd2), "opposite parity");    // odd input
+  EXPECT_DEATH(eo.dhop_eo(odd, odd2), "target parity");      // odd output
+  EXPECT_DEATH(eo.dhop_oe(even, even2), "target parity");    // even output
 }
 
 TEST_F(EvenOddTest, HalfMhatMatchesZeroPaddedMhat) {

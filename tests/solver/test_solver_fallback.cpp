@@ -145,8 +145,8 @@ TEST_F(SolverFallbackTest, FallbackSolveRecordsExactlyOneSolveRegion) {
   // Regression: the fallback path used to run a nested WilsonSolver::solve()
   // inside the still-open facade-level "solve" ScopedTimer, so one degraded
   // facade call recorded TWO region calls -- halving the solves-per-second
-  // figure the wall-clock metrics layer derives.  The fallback now runs the
-  // nested solver's attempt(): exactly one region call per facade solve.
+  // figure the wall-clock metrics layer derives.  The fallback now runs
+  // attempt(), never solve(): exactly one region call per facade solve.
   metrics::reset();
   metrics::set_enabled(true);
   SolverParams p = stalling_mixed().with_fallback(FallbackPolicy::kAuto);
