@@ -276,9 +276,9 @@ std::vector<std::uint8_t> load_gauge_root(const std::string& path,
     for (int mu = 0; mu < lattice::Nd; ++mu)
       comms::scatter_root(decomp, comm, rank, &global.U[mu], local.U[mu]);
   } else {
+    using Links = lattice::Lattice<qcd::ColourMatrix<S>>;
     for (int mu = 0; mu < lattice::Nd; ++mu)
-      comms::scatter_root(decomp, comm, rank,
-                          static_cast<const lattice::Lattice<qcd::ColourMatrix<S>>*>(nullptr),
+      comms::scatter_root(decomp, comm, rank, static_cast<const Links*>(nullptr),
                           local.U[mu]);
   }
   return meta;

@@ -84,7 +84,8 @@ std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
     throw IoError(IoErrorCode::kOpenFailed, "cannot determine size of '" + path + "'");
   }
   std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  const std::size_t got = bytes.empty() ? 0 : std::fread(bytes.data(), 1, bytes.size(), f);
+  const std::size_t got =
+      bytes.empty() ? 0 : std::fread(bytes.data(), 1, bytes.size(), f);
   std::fclose(f);
   if (got != bytes.size())
     throw IoError(IoErrorCode::kOpenFailed, "cannot read all of '" + path + "'");
@@ -106,7 +107,8 @@ void write_file_bytes(const std::string& path, const std::vector<std::uint8_t>& 
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr)
     throw IoError(IoErrorCode::kOpenFailed, "cannot open '" + tmp + "' for writing");
-  const std::size_t put = bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), f);
+  const std::size_t put =
+      bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), f);
   const bool flushed = std::fflush(f) == 0;
   const bool synced = flushed && ::fsync(::fileno(f)) == 0;
   std::fclose(f);
@@ -145,9 +147,9 @@ void check_header_sane(const FieldFileHeader& h) {
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_field_file(const FieldFileHeader& header,
-                                            const std::vector<std::uint8_t>& meta,
-                                            const std::vector<std::vector<double>>& planes) {
+std::vector<std::uint8_t> encode_field_file(
+    const FieldFileHeader& header, const std::vector<std::uint8_t>& meta,
+    const std::vector<std::vector<double>>& planes) {
   check_header_sane(header);
   if (meta.size() != header.meta_bytes)
     throw IoError(IoErrorCode::kMismatch, "meta blob size does not match header");

@@ -142,9 +142,9 @@ struct FieldFile {
 
 /// Serialize header + meta + planes into the on-disk byte stream,
 /// computing every CRC.  Plane count and sizes must match the header.
-std::vector<std::uint8_t> encode_field_file(const FieldFileHeader& header,
-                                            const std::vector<std::uint8_t>& meta,
-                                            const std::vector<std::vector<double>>& planes);
+std::vector<std::uint8_t> encode_field_file(
+    const FieldFileHeader& header, const std::vector<std::uint8_t>& meta,
+    const std::vector<std::vector<double>>& planes);
 
 /// Parse and validate the full byte stream (header, CRCs, sizes);
 /// throws IoError naming the corruption class on any defect.

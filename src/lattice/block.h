@@ -272,8 +272,8 @@ void sub(BlockLattice<vobj, 1, GridT>& r, const BlockLattice<vobj, 1, GridT>& x,
 }
 
 template <class vobj, class GridT, typename C>
-void axpy(BlockLattice<vobj, 1, GridT>& r, const C& a, const BlockLattice<vobj, 1, GridT>& x,
-          const BlockLattice<vobj, 1, GridT>& y) {
+void axpy(BlockLattice<vobj, 1, GridT>& r, const C& a,
+          const BlockLattice<vobj, 1, GridT>& x, const BlockLattice<vobj, 1, GridT>& y) {
   block_axpy(r, a, x, y);
 }
 
@@ -319,7 +319,8 @@ void pick_checkerboard(const Lattice<vobj>& full,
   const GridRedBlackCartesian* rb = half.grid();
   SVELAT_ASSERT_MSG(*rb->full_grid() == *full.grid(),
                     "checkerboard does not view this full grid");
-  thread_for(rb->osites(), [&](std::int64_t h) { half.at(h, j) = full[rb->full_osite(h)]; });
+  thread_for(rb->osites(),
+             [&](std::int64_t h) { half.at(h, j) = full[rb->full_osite(h)]; });
 }
 
 /// Deposit column j of a half block field into the matching parity of a
@@ -330,7 +331,8 @@ void set_checkerboard(Lattice<vobj>& full,
   const GridRedBlackCartesian* rb = half.grid();
   SVELAT_ASSERT_MSG(*rb->full_grid() == *full.grid(),
                     "checkerboard does not view this full grid");
-  thread_for(rb->osites(), [&](std::int64_t h) { full[rb->full_osite(h)] = half.at(h, j); });
+  thread_for(rb->osites(),
+             [&](std::int64_t h) { full[rb->full_osite(h)] = half.at(h, j); });
 }
 
 }  // namespace svelat::lattice

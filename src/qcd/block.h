@@ -16,11 +16,11 @@
 // this amortized byte model, so the saving is an observable GB/s /
 // bytes-per-solve number in bench_cg --json.
 //
-// The Schur operator and its solve driver exist only here: a single
-// right-hand side is N = 1, so the facade's single solves and its 12-wide
-// propagator batches run the same code -- and so does a distributed solve,
-// at N = 1 over one rank's slab, with comms::DistributedWilsonDirac as the
-// hop provider.
+// The Schur operator exists only here, and its solve driver only in the
+// facade's SchurEngine (solver/solver.h): a single right-hand side is
+// N = 1, so the facade's single solves and its 12-wide propagator batches
+// run the same code -- and so does a distributed solve, at N = 1 over one
+// rank's slab, with comms::DistributedWilsonDirac as the hop provider.
 //
 // Correctness contract: column j of every batched kernel performs the
 // SAME floating-point operations in the SAME order at every width N --
@@ -36,13 +36,11 @@
 #pragma once
 
 #include <array>
-#include <span>
 #include <utility>
 
 #include "lattice/block.h"
 #include "qcd/even_odd.h"
 #include "qcd/wilson.h"
-#include "solver/result.h"
 
 namespace svelat::qcd {
 
@@ -74,7 +72,6 @@ class BlockSchurEvenOddWilson {
   explicit BlockSchurEvenOddWilson(const Hops& hops)
       : hops_(&hops),
         tmp_odd_(hops.odd_grid()),
-        tmp_mhat_(hops.even_grid()),
         norms_(static_cast<std::size_t>(hops.even_grid()->osites())) {}
 
   const lattice::GridRedBlackCartesian* even_grid() const { return hops_->even_grid(); }
@@ -106,11 +103,6 @@ class BlockSchurEvenOddWilson {
   void mhat_dag(const HalfBlock& in, HalfBlock& out) const {
     store_sweep<true>(lattice::kParityOdd, in, tmp_odd_);
     mhat_second_sweep</*G5=*/true>(in, out);
-  }
-
-  void mhat_dag_mhat(const HalfBlock& in, HalfBlock& out) const {
-    mhat(in, tmp_mhat_);
-    mhat_dag(tmp_mhat_, out);
   }
 
   /// Fused Mhat-and-norm: out_j = Mhat in_j with |out_j|^2 accumulated in
@@ -176,124 +168,10 @@ class BlockSchurEvenOddWilson {
 
   const Hops* hops_;
   // Hot-loop scratch (not thread-safe across concurrent applications; the
-  // solvers apply sequentially).  Distinct buffers because mhat_dag_mhat's
-  // intermediate stays live across the nested mhat_dag.
+  // solvers apply sequentially).
   mutable HalfBlock tmp_odd_;
-  mutable HalfBlock tmp_mhat_;
   /// mhat_norm2's per-site column norms, summed after the sweep.
   mutable AlignedVector<lattice::ColumnArray<S, N>> norms_;
 };
-
-/// Half block-field scratch of the Schur driver (block_schur_half_solve).
-/// Owned by the facade's per-width engine so repeated solves allocate
-/// nothing.
-template <class S, int N>
-struct BlockSchurWorkspace {
-  using HalfBlock = HalfBlockFermion<S, N>;
-
-  template <class Hops>
-  explicit BlockSchurWorkspace(const BlockSchurEvenOddWilson<S, N, Hops>& eo)
-      : b_e(eo.even_grid()),
-        b_o(eo.odd_grid()),
-        b_prime(eo.even_grid()),
-        x_e(eo.even_grid()),
-        x_o(eo.odd_grid()),
-        tmp_e(eo.even_grid()),
-        tmp_o(eo.odd_grid()),
-        r_e(eo.even_grid()),
-        r_o(eo.odd_grid()) {}
-
-  HalfBlock b_e, b_o;    ///< parity split of the right-hand sides
-  HalfBlock b_prime;     ///< even-parity Schur right-hand sides
-  HalfBlock x_e, x_o;    ///< parity pieces of the solutions
-  HalfBlock tmp_e, tmp_o;
-  HalfBlock r_e, r_o;    ///< true-residual pieces
-};
-
-namespace detail {
-
-/// The Schur solve of N right-hand sides b[j] into x[j]: split them by
-/// parity, form the even-parity Schur systems b'_e, run `solve_even` (the
-/// Krylov solve of Mhat on the even half lattice) on them, reconstruct
-/// odd solutions and per-column full-system true residuals -- everything
-/// on half-volume fields (the full operator is never applied).  Every
-/// shared coefficient is column-independent and every per-column
-/// reduction follows the single-column tree, so column j's numbers are
-/// bitwise the N = 1 solve's.
-template <class S, int N, class Hops, class SolveEven>
-std::array<solver::SolverResult, N> block_schur_half_solve(
-    const BlockSchurEvenOddWilson<S, N, Hops>& eo, BlockSchurWorkspace<S, N>& ws,
-    std::span<const LatticeFermion<S>, static_cast<std::size_t>(N)> b,
-    std::span<LatticeFermion<S>, static_cast<std::size_t>(N)> x, const SolveEven& solve_even) {
-  using namespace lattice;
-  const GridRedBlackCartesian* ge = eo.even_grid();
-  const GridRedBlackCartesian* go = eo.odd_grid();
-  const double d = eo.diag();
-
-  for (int j = 0; j < N; ++j) {
-    const LatticeFermion<S>& bj = b[static_cast<std::size_t>(j)];
-    pick_checkerboard(bj, ws.b_e, j);
-    pick_checkerboard(bj, ws.b_o, j);
-  }
-
-  // 1. b'_e = b_e + (1/(2(4+m))) Dh_eo b_o     (Meo = -Dh_eo/2)
-  eo.dhop_eo(ws.b_o, ws.tmp_e);
-  block_axpy(ws.b_prime, 0.5 / d, ws.tmp_e, ws.b_e);
-
-  // 2. Solve Mhat x_e = b'_e on the even half lattice, all columns.
-  ws.x_e.set_zero();
-  std::array<solver::SolverResult, N> stats = solve_even(ws.b_prime, ws.x_e);
-
-  // 3. x_o = (b_o + (1/2) Dh_oe x_e) / (4+m).
-  eo.dhop_oe(ws.x_e, ws.tmp_o);
-  block_axpy(ws.x_o, 0.5, ws.tmp_o, ws.b_o);
-  {
-    const S c{typename S::scalar_type(1.0 / d, 0.0)};
-    thread_for(go->osites(), [&](std::int64_t h) {
-      SpinColourVector<S>* xs = ws.x_o.site(h);
-      for (int j = 0; j < N; ++j) xs[j] = c * xs[j];
-    });
-  }
-
-  for (int j = 0; j < N; ++j) {
-    LatticeFermion<S>& xj = x[static_cast<std::size_t>(j)];
-    set_checkerboard(xj, ws.x_e, j);
-    set_checkerboard(xj, ws.x_o, j);
-  }
-
-  // Per-column true residual of the full system, from half pieces:
-  // (M x)_p = (4+m) x_p - (1/2) Dh_{p,1-p} x_{1-p}.
-  eo.dhop_eo(ws.x_o, ws.tmp_e);
-  const S md(typename S::scalar_type(-d, 0.0));
-  const S half_c(typename S::scalar_type(0.5, 0.0));
-  thread_for(ge->osites(), [&](std::int64_t h) {
-    const SpinColourVector<S>* bs = ws.b_e.site(h);
-    const SpinColourVector<S>* xs = ws.x_e.site(h);
-    const SpinColourVector<S>* ts = ws.tmp_e.site(h);
-    SpinColourVector<S>* rs = ws.r_e.site(h);
-    for (int j = 0; j < N; ++j) rs[j] = bs[j] + md * xs[j] + half_c * ts[j];
-  });
-  eo.dhop_oe(ws.x_e, ws.tmp_o);
-  thread_for(go->osites(), [&](std::int64_t h) {
-    const SpinColourVector<S>* bs = ws.b_o.site(h);
-    const SpinColourVector<S>* xs = ws.x_o.site(h);
-    const SpinColourVector<S>* ts = ws.tmp_o.site(h);
-    SpinColourVector<S>* rs = ws.r_o.site(h);
-    for (int j = 0; j < N; ++j) rs[j] = bs[j] + md * xs[j] + half_c * ts[j];
-  });
-  const std::array<double, N> be2 = block_norm2(ws.b_e);
-  const std::array<double, N> bo2 = block_norm2(ws.b_o);
-  const std::array<double, N> re2 = block_norm2(ws.r_e);
-  const std::array<double, N> ro2 = block_norm2(ws.r_o);
-  for (int j = 0; j < N; ++j) {
-    const auto u = static_cast<std::size_t>(j);
-    const double b2 = be2[u] + bo2[u];
-    stats[u].true_residual = std::sqrt((re2[u] + ro2[u]) / b2);
-    stats[u].rhs_norm = std::sqrt(b2);
-  }
-  return stats;
-}
-
-}  // namespace detail
 
 }  // namespace svelat::qcd

@@ -13,9 +13,14 @@ namespace svelat::solver {
 /// BiCGSTAB for a general (non-hermitian) operator `op`.  `x` carries the
 /// initial guess and receives the solution.  An armed StallGuard
 /// (default: off) cuts the loop short on divergence or stall, reporting
-/// the reason in SolverResult::stall.  A caller-owned `workspace` makes
-/// repeated solves allocation-free (slots kR/kR0/kP/kV/kS/kT); without
-/// one the work fields are constructed locally, exactly as before.
+/// the reason in SolverResult::stall.  A breakdown (<r0, v>, |t|, rho or
+/// omega = 0; a point source on the Wilson operator hits <r0, v> = 0
+/// exactly) ends the loop with StallReason::kBreakdown, never an abort.
+/// A caller-owned `workspace` makes repeated solves allocation-free
+/// (slots kR/kR0/kP/kV/kS/kT).  Returns the recursion verdict only: the
+/// caller that knows the user's system computes the true residual
+/// (solve_wilson_bicgstab below, or the Schur driver), and the facade the
+/// solution norm.
 template <class Field, class LinearOp>
 SolverResult bicgstab(const LinearOp& op, const Field& b, Field& x, double tolerance,
                       int max_iterations, StallGuard guard = {},
@@ -65,7 +70,10 @@ SolverResult bicgstab(const LinearOp& op, const Field& b, Field& x, double toler
       metrics::ScopedTimer mt("bicgstab_linalg", 5.0 * fm.pass_bytes,
                               20.0 * fm.n_complex);
       const C r0v = innerProduct(r0, v);
-      SVELAT_ASSERT_MSG(std::abs(r0v) > 0.0, "BiCGSTAB breakdown: <r0, v> = 0");
+      if (std::abs(r0v) == 0.0) {
+        stats.stall = StallReason::kBreakdown;
+        break;
+      }
       alpha = rho / r0v;
       s2 = axpy_norm2(s, -alpha, v, r);  // s = r - alpha v, |s|^2
     }
@@ -85,7 +93,10 @@ SolverResult bicgstab(const LinearOp& op, const Field& b, Field& x, double toler
       metrics::ScopedTimer mt("bicgstab_linalg", 20.0 * fm.pass_bytes,
                               64.0 * fm.n_complex);
       const double t2 = norm2(t);
-      SVELAT_ASSERT_MSG(t2 > 0.0, "BiCGSTAB breakdown: ||t|| = 0");
+      if (t2 == 0.0) {
+        stats.stall = StallReason::kBreakdown;
+        break;
+      }
       const C omega = innerProduct(t, s) / t2;
 
       // x += alpha p + omega s
@@ -96,8 +107,10 @@ SolverResult bicgstab(const LinearOp& op, const Field& b, Field& x, double toler
       stats.iterations = k + 1;
 
       const C rho_next = innerProduct(r0, r);
-      SVELAT_ASSERT_MSG(std::abs(rho) > 0.0 && std::abs(omega) > 0.0,
-                        "BiCGSTAB breakdown: rho or omega vanished");
+      if (std::abs(rho) == 0.0 || std::abs(omega) == 0.0) {
+        stats.stall = StallReason::kBreakdown;
+        break;
+      }
       const C beta = (rho_next / rho) * (alpha / omega);
       // p = r + beta (p - omega v)
       axpy(p, -omega, v, p);
@@ -109,15 +122,11 @@ SolverResult bicgstab(const LinearOp& op, const Field& b, Field& x, double toler
 
   stats.converged = rr <= stop;
   stats.final_residual = std::sqrt(rr / b2);
-
-  op(x, v);
-  sub(r, b, v);
-  stats.true_residual = std::sqrt(norm2(r) / b2);
-  stats.solution_norm = std::sqrt(norm2(x));
   return stats;
 }
 
-/// Solve M x = b with BiCGSTAB directly on the Wilson operator.  Building
+/// Solve M x = b with BiCGSTAB directly on the Wilson operator; returns
+/// BiCGSTAB's verdict with the true residual |b - M x| / |b|.  Building
 /// block of the solver::WilsonSolver facade (Algorithm::kBiCGSTAB,
 /// Preconditioner::kNone).  Operator-generic like solve_wilson: any `Op`
 /// with m() over `Field`.
@@ -126,8 +135,15 @@ SolverResult solve_wilson_bicgstab(const Op& dirac, const Field& b, Field& x,
                                    double tolerance, int max_iterations,
                                    StallGuard guard = {},
                                    SolverWorkspace<Field>* workspace = nullptr) {
+  SolverWorkspace<Field> local;
+  SolverWorkspace<Field>& pool = workspace ? *workspace : local;
+  using WS = SolverWorkspace<Field>;
   auto op = [&dirac](const Field& in, Field& out) { dirac.m(in, out); };
-  return bicgstab(op, b, x, tolerance, max_iterations, guard, workspace);
+  SolverResult stats = bicgstab(op, b, x, tolerance, max_iterations, guard, &pool);
+  stats.true_residual = wilson_true_residual(dirac, b, x, norm2(b),
+                                             pool.get(WS::kV, b.grid()),
+                                             pool.get(WS::kR, b.grid()));
+  return stats;
 }
 
 }  // namespace svelat::solver

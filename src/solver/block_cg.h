@@ -43,18 +43,13 @@
 namespace svelat::solver {
 
 /// CG on the normal equations Mhat^dag Mhat x_j = b_j for all N columns
-/// at once.  `x` carries the initial guesses.  Returns per-column stats;
-/// iteration counts, residual histories and stall verdicts are tracked
-/// per column exactly as N independent single-column CGs would report
-/// them.  The work fields come from `pool` (slots kR/kP/kAp, and kV for
-/// Mhat p), so repeated solves through one pool allocate nothing.
-///
-/// The normal-equation true-residual epilogue of the generic CG (cg.h) is
-/// deliberately omitted: the Schur driver
-/// (qcd::detail::block_schur_half_solve) computes the full-system true
-/// residual per column afterwards, which is the number the facade
-/// reports -- the epilogue operator application would be paid for
-/// nothing.
+/// at once.  `x` must hold zeros on entry (the Schur driver, the only
+/// caller, zeroes it), so the Krylov start r = p = b costs no operator
+/// application.  Returns each column's recursion verdict only, exactly as
+/// N independent single-column CGs would report it: the Schur driver
+/// (WilsonSolver's SchurEngine) computes the full-system true residual.
+/// The work fields come from `pool` (slots kR/kP/kAp, and kV for Mhat p),
+/// so repeated solves through one pool allocate nothing.
 template <class S, int N, class Hops>
 std::array<SolverResult, N> block_conjugate_gradient(
     const qcd::BlockSchurEvenOddWilson<S, N, Hops>& eo,
@@ -78,18 +73,13 @@ std::array<SolverResult, N> block_conjugate_gradient(
   for (int j = 0; j < N; ++j) {
     const auto u = static_cast<std::size_t>(j);
     SVELAT_ASSERT_MSG(b2[u] > 0.0, "CG needs a non-zero right-hand side");
-    stats[u].algorithm = Algorithm::kCG;
-    stats[u].target_residual = tolerance;
-    stats[u].rhs_norm = std::sqrt(b2[u]);
     stop[u] = tolerance * tolerance * b2[u];
   }
 
-  // r0 = b - A x0 (exact zeros through the operator for the zero guess
-  // the Schur driver supplies, so r0 == b bitwise in that case).
-  eo.mhat_dag_mhat(x, ap);
-  lattice::block_sub(r, b, ap);
-  lattice::block_copy(p, r);
-  rr = lattice::block_norm2(r);
+  // r0 = b - A 0 = b.
+  lattice::block_copy(r, b);
+  lattice::block_copy(p, b);
+  rr = b2;
 
   lattice::ColumnMask<N> active = lattice::all_columns<N>();
 

@@ -40,14 +40,13 @@ struct FieldModel {
 
 /// CG for A x = b with A hermitian positive definite.  `op(in, out)`
 /// applies A.  `x` carries the initial guess and receives the solution.
-/// Field is any lattice field type with grid()/norm2/innerProduct/axpy --
-/// full Lattice<vobj> or the half-checkerboard fields of the production
-/// Schur path (solver::WilsonSolver), whose half-length vectors halve the
-/// per-iteration axpy/norm traffic.  An armed StallGuard (default: off)
-/// cuts the loop short when the residual diverges or stalls, reporting
-/// the reason in SolverResult::stall.  A caller-owned `workspace` makes
-/// repeated solves allocation-free (slots kR/kP/kAp); without one the
-/// work fields are constructed locally, exactly as before.
+/// Field is any lattice field type with grid()/norm2/innerProduct/axpy.
+/// An armed StallGuard (default: off) cuts the loop short when the
+/// residual diverges or stalls, reporting the reason in
+/// SolverResult::stall.  A caller-owned `workspace` makes repeated solves
+/// allocation-free (slots kR/kP/kAp).  Returns the recursion verdict only:
+/// the caller that knows the user's system computes the true residual
+/// (solve_wilson below), and the facade the solution norm.
 template <class Field, class LinearOp>
 SolverResult conjugate_gradient(const LinearOp& op, const Field& b, Field& x,
                                 double tolerance, int max_iterations,
@@ -107,11 +106,6 @@ SolverResult conjugate_gradient(const LinearOp& op, const Field& b, Field& x,
 
   stats.converged = rr <= stop;
   stats.final_residual = std::sqrt(rr / b2);
-
-  op(x, ap);  // true residual check
-  sub(r, b, ap);
-  stats.true_residual = std::sqrt(norm2(r) / b2);
-  stats.solution_norm = std::sqrt(norm2(x));
   return stats;
 }
 
@@ -126,6 +120,16 @@ struct WilsonNormalOp {
     dirac.mdag_m(in, out);
   }
 };
+
+/// |b - M x| / |b| of the Wilson system, b2 = |b|^2, through scratch mx
+/// and r: the true residual of solve_wilson and solve_wilson_bicgstab.
+template <class Op, class Field>
+double wilson_true_residual(const Op& dirac, const Field& b, const Field& x, double b2,
+                            Field& mx, Field& r) {
+  dirac.m(x, mx);
+  sub(r, b, mx);
+  return std::sqrt(norm2(r) / b2);
+}
 
 /// Solve M x = b through the normal equations; returns CG stats plus the
 /// true Wilson residual |b - M x| / |b|.  Building block of the
@@ -146,14 +150,11 @@ SolverResult solve_wilson(const Op& dirac, const Field& b, Field& x,
   SolverResult stats =
       conjugate_gradient(WilsonNormalOp<Op>{dirac}, mdag_b, x, tolerance,
                          max_iterations, guard, &pool);
-  // Replace the normal-equation norms with the Wilson-system ones.
+  // Replace the normal-equation |b| with the Wilson-system one.
   const double b2 = norm2(b);
   stats.rhs_norm = std::sqrt(b2);
-  Field& mx = pool.get(WS::kMx, b.grid());
-  Field& r = pool.get(WS::kR, b.grid());
-  dirac.m(x, mx);
-  sub(r, b, mx);
-  stats.true_residual = std::sqrt(norm2(r) / b2);
+  stats.true_residual = wilson_true_residual(dirac, b, x, b2, pool.get(WS::kMx, b.grid()),
+                                             pool.get(WS::kR, b.grid()));
   return stats;
 }
 

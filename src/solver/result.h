@@ -55,11 +55,12 @@ enum class FallbackPolicy {
           ///< precision kCG.  kCG itself has no further fallback.
 };
 
-/// Why the stall guard cut a solve short (SolverResult::stall).
+/// Why a solve was cut short (SolverResult::stall).
 enum class StallReason {
-  kNone,      ///< the guard never fired
-  kDiverged,  ///< residual grew past divergence_factor x the best seen
-  kStalled,   ///< no new best residual for stall_window iterations
+  kNone,       ///< the solve ran its course
+  kDiverged,   ///< residual grew past divergence_factor x the best seen
+  kStalled,    ///< no new best residual for stall_window iterations
+  kBreakdown,  ///< BiCGSTAB hit a zero denominator (<r0, v>, |t|, rho or omega)
 };
 
 inline const char* to_string(StallReason r) {
@@ -67,6 +68,7 @@ inline const char* to_string(StallReason r) {
     case StallReason::kNone: return "none";
     case StallReason::kDiverged: return "diverged";
     case StallReason::kStalled: return "stalled";
+    case StallReason::kBreakdown: return "breakdown";
   }
   return "?";
 }
@@ -100,7 +102,7 @@ struct StallGuard {
 
 /// Knobs of a Wilson solve.  The defaults are the production
 /// configuration: Schur-preconditioned CG on true half-checkerboard
-/// fields (the path measured at 14.2% of the zero-padded instruction
+/// fields (the path measured at 13.4% of the zero-padded instruction
 /// count per iteration, bench_cg at VL 128), solved to |r|/|b| <= 1e-9.
 ///
 /// The mixed-precision fields reproduce the tuning the defect-correction

@@ -13,17 +13,23 @@
 //   kMixedCG  x kNone          double defect correction, fp32 inner CG on M
 //   kMixedCG  x kSchurEvenOdd  double defect correction, fp32 inner Schur CG
 //
-// Every Schur solve runs one engine: the block operator, Schur driver and
-// block CG of qcd/block.h and solver/block_cg.h, at width N = 1 for a
-// single right-hand side and N = kBlockWidth for solve_batched's full
-// chunks (BiCGSTAB runs the generic loop of solver/bicgstab.h on the
-// N = 1 operator).  A distributed solver runs the same N = 1 engine on one
-// rank's half-checkerboard slabs, with comms::DistributedWilsonDirac as
-// the operator's hop provider.
+// Every Schur solve runs one engine, SchurEngine below: the block operator
+// of qcd/block.h, the Schur driver and the block CG of solver/block_cg.h,
+// at width N = 1 for a single right-hand side and N = kBlockWidth for
+// solve_batched's full chunks (BiCGSTAB runs the generic loop of
+// solver/bicgstab.h on the N = 1 operator).  A distributed solver runs the
+// same N = 1 engine on one rank's half-checkerboard slabs, with
+// comms::DistributedWilsonDirac as the operator's hop provider.
+//
+// Each result has one author per field.  The Krylov loops return their
+// recursion verdict (converged, iterations, history, final residual,
+// stall); the caller that knows the user's system computes the true
+// residual -- the Schur driver, or solve_wilson / solve_wilson_bicgstab
+// on the kNone paths -- and the facade sets the solution norm.
 //
 // Construction pays the expensive setup once -- Schur operator data
-// (half grids, stencil tables, double-stored gauge), single-precision
-// gauge copy -- and each Schur engine is built on the first solve of its
+// (half grids, stencil tables, double-stored gauge), kMixedCG's fp32
+// operator -- and each Schur engine is built on the first solve of its
 // width, so repeated solves against the same configuration (the 12
 // spin-colour columns of a propagator) only pay iterations.
 //
@@ -94,13 +100,15 @@ class WilsonSolver {
         grid_f_.emplace(
             gauge_->grid()->fdimensions(),
             lattice::GridCartesian::default_simd_layout(InnerScalar::Nsimd()));
-        gauge_f_.emplace(&*grid_f_);
+        // The fp32 operators copy the links they read, so the converted
+        // configuration lives only while they are built.
+        qcd::GaugeField<InnerScalar> gauge_f(&*grid_f_);
         for (int mu = 0; mu < lattice::Nd; ++mu)
-          convert_field(gauge_f_->U[mu], gauge_->U[mu]);
+          convert_field(gauge_f.U[mu], gauge_->U[mu]);
         if (schur()) {
-          eo_f_.emplace(*gauge_f_, mass_);
+          eo_f_.emplace(gauge_f, mass_);
         } else {
-          dirac_f_.emplace(*gauge_f_, mass_);
+          dirac_f_.emplace(gauge_f, mass_);
         }
         r_.emplace(gauge_->grid());
         mx_.emplace(gauge_->grid());
@@ -276,15 +284,15 @@ class WilsonSolver {
 
   /// One fallback attempt on the robust configuration: kBiCGSTAB and
   /// kMixedCG both degrade to plain double-precision kCG (normal
-  /// equations -- slower per iteration, but positive definite and immune
-  /// to both BiCGSTAB breakdown and the fp32 precision floor).  The
-  /// fallback runs attempt() on this solver's own operators and engines
-  /// (only kMixedCG x kSchurEvenOdd builds its double-precision Schur data
-  /// here, on first use), with guards off, from a zero guess, and its
-  /// result carries the degradation report.  The facade-level "solve"
-  /// metrics region, wall clock and summary log belong to the caller,
-  /// which finishes assembling the result (combined wall_seconds) before
-  /// anything is logged.
+  /// equations -- slower per iteration, but positive definite, so free of
+  /// BiCGSTAB's zero denominators (StallReason::kBreakdown) and of the
+  /// fp32 precision floor).  The fallback runs attempt() on this solver's
+  /// own operators and engines (only kMixedCG x kSchurEvenOdd builds its
+  /// double-precision Schur data here, on first use), with guards off,
+  /// from a zero guess, and its result carries the degradation report.
+  /// The facade-level "solve" metrics region, wall clock and summary log
+  /// belong to the caller, which finishes assembling the result (combined
+  /// wall_seconds) before anything is logged.
   SolverResult fallback_solve(const Fermion& b, Fermion& x,
                               const SolverResult& first) {
     x.set_zero();
@@ -308,33 +316,30 @@ class WilsonSolver {
     return *eo_;
   }
 
-  /// Everything one N-wide Schur solve over scalar T needs: the block
+  /// The one owner of an N-wide Schur solve over scalar T: the block
   /// operator view over its hop provider (the single-rank Schur data or a
-  /// rank's distributed operator), the Schur driver's scratch and the
+  /// rank's distributed operator), the driver's half-field scratch and the
   /// Krylov work-field pool.  Built on the first solve of its width and
   /// reused ever after: a warm solve constructs no fields.
   template <class T, int N, class Hops = qcd::SchurEvenOddWilson<T>>
-  struct SchurEngine {
+  class SchurEngine {
+   public:
     using Fermion = qcd::LatticeFermion<T>;
     using HalfBlock = qcd::HalfBlockFermion<T, N>;
+    using Results = std::array<SolverResult, N>;
 
-    qcd::BlockSchurEvenOddWilson<T, N, Hops> eo;
-    qcd::BlockSchurWorkspace<T, N> ws;
-    SolverWorkspace<HalfBlock> krylov;
-
-    explicit SchurEngine(const Hops& hops) : eo(hops), ws(eo) {}
+    explicit SchurEngine(const Hops& hops) : eo_(hops) {}
 
     /// M x_j = b_j for N columns: CG on the normal equations
     /// Mhat^dag Mhat x_e = Mhat^dag b'_e.
-    std::array<SolverResult, N> cg(std::span<const Fermion, N> b, std::span<Fermion, N> x,
-                                   double tolerance, int max_iterations, StallGuard guard) {
-      return qcd::detail::block_schur_half_solve(
-          eo, ws, b, x, [&](const HalfBlock& b_prime, HalfBlock& x_e) {
-            HalfBlock& rhs = krylov.get(SolverWorkspace<HalfBlock>::kRhs, eo.even_grid());
-            eo.mhat_dag(b_prime, rhs);
-            return block_conjugate_gradient(eo, krylov, rhs, x_e, tolerance,
-                                            max_iterations, guard);
-          });
+    Results cg(std::span<const Fermion, N> b, std::span<Fermion, N> x, double tolerance,
+               int max_iterations, StallGuard guard) {
+      return solve(b, x, [&](const HalfBlock& b_prime, HalfBlock& x_e) {
+        HalfBlock& rhs = krylov_.get(SolverWorkspace<HalfBlock>::kRhs, eo_.even_grid());
+        eo_.mhat_dag(b_prime, rhs);
+        return block_conjugate_gradient(eo_, krylov_, rhs, x_e, tolerance, max_iterations,
+                                        guard);
+      });
     }
 
     /// The same for one column.
@@ -342,26 +347,107 @@ class WilsonSolver {
                     StallGuard guard)
       requires(N == 1)
     {
-      return cg(std::span<const Fermion, 1>(&b, 1), std::span<Fermion, 1>(&x, 1), tolerance,
-                max_iterations, guard)[0];
+      return cg(column(b), column(x), tolerance, max_iterations, guard)[0];
     }
 
     /// M x = b for one column with BiCGSTAB: Mhat is not hermitian, so it
     /// solves Mhat x_e = b'_e directly -- no normal equations.
-    SolverResult bicgstab(const Fermion& b, Fermion& x, double tolerance, int max_iterations,
-                          StallGuard guard)
+    SolverResult bicgstab(const Fermion& b, Fermion& x, double tolerance,
+                          int max_iterations, StallGuard guard)
       requires(N == 1)
     {
-      return qcd::detail::block_schur_half_solve(
-          eo, ws, std::span<const Fermion, 1>(&b, 1), std::span<Fermion, 1>(&x, 1),
-          [&](const HalfBlock& b_prime, HalfBlock& x_e) {
-            const auto op = [this](const HalfBlock& in, HalfBlock& out) {
-              eo.mhat(in, out);
-            };
-            return std::array<SolverResult, 1>{solver::bicgstab(
-                op, b_prime, x_e, tolerance, max_iterations, guard, &krylov)};
-          })[0];
+      const auto op = [this](const HalfBlock& in, HalfBlock& out) { eo_.mhat(in, out); };
+      return solve(column(b), column(x), [&](const HalfBlock& b_prime, HalfBlock& x_e) {
+        return Results{solver::bicgstab(op, b_prime, x_e, tolerance, max_iterations,
+                                        guard, &krylov_)};
+      })[0];
     }
+
+   private:
+    template <class F>
+    static std::span<F, 1> column(F& f) { return std::span<F, 1>(&f, 1); }
+
+    /// The driver: the Schur solve of N right-hand sides b[j] into x[j],
+    /// on half-volume fields only.  `krylov_solve` solves Mhat x_e = b'_e
+    /// from the zero x_e it is handed; the driver computes the one
+    /// full-system true residual per column.  Every shared coefficient is
+    /// column-independent and every per-column reduction follows the
+    /// single-column tree, so column j's numbers are bitwise the N = 1
+    /// solve's.
+    template <class KrylovSolve>
+    Results solve(std::span<const Fermion, N> b, std::span<Fermion, N> x,
+                  const KrylovSolve& krylov_solve) {
+      using lattice::block_axpy;
+      using lattice::block_norm2;
+      const double d = eo_.diag();
+
+      for (int j = 0; j < N; ++j) {
+        const Fermion& bj = b[static_cast<std::size_t>(j)];
+        lattice::pick_checkerboard(bj, b_e_, j);
+        lattice::pick_checkerboard(bj, b_o_, j);
+      }
+
+      // 1. b'_e = b_e + (1/(2(4+m))) Dh_eo b_o     (Meo = -Dh_eo/2)
+      eo_.dhop_eo(b_o_, tmp_e_);
+      block_axpy(b_prime_, 0.5 / d, tmp_e_, b_e_);
+
+      // 2. Solve Mhat x_e = b'_e on the even half lattice from zero.
+      x_e_.set_zero();
+      Results stats = krylov_solve(b_prime_, x_e_);
+
+      // 3. x_o = (b_o + (1/2) Dh_oe x_e) / (4+m).  tmp_o keeps Dh_oe x_e
+      //    for the odd residual below.
+      eo_.dhop_oe(x_e_, tmp_o_);
+      block_axpy(x_o_, 0.5, tmp_o_, b_o_);
+      const T c{typename T::scalar_type(1.0 / d, 0.0)};
+      thread_for(x_o_.osites(), [&](std::int64_t h) {
+        qcd::SpinColourVector<T>* xs = x_o_.site(h);
+        for (int j = 0; j < N; ++j) xs[j] = c * xs[j];
+      });
+
+      for (int j = 0; j < N; ++j) {
+        Fermion& xj = x[static_cast<std::size_t>(j)];
+        lattice::set_checkerboard(xj, x_e_, j);
+        lattice::set_checkerboard(xj, x_o_, j);
+      }
+
+      // 4. Per-column true residual of the full system, from half pieces:
+      //    r_p = b_p - (4+m) x_p + (1/2) Dh_{p,1-p} x_{1-p}, formed in
+      //    place over the hop result in tmp_p.
+      eo_.dhop_eo(x_o_, tmp_e_);
+      const T md(typename T::scalar_type(-d, 0.0));
+      const T half_c(typename T::scalar_type(0.5, 0.0));
+      const auto residual = [&](const HalfBlock& bp, const HalfBlock& xp, HalfBlock& rp) {
+        thread_for(rp.osites(), [&](std::int64_t h) {
+          const qcd::SpinColourVector<T>* bs = bp.site(h);
+          const qcd::SpinColourVector<T>* xs = xp.site(h);
+          qcd::SpinColourVector<T>* rs = rp.site(h);
+          for (int j = 0; j < N; ++j) rs[j] = bs[j] + md * xs[j] + half_c * rs[j];
+        });
+      };
+      residual(b_e_, x_e_, tmp_e_);
+      residual(b_o_, x_o_, tmp_o_);
+      const std::array<double, N> be2 = block_norm2(b_e_);
+      const std::array<double, N> bo2 = block_norm2(b_o_);
+      const std::array<double, N> re2 = block_norm2(tmp_e_);
+      const std::array<double, N> ro2 = block_norm2(tmp_o_);
+      for (int j = 0; j < N; ++j) {
+        const auto u = static_cast<std::size_t>(j);
+        const double b2 = be2[u] + bo2[u];
+        stats[u].true_residual = std::sqrt((re2[u] + ro2[u]) / b2);
+        stats[u].rhs_norm = std::sqrt(b2);
+      }
+      return stats;
+    }
+
+    qcd::BlockSchurEvenOddWilson<T, N, Hops> eo_;
+    // The driver's scratch: parity pieces of the right-hand sides and the
+    // solutions, the even Schur right-hand sides, and the hop results that
+    // become the true-residual pieces.
+    HalfBlock b_e_{eo_.even_grid()}, b_o_{eo_.odd_grid()}, b_prime_{eo_.even_grid()};
+    HalfBlock x_e_{eo_.even_grid()}, x_o_{eo_.odd_grid()};
+    HalfBlock tmp_e_{eo_.even_grid()}, tmp_o_{eo_.odd_grid()};
+    SolverWorkspace<HalfBlock> krylov_;
   };
 
   /// The engine in `slot`, built over `hops` on first use.
@@ -383,8 +469,8 @@ class WilsonSolver {
     const StallGuard guard{params_.stall_window, params_.divergence_factor};
     std::array<SolverResult, kBlockWidth> stats = engine(block_, *eo_).cg(
         std::span<const Fermion, kBlockWidth>(b.data() + base_i, kBlockWidth),
-        std::span<Fermion, kBlockWidth>(x.data() + base_i, kBlockWidth), params_.tolerance,
-        params_.max_iterations, guard);
+        std::span<Fermion, kBlockWidth>(x.data() + base_i, kBlockWidth),
+        params_.tolerance, params_.max_iterations, guard);
     for (int j = 0; j < kBlockWidth; ++j) {
       const auto u = static_cast<std::size_t>(j);
       stats[u].solution_norm = solution_norm(x[base_i + u]);
@@ -480,11 +566,10 @@ class WilsonSolver {
   std::optional<SchurEngine<S, 1>> single_;
   std::optional<SchurEngine<S, kBlockWidth>> block_;
 
-  // kMixedCG state: single-precision copy of the configuration plus the
-  // outer-loop scratch fields, all allocated once at construction (the
-  // inner Schur engine on the first solve).
+  // kMixedCG state: the fp32 grid and operator plus the outer-loop
+  // scratch fields, all allocated once at construction (the inner Schur
+  // engine on the first solve).
   std::optional<lattice::GridCartesian> grid_f_;
-  std::optional<qcd::GaugeField<InnerScalar>> gauge_f_;
   std::optional<qcd::SchurEvenOddWilson<InnerScalar>> eo_f_;
   std::optional<SchurEngine<InnerScalar, 1>> single_f_;
   std::optional<qcd::WilsonDirac<InnerScalar>> dirac_f_;

@@ -44,7 +44,9 @@ class half {
   friend half operator-(half a, half b) { return half(float(a) - float(b)); }
   friend half operator*(half a, half b) { return half(float(a) * float(b)); }
   friend half operator/(half a, half b) { return half(float(a) / float(b)); }
-  friend half operator-(half a) { return from_bits(static_cast<std::uint16_t>(a.bits_ ^ 0x8000u)); }
+  friend half operator-(half a) {
+    return from_bits(static_cast<std::uint16_t>(a.bits_ ^ 0x8000u));
+  }
 
   half& operator+=(half o) { return *this = *this + o; }
   half& operator-=(half o) { return *this = *this - o; }

@@ -24,7 +24,8 @@ constexpr std::uint64_t splitmix64(std::uint64_t x) {
 /// Stateless counter-based generator: draws are keyed, not sequenced.
 class SiteRNG {
  public:
-  explicit SiteRNG(std::uint64_t seed) : seed_(splitmix64(seed ^ 0xa076'1d64'78bd'642full)) {}
+  explicit SiteRNG(std::uint64_t seed)
+      : seed_(splitmix64(seed ^ 0xa076'1d64'78bd'642full)) {}
 
   /// Uniform 64-bit integer for (site, slot).
   std::uint64_t bits(std::uint64_t site, std::uint64_t slot) const {

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -435,6 +436,27 @@ TEST(DistributedSolverMetrics, OverlapPhasesAreObservable) {
 #endif
   metrics::reset();
 }
+
+#if SVELAT_METRICS_ENABLED
+TEST(DistributedSolverMetrics, SchurSolveRunsFivePlusFourSweepsPerIteration) {
+  // Every parity sweep of the distributed operator records one
+  // dhop_interior call.  A CG x Schur solve of k iterations runs 4k sweeps
+  // in the loop and 5 in the driver, as on one rank: the Krylov start and
+  // the true residual pay no extra sweep, and no extra face exchange.
+  sve::set_vector_length(kVL);
+  metrics::reset();
+  metrics::set_enabled(true);
+  const Problem p;
+  const RankDecomposition decomp(kDims, kSplit, 1, layout());
+  SimCommunicator comm(1);
+  Field x(decomp.grid(0));
+  const SolverResult res = rank_solve(p, decomp, comm, 0, Algorithm::kCG, x);
+  ASSERT_TRUE(res.converged);
+  EXPECT_EQ(metrics::get("dhop_interior").calls,
+            5u + 4u * static_cast<std::uint64_t>(res.iterations));
+  metrics::reset();
+}
+#endif
 
 TEST(DistributedSolverDeathTest, NoPreconditionerIsRejected) {
   sve::set_vector_length(kVL);

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "qcd/propagator.h"
 #include "qcd/qcd.h"
 #include "solver/solver.h"
 #include "sve/sve.h"
@@ -105,6 +108,41 @@ TEST_F(BiCGStabTest, ResidualHistoryRecorded) {
   ASSERT_GE(stats.residual_history.size(), 2u);
   EXPECT_DOUBLE_EQ(stats.residual_history.front(), 1.0);
   EXPECT_LE(stats.residual_history.back(), 1e-6);
+}
+
+TEST_F(BiCGStabTest, PointSourceBreakdownEndsTheLoopWithAVerdict) {
+  // For r0 = b = delta the second iteration's <r0, v> is exactly 0: the
+  // projectors 1 +- gamma_mu annihilate a hop followed by its return.
+  const qcd::WilsonDirac<S> dirac(*gauge_, 0.2);
+  qcd::point_source(*b_, {1, 2, 3, 4}, 0, 0);
+  const auto stats = solve_wilson_bicgstab(dirac, *b_, *x_, 1e-8, 500);
+  EXPECT_FALSE(stats.converged);
+  EXPECT_EQ(stats.stall, StallReason::kBreakdown);
+  EXPECT_EQ(stats.iterations, 1);
+  // The wrapper, not the loop, reports the Wilson true residual of the
+  // returned x.
+  Fermion mx(grid_.get());
+  dirac.m(*x_, mx);
+  EXPECT_DOUBLE_EQ(stats.true_residual, std::sqrt(norm2(*b_ - mx) / norm2(*b_)));
+}
+
+TEST_F(BiCGStabTest, KrylovLoopsReturnOnlyTheirRecursionVerdict) {
+  // The loops apply no operator after they stop: the true residual and
+  // the solution norm belong to the callers that know the user's system.
+  const qcd::WilsonDirac<S> dirac(*gauge_, 0.2);
+  const auto m = [&dirac](const Fermion& in, Fermion& out) { dirac.m(in, out); };
+  const SolverResult bi = bicgstab(m, *b_, *x_, 1e-8, 500);
+  EXPECT_TRUE(bi.converged);
+  EXPECT_EQ(bi.true_residual, 0.0);
+  EXPECT_EQ(bi.solution_norm, 0.0);
+
+  Fermion x_cg(grid_.get());
+  x_cg.set_zero();
+  const SolverResult cg = conjugate_gradient(WilsonNormalOp<qcd::WilsonDirac<S>>{dirac},
+                                             *b_, x_cg, 1e-8, 800);
+  EXPECT_TRUE(cg.converged);
+  EXPECT_EQ(cg.true_residual, 0.0);
+  EXPECT_EQ(cg.solution_norm, 0.0);
 }
 
 TEST_F(BiCGStabTest, ZeroRhsRejected) {

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "comms/socket.h"
 #include "lattice/fill.h"
 #include "qcd/qcd.h"
+#include "support/metrics.h"
 #include "sve/sve.h"
 
 namespace svelat::solver {
@@ -206,6 +208,27 @@ TEST(BlockSolver, SlowColumnFreezesWithoutPoisoningSiblings) {
   EXPECT_GT(frozen, 0);
   EXPECT_LT(frozen, static_cast<int>(kN));
 }
+
+#if SVELAT_METRICS_ENABLED
+TEST(BlockSolver, SchurSolveRunsFivePlusFourParitySweepsPerIteration) {
+  // k CG iterations apply Mhat and Mhat^dag k times (4k sweeps).  Outside
+  // the loop the driver runs 5: Dh_eo b_o for b'_e, the two of
+  // Mhat^dag b'_e, Dh_oe x_e for x_o (whose result the odd residual
+  // reuses) and Dh_eo x_o for the even residual.  The Krylov start costs
+  // none, since x_e starts at zero.
+  const BatchProblem p;
+  metrics::reset();
+  metrics::set_enabled(true);
+  WilsonSolver<S> solver(p.gauge, kMass, batch_params());
+  std::vector<Field> b = p.make_rhs(1), x = p.zeros(1);
+  const SolverResult res = solver.solve(b[0], x[0]);
+  ASSERT_TRUE(res.converged);
+  const std::uint64_t sweeps =
+      metrics::get("dhop_eo_block").calls + metrics::get("dhop_oe_block").calls;
+  EXPECT_EQ(sweeps, 5u + 4u * static_cast<std::uint64_t>(res.iterations));
+  metrics::reset();
+}
+#endif
 
 TEST(BlockSolver, DistributedBatchFallsBackToSequentialBitwise) {
   // A distributed solver runs the Schur engine at N = 1 only; a batched
