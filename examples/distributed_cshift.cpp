@@ -6,8 +6,9 @@
 // nearest-neighbour shifts (both directions, optionally fp16/fp32
 // compressed) and the distributed Wilson hopping term
 // (comms::DistributedWilsonDirac::dhop); the results are gathered back to
-// rank 0 and checked against the single-rank Cshift / dhop_via_cshift.  Uncompressed results must match bitwise; a compressed wire is
-// held to the format's epsilon at the rank boundary.
+// rank 0 and checked against the single-rank Cshift / dhop_via_cshift.
+// Uncompressed results must match bitwise; a compressed wire is held to
+// the format's epsilon at the rank boundary.
 //
 // Build & run:
 //   cmake --build build --target distributed_cshift

@@ -42,7 +42,12 @@
 //     through this object (wire framing overhead is not charged);
 //   - recv() of a message that was never sent fails with a typed
 //     CommStatus -- kNoMessage where that is detectable instantly,
-//     kTimeout where the transport must wait on a peer.
+//     kTimeout where the transport must wait on a peer;
+//   - wait_any() over a set of senders returns the first one whose
+//     message on the tag has completely arrived, or whose stream has
+//     ended (a recv from it then returns the verdict at once) -- a
+//     message still in flight or on another tag does not count -- and
+//     no sender when none is ready within the timeout.
 #pragma once
 
 #include <cstddef>
@@ -51,6 +56,8 @@
 #include <cstdlib>
 #include <deque>
 #include <map>
+#include <optional>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -79,9 +86,19 @@ class Communicator {
   virtual CommStatus try_recv(int to, int from, int tag,
                               std::vector<std::uint8_t>& out) = 0;
 
-  /// True when a matching message has already arrived (non-blocking; may
-  /// poll the transport, hence non-const).
-  virtual bool has_pending(int to, int from, int tag) = 0;
+  /// wait_any's timeout for "as long as one try_recv would wait".
+  static constexpr int kTransportTimeout = -1;
+
+  /// Readiness wait at rank `to`: the first rank in `from` whose message
+  /// on `tag` has completely arrived, or whose stream has ended (its
+  /// try_recv then returns the verdict without waiting); std::nullopt when
+  /// none is ready within `timeout_ms` (0: look without waiting;
+  /// kTransportTimeout: the transport's own receive timeout).  When
+  /// several are ready, the first in `from`'s order wins.  An in-process
+  /// transport, where nothing arrives while the caller waits, answers at
+  /// once.  Never throws.
+  virtual std::optional<int> wait_any(int to, std::span<const int> from, int tag,
+                                      int timeout_ms) = 0;
 
   /// Total payload bytes successfully sent through this object since
   /// construction / reset_counters().
@@ -199,11 +216,15 @@ class SimCommunicator final : public Communicator {
     return CommStatus::kOk;
   }
 
-  bool has_pending(int to, int from, int tag) override {
-    check_rank(from);
+  std::optional<int> wait_any(int to, std::span<const int> from, int tag,
+                              int /*timeout_ms*/) override {
     check_rank(to);
-    auto it = mailboxes_.find(key(from, to, tag));
-    return it != mailboxes_.end() && !it->second.empty();
+    for (const int r : from) {
+      check_rank(r);
+      auto it = mailboxes_.find(key(r, to, tag));
+      if (it != mailboxes_.end() && !it->second.empty()) return r;
+    }
+    return std::nullopt;
   }
 
   std::size_t bytes_sent() const override { return bytes_sent_; }

@@ -128,8 +128,9 @@ class FaultyCommunicator final : public Communicator {
     return st;
   }
 
-  bool has_pending(int to, int from, int tag) override {
-    return inner_.has_pending(to, from, tag);
+  std::optional<int> wait_any(int to, std::span<const int> from, int tag,
+                              int timeout_ms) override {
+    return inner_.wait_any(to, from, tag, timeout_ms);
   }
   std::size_t bytes_sent() const override { return inner_.bytes_sent(); }
   void reset_counters() override { inner_.reset_counters(); }

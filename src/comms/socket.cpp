@@ -7,6 +7,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -43,8 +44,9 @@ std::int64_t now_ms() {
       .count();
 }
 
-/// poll() one fd for the given events; true when ready, false on timeout.
-bool wait_ready(int fd, short events, int timeout_ms) {
+/// poll() one fd for the given events; the events it reports (POLLHUP
+/// and POLLERR among them), 0 on timeout.
+short wait_ready(int fd, short events, int timeout_ms) {
   struct pollfd p;
   p.fd = fd;
   p.events = events;
@@ -53,7 +55,7 @@ bool wait_ready(int fd, short events, int timeout_ms) {
     const int rc = ::poll(&p, 1, timeout_ms);
     if (rc < 0 && errno == EINTR) continue;
     SVELAT_ASSERT_MSG(rc >= 0, "poll failed");
-    return rc > 0;
+    return rc > 0 ? p.revents : 0;
   }
 }
 
@@ -265,37 +267,74 @@ CommStatus SocketCommunicator::try_recv(int to, int from, int tag,
   }
 }
 
-bool SocketCommunicator::has_pending(int to, int from, int tag) {
-  SVELAT_ASSERT_MSG(to == rank_, "a socket endpoint receives only at its own rank");
-  check_rank(from);
-  if (from != rank_) {
-    // Drain every frame that has COMPLETELY arrived from that peer.  A
-    // frame still in flight (header or payload partially written) is not
-    // pending yet and must not be committed to -- has_pending is
-    // documented non-blocking, so peek at the header and only drain when
-    // the kernel buffer already holds the whole frame.
-    const int fd = peer_fds_[static_cast<std::size_t>(from)];
-    while (peer_state(from) == CommStatus::kOk && wait_ready(fd, POLLIN, 0)) {
-      FrameHeader h;
-      const ssize_t p = ::recv(fd, &h, sizeof h, MSG_PEEK);
-      if (p == 0 || (p < 0 && errno == ECONNRESET)) {
-        peer_status_[static_cast<std::size_t>(from)] = CommStatus::kPeerExited;
-        break;
-      }
-      if (p < 0) {
-        if (errno == EINTR) continue;
-        break;  // EAGAIN: raced away; nothing complete
-      }
-      if (static_cast<std::size_t>(p) < sizeof h) break;  // header incomplete
+bool SocketCommunicator::drain_arrived(int from) {
+  const int fd = peer_fds_[static_cast<std::size_t>(from)];
+  while (peer_state(from) == CommStatus::kOk) {
+    const short events = wait_ready(fd, POLLIN, 0);
+    if (events == 0) return false;  // nothing buffered
+    FrameHeader h{};
+    const ssize_t got = ::recv(fd, &h, sizeof h, MSG_PEEK);
+    if (got < 0 && errno == EINTR) continue;
+    if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return false;
+    // drain_frame reads or classifies these without blocking: a whole
+    // frame, a bad or misrouted header, an end of stream, a reset, an
+    // error, and anything from a peer that hung up (it sends no more
+    // bytes, so its partial frame reads as torn).
+    bool whole = got <= 0 || (events & (POLLHUP | POLLERR)) != 0;
+    if (!whole && static_cast<std::size_t>(got) == sizeof h) {
       int avail = 0;
-      if (::ioctl(fd, FIONREAD, &avail) != 0 ||
-          static_cast<std::uint64_t>(avail) < sizeof h + h.bytes)
-        break;                       // payload incomplete
-      (void)drain_frame(from, 0);    // whole frame buffered: cannot block
+      whole = h.magic != kMagic || h.from != from || h.to != rank_ ||
+              (::ioctl(fd, FIONREAD, &avail) == 0 &&
+               static_cast<std::uint64_t>(avail) >= sizeof h + h.bytes);
     }
+    if (!whole) return true;
+    (void)drain_frame(from, 0);
   }
-  auto it = inbox_.find(Key{from, tag});
-  return it != inbox_.end() && !it->second.empty();
+  return false;
+}
+
+std::optional<int> SocketCommunicator::wait_any(int to, std::span<const int> from,
+                                                int tag, int timeout_ms) {
+  SVELAT_ASSERT_MSG(to == rank_, "a socket endpoint receives only at its own rank");
+  SVELAT_ASSERT_MSG(timeout_ms >= 0 || timeout_ms == kTransportTimeout,
+                    "wait_any timeout must be >= 0 or kTransportTimeout");
+  const std::int64_t deadline =
+      now_ms() + (timeout_ms == kTransportTimeout ? recv_timeout_ms_ : timeout_ms);
+  // When each sender's partial frame was first seen in this wait: one that
+  // stays partial for a whole receive timeout tore, as in read_exact.
+  std::vector<std::int64_t> partial_since(from.size(), -1);
+  std::vector<struct pollfd> fds;
+  for (;;) {
+    fds.clear();
+    bool in_flight = false;
+    for (std::size_t i = 0; i < from.size(); ++i) {
+      const int r = from[i];
+      check_rank(r);
+      if (r != rank_ && drain_arrived(r)) {
+        const std::int64_t now = now_ms();
+        if (partial_since[i] < 0) partial_since[i] = now;
+        if (now - partial_since[i] >= recv_timeout_ms_)
+          peer_status_[static_cast<std::size_t>(r)] = CommStatus::kTornFrame;
+        in_flight = true;
+      } else {
+        partial_since[i] = -1;
+      }
+      const auto it = inbox_.find(Key{r, tag});
+      if ((it != inbox_.end() && !it->second.empty()) ||
+          (r != rank_ && peer_state(r) != CommStatus::kOk))
+        return r;
+      if (r != rank_ && partial_since[i] < 0)
+        fds.push_back({peer_fds_[static_cast<std::size_t>(r)], POLLIN, 0});
+    }
+    const std::int64_t left = deadline - now_ms();
+    if (left <= 0 || (fds.empty() && !in_flight)) return std::nullopt;
+    // A frame in flight keeps its descriptor readable: look at it again
+    // after a millisecond instead of spinning on it.
+    const std::int64_t wait_ms = in_flight ? std::min<std::int64_t>(left, 1) : left;
+    const int rc =
+        ::poll(fds.data(), static_cast<nfds_t>(fds.size()), static_cast<int>(wait_ms));
+    SVELAT_ASSERT_MSG(rc >= 0 || errno == EINTR, "poll failed");
+  }
 }
 
 std::vector<std::vector<int>> make_socket_mesh(int nranks) {

@@ -22,6 +22,12 @@
 // Ring exchanges where every rank sends before receiving therefore cannot
 // deadlock regardless of message size.
 //
+// wait_any is one poll(2) over the awaited peers' descriptors.  It drains
+// only frames that have completely arrived (it peeks at the header and
+// the buffered byte count first), so it never blocks on a frame whose
+// payload is still in flight; a frame that stays partial for a whole
+// receive timeout is kTornFrame, as in recv.
+//
 // Failure handling is typed (comms/comm_error.h, contract in
 // docs/FAULTS.md), not abort-on-timeout: a try_recv whose frame has not
 // arrived within `recv_timeout_ms` reports CommStatus::kTimeout (the base
@@ -72,7 +78,8 @@ class SocketCommunicator final : public Communicator {
                       const std::vector<std::uint8_t>& payload) override;
   CommStatus try_recv(int to, int from, int tag,
                       std::vector<std::uint8_t>& out) override;
-  bool has_pending(int to, int from, int tag) override;
+  std::optional<int> wait_any(int to, std::span<const int> from, int tag,
+                              int timeout_ms) override;
   std::size_t bytes_sent() const override { return bytes_sent_; }
   void reset_counters() override { bytes_sent_ = 0; }
 
@@ -95,6 +102,11 @@ class SocketCommunicator final : public Communicator {
   CommStatus drain_frame(int from, int timeout_ms);
   /// Read exactly n bytes from fd (payload follows its header promptly).
   CommStatus read_exact(int fd, void* data, std::size_t n);
+  /// Drain, without blocking, every frame from `from` that has completely
+  /// arrived, and settle the stream's verdict where it has ended (a peer
+  /// that hung up mid-frame tore it).  True when the start of a frame is
+  /// buffered whose rest is still in flight.
+  bool drain_arrived(int from);
 
   /// kOk while the peer's stream is usable; otherwise the sticky verdict.
   CommStatus peer_state(int r) const {

@@ -200,22 +200,20 @@ int supervisor_loop(comms::Communicator& comm, const SchedulerConfig& cfg) {
     live.erase(w);
   };
 
-  // Claim the next pending job for an idle worker; false leaves it
-  // parked (blocked in its own recv, waiting for a job or shutdown).
+  // Claim the next pending job for an idle worker; with nothing pending
+  // it stays parked (blocked in its own recv, waiting for a job or
+  // shutdown).
   const auto dispatch = [&](int w) {
     if (in_flight.count(w) > 0) return;
     const std::optional<MeasurementJob> job = queue.claim(w);
     if (!job.has_value()) return;
+    in_flight[w] = job->job_id;  // so drop_worker requeues it on failure
     if (comm.send_status(kSupervisorRank, w, kJobTag, encode_job(*job)) !=
-        CommStatus::kOk) {
-      in_flight[w] = job->job_id;  // so drop_worker requeues it
+        CommStatus::kOk)
       drop_worker(w, "job dispatch failed");
-      return;
-    }
-    in_flight[w] = job->job_id;
   };
 
-  int idle_sweeps = 0;
+  int idle_waits = 0;
   while (!queue.all_done()) {
     if (live.empty()) {
       if (cfg.verbosity >= 1)
@@ -229,51 +227,56 @@ int supervisor_loop(comms::Communicator& comm, const SchedulerConfig& cfg) {
     }
     if (in_flight.empty()) continue;  // dispatch dropped every candidate
 
-    bool progress = false;
-    const std::map<int, std::uint64_t> sweep = in_flight;
-    for (const auto& [w, job_id] : sweep) {
-      std::vector<std::uint8_t> payload;
-      const CommStatus st =
-          comm.recv_status(kSupervisorRank, w, kResultTag, payload);
-      if (st == CommStatus::kTimeout) continue;  // still solving; poll on
-      if (st != CommStatus::kOk) {
-        drop_worker(w, comms::comm_status_name(st));
-        progress = true;
-        continue;
+    // One wait over every in-flight worker: whichever result (or death)
+    // comes first is handled first.
+    std::vector<int> busy;
+    for (const auto& entry : in_flight) busy.push_back(entry.first);
+    const std::optional<int> ready =
+        comm.wait_any(kSupervisorRank, busy, kResultTag,
+                      comms::Communicator::kTransportTimeout);
+    std::vector<std::uint8_t> payload;
+    const CommStatus st =
+        ready ? comm.recv_status(kSupervisorRank, *ready, kResultTag, payload)
+              : CommStatus::kTimeout;
+    if (st == CommStatus::kTimeout) {  // no result arrived in time
+      if (++idle_waits >= cfg.max_idle_sweeps) {
+        if (cfg.verbosity >= 1)
+          log_info() << "scheduler: no progress after " << idle_waits
+                     << " waits; giving up";
+        return 2;
       }
-      std::size_t off = 0;
-      JobResult result;
-      try {
-        result = decode_result(payload, off);
-      } catch (const io::IoError& e) {
-        drop_worker(w, e.what());
-        progress = true;
-        continue;
-      }
-      if (result.job_id != job_id) {
-        drop_worker(w, "result names a job it does not own");
-        progress = true;
-        continue;
-      }
-      // Exactly-once commit order: fsync the result, THEN mark done.
-      append_result(cfg.results_path, result);
-      queue.complete(result.job_id);
-      in_flight.erase(w);
-      progress = true;
-      if (cfg.verbosity >= 1)
-        log_info() << "scheduler: job " << result.job_id << " done on worker " << w
-                   << " (" << (result.converged ? "converged" : "NOT converged")
-                   << ", " << result.iterations << " iters, "
-                   << result.wall_seconds << " s)";
-      dispatch(w);
+      continue;
     }
-    idle_sweeps = progress ? 0 : idle_sweeps + 1;
-    if (idle_sweeps >= cfg.max_idle_sweeps) {
-      if (cfg.verbosity >= 1)
-        log_info() << "scheduler: no progress after " << idle_sweeps
-                   << " poll sweeps; giving up";
-      return 2;
+    idle_waits = 0;
+    const int w = *ready;
+    if (st != CommStatus::kOk) {
+      drop_worker(w, comms::comm_status_name(st));
+      continue;
     }
+    std::size_t off = 0;
+    JobResult result;
+    try {
+      result = decode_result(payload, off);
+    } catch (const io::IoError& e) {
+      drop_worker(w, e.what());
+      continue;
+    }
+    if (result.job_id != in_flight.at(w)) {
+      drop_worker(w, "result names a job it does not own");
+      continue;
+    }
+    // Re-arm the worker before the commit's fsyncs, so it solves while they
+    // run.  A crash in between leaves both jobs claimed, and the restart's
+    // requeue_claimed() returns both to pending.
+    in_flight.erase(w);
+    dispatch(w);
+    // Exactly-once commit order: fsync the result, THEN mark done.
+    append_result(cfg.results_path, result);
+    queue.complete(result.job_id);
+    if (cfg.verbosity >= 1)
+      log_info() << "scheduler: job " << result.job_id << " done on worker " << w << " ("
+                 << (result.converged ? "converged" : "NOT converged") << ", "
+                 << result.iterations << " iters, " << result.wall_seconds << " s)";
   }
 
   for (const int w : live)

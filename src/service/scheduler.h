@@ -17,21 +17,28 @@
 //                                           payload means "shut down"
 //   kResultTag 702   worker -> supervisor   encoded JobResult record
 //
-// Fault tolerance.  The supervisor polls its in-flight workers with
-// recv_status: kTimeout means "still solving" (the poll moves on),
-// while kPeerExited / kTornFrame / kDesync / kIoError is a worker death
-// verdict -- the in-flight job goes back to kPending (attempts += 1) and
-// the worker is dropped.  Transient injected faults (delays, spurious
-// EOFs) are absorbed by the Communicator retry ladder below this layer.
-// If jobs remain but every worker is gone, the supervisor exits nonzero
-// and the outer driver relaunches: JobQueue::requeue_claimed() plus
-// recover_results() make the restart exactly-once (a result whose job
-// never reached kDone is pruned and the job re-runs).
+// Scheduling.  The supervisor waits on all its in-flight workers at once
+// (Communicator::wait_any) and serves whichever is ready first: on a
+// valid result it claims and sends that worker's next job (FIFO), then
+// commits the result, so a fast worker never waits for a slow one.
+//
+// Fault tolerance.  A worker whose stream ends is ready at once, and its
+// recv_status verdict (kPeerExited / kTornFrame / kDesync / kIoError) is
+// a death: the in-flight job goes back to kPending (attempts += 1) and
+// the worker is dropped.  A wait that times out means "still solving".
+// Transient injected faults (delays, spurious EOFs) are absorbed by the
+// Communicator retry ladder below this layer.  If jobs remain but every
+// worker is gone, the supervisor exits nonzero and its launcher
+// relaunches it: JobQueue::requeue_claimed() plus recover_results() make
+// the restart exactly-once (a result whose job never reached kDone is
+// pruned and the job re-runs).
 //
 // Exactly-once commit order: a received result is APPENDED (fsync'd)
 // first, then its queue entry flips to kDone.  A crash between the two
 // leaves an orphaned result record that recovery prunes -- the reverse
-// order could mark a job done whose result was lost.
+// order could mark a job done whose result was lost.  A crash after the
+// worker's next job was claimed but before the commit leaves two claimed
+// jobs, and the restart requeues both.
 #pragma once
 
 #include <cstdint>
@@ -105,9 +112,9 @@ struct SchedulerConfig {
   std::string gauge_path;    ///< SVGF configuration the jobs measure on
   std::string queue_path;    ///< persistent JobQueue file (must exist)
   std::string results_path;  ///< append-only JobResult records
-  /// Consecutive poll sweeps with neither a result nor a death verdict
-  /// before the supervisor gives up (each sweep already waits out the
-  /// transport's own recv timeout per in-flight worker).
+  /// Consecutive readiness waits that end with neither a result nor a
+  /// death verdict before the supervisor gives up (each wait lasts up to
+  /// the transport's own receive timeout, over all in-flight workers).
   int max_idle_sweeps = 240;
   int verbosity = 1;
 };

@@ -10,8 +10,15 @@
 
 namespace svelat::solver {
 
+/// What bicgstab may assume of the `x` it is handed.
+enum class InitialGuess {
+  kGiven,  ///< any guess: r0 = b - A x costs one operator application
+  kZero,   ///< zeros (the Schur solve zeroes it): r0 = b, no application
+};
+
 /// BiCGSTAB for a general (non-hermitian) operator `op`.  `x` carries the
-/// initial guess and receives the solution.  An armed StallGuard
+/// initial guess (zeros under InitialGuess::kZero) and receives the
+/// solution.  An armed StallGuard
 /// (default: off) cuts the loop short on divergence or stall, reporting
 /// the reason in SolverResult::stall.  A breakdown (<r0, v>, |t|, rho or
 /// omega = 0; a point source on the Wilson operator hits <r0, v> = 0
@@ -24,7 +31,8 @@ namespace svelat::solver {
 template <class Field, class LinearOp>
 SolverResult bicgstab(const LinearOp& op, const Field& b, Field& x, double tolerance,
                       int max_iterations, StallGuard guard = {},
-                      SolverWorkspace<Field>* workspace = nullptr) {
+                      SolverWorkspace<Field>* workspace = nullptr,
+                      InitialGuess guess = InitialGuess::kGiven) {
   using C = decltype(innerProduct(b, b));
   SolverResult stats;
   stats.algorithm = Algorithm::kBiCGSTAB;
@@ -44,8 +52,12 @@ SolverResult bicgstab(const LinearOp& op, const Field& b, Field& x, double toler
   Field& v = pool.get(WS::kV, b.grid());
   Field& s = pool.get(WS::kS, b.grid());
   Field& t = pool.get(WS::kT, b.grid());
-  op(x, v);
-  sub(r, b, v);    // r0 = b - A x0
+  if (guess == InitialGuess::kZero) {
+    r = b;           // r0 = b - A 0
+  } else {
+    op(x, v);
+    sub(r, b, v);    // r0 = b - A x0
+  }
   r0 = r;          // shadow residual
   p = r;
   C rho = innerProduct(r0, r);

@@ -25,7 +25,9 @@
 // recursion verdict (converged, iterations, history, final residual,
 // stall); the caller that knows the user's system computes the true
 // residual -- the Schur driver, or solve_wilson / solve_wilson_bicgstab
-// on the kNone paths -- and the facade sets the solution norm.
+// on the kNone paths -- and the facade sets the solution norm.  kMixedCG's
+// inner fp32 Schur solve reports its verdict only: the outer loop
+// recomputes the true residual in double precision.
 //
 // Construction pays the expensive setup once -- Schur operator data
 // (half grids, stencil tables, double-stored gauge), kMixedCG's fp32
@@ -316,6 +318,12 @@ class WilsonSolver {
     return *eo_;
   }
 
+  /// What a Schur solve reports besides the Krylov verdict: each column's
+  /// full-system true residual and |b| (step 4 of the Schur solve), or nothing
+  /// more, for a caller that recomputes its own residual (kMixedCG's inner
+  /// fp32 solve).
+  enum class Report { kTrueResidual, kVerdictOnly };
+
   /// The one owner of an N-wide Schur solve over scalar T: the block
   /// operator view over its hop provider (the single-rank Schur data or a
   /// rank's distributed operator), the driver's half-field scratch and the
@@ -333,8 +341,9 @@ class WilsonSolver {
     /// M x_j = b_j for N columns: CG on the normal equations
     /// Mhat^dag Mhat x_e = Mhat^dag b'_e.
     Results cg(std::span<const Fermion, N> b, std::span<Fermion, N> x, double tolerance,
-               int max_iterations, StallGuard guard) {
-      return solve(b, x, [&](const HalfBlock& b_prime, HalfBlock& x_e) {
+               int max_iterations, StallGuard guard,
+               Report report = Report::kTrueResidual) {
+      return solve(b, x, report, [&](const HalfBlock& b_prime, HalfBlock& x_e) {
         HalfBlock& rhs = krylov_.get(SolverWorkspace<HalfBlock>::kRhs, eo_.even_grid());
         eo_.mhat_dag(b_prime, rhs);
         return block_conjugate_gradient(eo_, krylov_, rhs, x_e, tolerance, max_iterations,
@@ -344,10 +353,10 @@ class WilsonSolver {
 
     /// The same for one column.
     SolverResult cg(const Fermion& b, Fermion& x, double tolerance, int max_iterations,
-                    StallGuard guard)
+                    StallGuard guard, Report report = Report::kTrueResidual)
       requires(N == 1)
     {
-      return cg(column(b), column(x), tolerance, max_iterations, guard)[0];
+      return cg(column(b), column(x), tolerance, max_iterations, guard, report)[0];
     }
 
     /// M x = b for one column with BiCGSTAB: Mhat is not hermitian, so it
@@ -357,10 +366,12 @@ class WilsonSolver {
       requires(N == 1)
     {
       const auto op = [this](const HalfBlock& in, HalfBlock& out) { eo_.mhat(in, out); };
-      return solve(column(b), column(x), [&](const HalfBlock& b_prime, HalfBlock& x_e) {
-        return Results{solver::bicgstab(op, b_prime, x_e, tolerance, max_iterations,
-                                        guard, &krylov_)};
-      })[0];
+      return solve(column(b), column(x), Report::kTrueResidual,
+                   [&](const HalfBlock& b_prime, HalfBlock& x_e) {
+                     return Results{solver::bicgstab(op, b_prime, x_e, tolerance,
+                                                     max_iterations, guard, &krylov_,
+                                                     InitialGuess::kZero)};
+                   })[0];
     }
 
    private:
@@ -370,12 +381,12 @@ class WilsonSolver {
     /// The driver: the Schur solve of N right-hand sides b[j] into x[j],
     /// on half-volume fields only.  `krylov_solve` solves Mhat x_e = b'_e
     /// from the zero x_e it is handed; the driver computes the one
-    /// full-system true residual per column.  Every shared coefficient is
-    /// column-independent and every per-column reduction follows the
-    /// single-column tree, so column j's numbers are bitwise the N = 1
-    /// solve's.
+    /// full-system true residual per column unless `report` says not to.
+    /// Every shared coefficient is column-independent and every
+    /// per-column reduction follows the single-column tree, so column j's
+    /// numbers are bitwise the N = 1 solve's.
     template <class KrylovSolve>
-    Results solve(std::span<const Fermion, N> b, std::span<Fermion, N> x,
+    Results solve(std::span<const Fermion, N> b, std::span<Fermion, N> x, Report report,
                   const KrylovSolve& krylov_solve) {
       using lattice::block_axpy;
       using lattice::block_norm2;
@@ -410,6 +421,7 @@ class WilsonSolver {
         lattice::set_checkerboard(xj, x_e_, j);
         lattice::set_checkerboard(xj, x_o_, j);
       }
+      if (report == Report::kVerdictOnly) return stats;
 
       // 4. Per-column true residual of the full system, from half pieces:
       //    r_p = b_p - (4+m) x_p + (1/2) Dh_{p,1-p} x_{1-p}, formed in
@@ -518,8 +530,11 @@ class WilsonSolver {
       e_f.set_zero();
       const double tol = params_.inner_tolerance;
       const int max_it = params_.inner_max_iterations;
+      // Only the inner iteration count is read: the outer loop recomputes
+      // the true residual in double precision.
       const SolverResult inner =
-          schur() ? engine(single_f_, *eo_f_).cg(r_f, e_f, tol, max_it, StallGuard{})
+          schur() ? engine(single_f_, *eo_f_)
+                        .cg(r_f, e_f, tol, max_it, StallGuard{}, Report::kVerdictOnly)
                   : solve_wilson(*dirac_f_, r_f, e_f, tol, max_it, StallGuard{}, &kws_f_);
       stats.inner_iterations += inner.iterations;
 

@@ -69,10 +69,11 @@ TEST_F(HaloTest, CommunicatorFifoSemantics) {
   SimCommunicator comm(2);
   comm.send(0, 1, 7, {1, 2, 3});
   comm.send(0, 1, 7, {4, 5});
-  EXPECT_TRUE(comm.has_pending(1, 0, 7));
+  const int sender = 0;
+  EXPECT_EQ(comm.wait_any(1, std::span<const int>(&sender, 1), 7, 0), 0);
   EXPECT_EQ(comm.recv(1, 0, 7), (std::vector<std::uint8_t>{1, 2, 3}));
   EXPECT_EQ(comm.recv(1, 0, 7), (std::vector<std::uint8_t>{4, 5}));
-  EXPECT_FALSE(comm.has_pending(1, 0, 7));
+  EXPECT_EQ(comm.wait_any(1, std::span<const int>(&sender, 1), 7, 0), std::nullopt);
   EXPECT_EQ(comm.bytes_sent(), 5u);
 }
 

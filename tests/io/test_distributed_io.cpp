@@ -46,8 +46,8 @@ class DistributedIoTest : public ::testing::Test {
   /// which collects the CRCs and writes the manifest).
   void save_all(comms::Communicator& comm, const std::vector<std::uint8_t>& meta = {}) {
     for (int r = kRanks - 1; r >= 0; --r)
-      save_gauge_distributed(dir_, *decomp_, comm, r, *locals_[static_cast<std::size_t>(r)],
-                             meta);
+      save_gauge_distributed(dir_, *decomp_, comm, r,
+                             *locals_[static_cast<std::size_t>(r)], meta);
   }
 
   lattice::Coordinate dims_;

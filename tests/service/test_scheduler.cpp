@@ -48,6 +48,10 @@ JobResult sample_result(std::uint64_t id) {
   return r;
 }
 
+/// Mass of the scheduler test's slow job: lighter than small_job's, so its
+/// unpreconditioned CG needs many more iterations.
+constexpr double kSlowMass = 0.05;
+
 MeasurementJob small_job(std::uint64_t id) {
   MeasurementJob job;
   job.job_id = id;
@@ -148,7 +152,8 @@ TEST(MeasureJob, SchurJobsReportHopAndLinalgRates) {
   qcd::GaugeField<S> gauge(&grid);
   qcd::random_gauge(SiteRNG(2018), gauge);
   metrics::set_enabled(true);
-  for (const solver::Algorithm alg : {solver::Algorithm::kCG, solver::Algorithm::kMixedCG}) {
+  for (const solver::Algorithm alg :
+       {solver::Algorithm::kCG, solver::Algorithm::kMixedCG}) {
     MeasurementJob job = small_job(1);
     job.algorithm = alg;
     const JobResult r = measure_job(gauge, job);
@@ -185,13 +190,25 @@ TEST(MeasureJob, BiCGSTABBreakdownIsAVerdictNotAnAbort) {
 
 // --- end to end over real forked ranks --------------------------------------
 
+/// Jobs 1..n of small_job.
+std::vector<MeasurementJob> small_jobs(int n) {
+  std::vector<MeasurementJob> jobs;
+  for (int id = 1; id <= n; ++id)
+    jobs.push_back(small_job(static_cast<std::uint64_t>(id)));
+  return jobs;
+}
+
 struct ServiceFixture {
   std::string dir;
   SchedulerConfig cfg;
   std::vector<MeasurementJob> jobs;
   std::vector<JobResult> reference;
 
-  explicit ServiceFixture(const std::string& name, int njobs) : dir(temp_dir(name)) {
+  ServiceFixture(const std::string& name, int njobs)
+      : ServiceFixture(name, small_jobs(njobs)) {}
+
+  ServiceFixture(const std::string& name, std::vector<MeasurementJob> job_list)
+      : dir(temp_dir(name)), jobs(std::move(job_list)) {
     sve::set_vector_length(256);
     cfg.gauge_path = dir + "/cfg0.svgf";
     cfg.queue_path = dir + "/jobs.svjq";
@@ -205,10 +222,7 @@ struct ServiceFixture {
     io::save_gauge(cfg.gauge_path, gauge);
 
     JobQueue queue(cfg.queue_path);
-    for (int n = 1; n <= njobs; ++n) {
-      jobs.push_back(small_job(static_cast<std::uint64_t>(n)));
-      queue.enqueue(jobs.back());
-    }
+    for (const MeasurementJob& job : jobs) queue.enqueue(job);
     // The uninterrupted in-process truth the service must reproduce
     // bitwise (children run force-serial; reductions are deterministic).
     qcd::GaugeField<S> reloaded(&grid);
@@ -269,6 +283,42 @@ TEST(MeasurementService, SoakUnderSeededTransientsCompletesInOneLaunch) {
                                      /*crash_rank=*/-1, 0);
   EXPECT_TRUE(report.ok) << report.describe();
   fx.verify();
+  std::filesystem::remove_all(fx.dir);
+}
+
+TEST(MeasurementService, SlowWorkerCannotDelayAFastWorkersCommits) {
+  // Job 1 costs many times any other: CG without preconditioner at a
+  // tight tolerance, against BiCGSTAB x Schur for the rest.  Worker 1
+  // claims job 1 and worker 2 job 2 (FIFO claims, idle workers in rank
+  // order).  While worker 1 solves, worker 2's results must be committed
+  // as they arrive, and it must be handed the next jobs -- a supervisor
+  // that waits on worker 1 first would commit job 1 first.
+  std::vector<MeasurementJob> jobs = small_jobs(8);
+  for (MeasurementJob& job : jobs) {
+    job.algorithm = solver::Algorithm::kBiCGSTAB;
+    job.preconditioner = solver::Preconditioner::kSchurEvenOdd;
+  }
+  jobs[0].algorithm = solver::Algorithm::kCG;
+  jobs[0].preconditioner = solver::Preconditioner::kNone;
+  jobs[0].mass = kSlowMass;
+  jobs[0].tolerance = 1e-12;
+  jobs[0].max_iterations = 4000;
+  const ServiceFixture fx("slow_first", jobs);
+  const auto report = launch_service(fx, /*ranks=*/3, /*fault_seed=*/0,
+                                     /*crash_rank=*/-1, 0);
+  EXPECT_TRUE(report.ok) << report.describe();
+  fx.verify();
+
+  const std::vector<JobResult> results = read_results(fx.cfg.results_path);
+  const auto slow = std::find_if(results.begin(), results.end(),
+                                 [](const JobResult& r) { return r.job_id == 1; });
+  ASSERT_NE(slow, results.end());
+  EXPECT_GE(slow - results.begin(), 3) << "fast jobs committed before the slow job 1";
+  // FIFO claims: worker 2 drew job 2 and then every job up to the one in
+  // hand when job 1 ended, so the jobs ahead of job 1 are 2, 3, 4, ...
+  for (std::ptrdiff_t i = 0; i < slow - results.begin(); ++i)
+    EXPECT_EQ(results[static_cast<std::size_t>(i)].job_id,
+              static_cast<std::uint64_t>(i + 2));
   std::filesystem::remove_all(fx.dir);
 }
 

@@ -48,7 +48,8 @@ std::complex<T> tv(int tag, unsigned lane) {
 template <typename S>
 S make_simd(int tag) {
   S s = S::zero();
-  for (unsigned i = 0; i < S::Nsimd(); ++i) s.set_lane(i, tv<typename S::real_type>(tag, i));
+  for (unsigned i = 0; i < S::Nsimd(); ++i)
+    s.set_lane(i, tv<typename S::real_type>(tag, i));
   return s;
 }
 

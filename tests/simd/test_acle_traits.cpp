@@ -103,7 +103,8 @@ TEST(VLMismatch, FixedKernelProcessesOnlyHardwareVector) {
     kernels::mult_cplx_acle_fixed(reinterpret_cast<const double*>(x.data()),
                                   reinterpret_cast<const double*>(y.data()),
                                   reinterpret_cast<double*>(z.data()));
-    for (int i = 0; i < 4; ++i) EXPECT_EQ(z[static_cast<std::size_t>(i)], (kernels::cplx{2.0, 2.0})) << i;
+    for (int i = 0; i < 4; ++i)
+      EXPECT_EQ(z[static_cast<std::size_t>(i)], (kernels::cplx{2.0, 2.0})) << i;
   }
   {
     sve::VLGuard vl(256);  // narrower hardware: only 2 of 4 results written

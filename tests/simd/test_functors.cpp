@@ -37,7 +37,8 @@ TYPED_TEST(FunctorTest, SplatBroadcasts) {
 TYPED_TEST(FunctorTest, ZeroIsZero) {
   using S = typename TypeParam::simd_type;
   const S z = S::zero();
-  for (unsigned i = 0; i < S::Nsimd(); ++i) EXPECT_EQ(z.lane(i), (std::complex<typename TypeParam::scalar>{})) << i;
+  for (unsigned i = 0; i < S::Nsimd(); ++i)
+    EXPECT_EQ(z.lane(i), (std::complex<typename TypeParam::scalar>{})) << i;
 }
 
 TYPED_TEST(FunctorTest, AddSubNegLanewise) {
@@ -137,7 +138,8 @@ TYPED_TEST(FunctorTest, RealScale) {
   using T = typename TypeParam::scalar;
   const S a = make_simd<S>(16);
   const S s = T(2) * a;
-  for (unsigned i = 0; i < S::Nsimd(); ++i) EXPECT_EQ(s.lane(i), T(2) * tv<T>(16, i)) << i;
+  for (unsigned i = 0; i < S::Nsimd(); ++i)
+    EXPECT_EQ(s.lane(i), T(2) * tv<T>(16, i)) << i;
 }
 
 TYPED_TEST(FunctorTest, ReduceSumsLanes) {
@@ -156,7 +158,8 @@ TYPED_TEST(FunctorTest, PermuteBlocksExchanges) {
   const S a = make_simd<S>(18);
   for (unsigned d = 1; d < S::Nsimd(); d *= 2) {
     const S p = permute_blocks(a, d);
-    for (unsigned i = 0; i < S::Nsimd(); ++i) EXPECT_EQ(p.lane(i), a.lane(i ^ d)) << d << ":" << i;
+    for (unsigned i = 0; i < S::Nsimd(); ++i)
+      EXPECT_EQ(p.lane(i), a.lane(i ^ d)) << d << ":" << i;
     // Involution: permuting twice restores the original.
     EXPECT_EQ(permute_blocks(p, d), a) << d;
   }

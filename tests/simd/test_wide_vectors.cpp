@@ -46,7 +46,8 @@ void run_wide_checks() {
   // index tables (the "specialization" of Sec. V-B).
   for (unsigned d = 1; d < S::Nsimd(); d *= 2) {
     const S p = permute_blocks(a, d);
-    for (unsigned i = 0; i < S::Nsimd(); ++i) EXPECT_EQ(p.lane(i), a.lane(i ^ d)) << d << ":" << i;
+    for (unsigned i = 0; i < S::Nsimd(); ++i)
+      EXPECT_EQ(p.lane(i), a.lane(i ^ d)) << d << ":" << i;
   }
 
   C expect_sum{};

@@ -57,8 +57,8 @@ SolverParams base_params() {
 }
 
 /// Two warm-up solves, then pin the third's aligned-allocation delta to 0.
-void expect_warm_solve_allocates_nothing(WilsonSolver<S>& solver, const Field& b, Field& x,
-                                         const char* what) {
+void expect_warm_solve_allocates_nothing(WilsonSolver<S>& solver, const Field& b,
+                                         Field& x, const char* what) {
   for (int warm = 0; warm < 2; ++warm) {
     x.set_zero();
     ASSERT_TRUE(solver.solve(b, x).converged) << what;

@@ -88,7 +88,8 @@ bool fields_bitwise(const Field& a, const Field& b) {
 
 /// Columns `cols` of a batched solve against solve() of each column alone:
 /// solution bytes, iterations, residual history, final and true residual.
-void expect_columns_equal_single_solves(const BatchProblem& p, const std::vector<Field>& b,
+void expect_columns_equal_single_solves(const BatchProblem& p,
+                                        const std::vector<Field>& b,
                                         const std::vector<Field>& xb,
                                         const std::vector<SolverResult>& rb,
                                         const std::vector<std::size_t>& cols) {
@@ -226,6 +227,61 @@ TEST(BlockSolver, SchurSolveRunsFivePlusFourParitySweepsPerIteration) {
   const std::uint64_t sweeps =
       metrics::get("dhop_eo_block").calls + metrics::get("dhop_oe_block").calls;
   EXPECT_EQ(sweeps, 5u + 4u * static_cast<std::uint64_t>(res.iterations));
+  metrics::reset();
+}
+
+TEST(BlockSolver, SchurBiCGSTABRunsThreePlusFourParitySweepsPerIteration) {
+  // A full BiCGSTAB iteration applies Mhat twice (4 sweeps).  Outside the
+  // loop the Schur solve runs 3: Dh_eo b_o for b'_e, Dh_oe x_e for x_o and
+  // Dh_eo x_o for the even residual.  The Krylov start r = b costs none,
+  // since x_e starts at zero.  A converged solve may end on the half-step
+  // exit, whose last iteration applies Mhat once; capped below the
+  // iterations it needs, every iteration is a full one.
+  const BatchProblem p;
+  metrics::reset();
+  metrics::set_enabled(true);
+  constexpr int kCap = 4;
+  WilsonSolver<S> capped(
+      p.gauge, kMass,
+      batch_params().with_algorithm(Algorithm::kBiCGSTAB).with_max_iterations(kCap));
+  std::vector<Field> b = p.make_rhs(1), x = p.zeros(1);
+  const SolverResult res = capped.solve(b[0], x[0]);
+  ASSERT_FALSE(res.converged);
+  ASSERT_EQ(res.iterations, kCap);
+  const std::uint64_t sweeps =
+      metrics::get("dhop_eo_block").calls + metrics::get("dhop_oe_block").calls;
+  EXPECT_EQ(sweeps, 3u + 4u * kCap);
+
+  // Uncapped, this solve converges on the half step of its last iteration.
+  metrics::reset();
+  WilsonSolver<S> solver(p.gauge, kMass,
+                         batch_params().with_algorithm(Algorithm::kBiCGSTAB));
+  x = p.zeros(1);
+  const SolverResult full = solver.solve(b[0], x[0]);
+  ASSERT_TRUE(full.converged);
+  EXPECT_EQ(metrics::get("dhop_eo_block").calls + metrics::get("dhop_oe_block").calls,
+            3u + 4u * static_cast<std::uint64_t>(full.iterations) - 2u);
+  metrics::reset();
+}
+
+TEST(BlockSolver, MixedSchurInnerSolvesRunFourPlusFourParitySweepsPerIteration) {
+  // Each restart's fp32 inner solve is a Schur CG of k iterations asked
+  // for its verdict only: Dh_eo b_o, Mhat^dag b'_e (2 sweeps), 4 per
+  // iteration and Dh_oe x_e -- no Dh_eo x_o for a true residual that the
+  // outer loop recomputes in double precision anyway.
+  const BatchProblem p;
+  metrics::reset();
+  metrics::set_enabled(true);
+  WilsonSolver<S> solver(p.gauge, kMass,
+                         batch_params().with_algorithm(Algorithm::kMixedCG));
+  std::vector<Field> b = p.make_rhs(1), x = p.zeros(1);
+  const SolverResult res = solver.solve(b[0], x[0]);
+  ASSERT_TRUE(res.converged);
+  ASSERT_FALSE(res.fallback_used);
+  const std::uint64_t sweeps =
+      metrics::get("dhop_eo_block").calls + metrics::get("dhop_oe_block").calls;
+  EXPECT_EQ(sweeps, 4u * static_cast<std::uint64_t>(res.iterations) +
+                        4u * static_cast<std::uint64_t>(res.inner_iterations));
   metrics::reset();
 }
 #endif

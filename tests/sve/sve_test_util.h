@@ -26,8 +26,8 @@ template <typename E>
 inline svreg<E> make_reg(int tag) {
   svreg<E> r{};
   for (unsigned i = 0; i < svreg<E>::kMaxLanes; ++i)
-    r.lane[i] = static_cast<E>(static_cast<double>((tag * 131 + static_cast<int>(i) * 7) % 23) -
-                               11.0);
+    r.lane[i] = static_cast<E>(
+        static_cast<double>((tag * 131 + static_cast<int>(i) * 7) % 23) - 11.0);
   return r;
 }
 

@@ -26,7 +26,9 @@ svfloat64_t pack(const std::vector<cplx>& zs) {
   return r;
 }
 
-cplx unpack(const svfloat64_t& v, unsigned i) { return {v.lane[2 * i], v.lane[2 * i + 1]}; }
+cplx unpack(const svfloat64_t& v, unsigned i) {
+  return {v.lane[2 * i], v.lane[2 * i + 1]};
+}
 
 std::vector<cplx> test_values(unsigned n, int tag) {
   std::vector<cplx> zs(n);

@@ -40,7 +40,8 @@ TEST_P(PaperKernelTest, MultRealMatchesScalar) {
     const auto y = real_data(n, 2);
     std::vector<double> z(n, -1.0);
     kernels::mult_real_sve(n, x.data(), y.data(), z.data());
-    for (std::size_t i = 0; i < n; ++i) EXPECT_DOUBLE_EQ(z[i], x[i] * y[i]) << n << ":" << i;
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_DOUBLE_EQ(z[i], x[i] * y[i]) << n << ":" << i;
   }
 }
 

@@ -75,7 +75,8 @@ TEST_P(PredTest, ElementCounts) {
 
 TEST_P(PredTest, CntpCountsActive) {
   const svbool_t pg = svptrue_b64();
-  EXPECT_EQ(svcntp_b64(pg, svwhilelt_b64(0, 2)), std::min<std::uint64_t>(2, lanes<double>()));
+  EXPECT_EQ(svcntp_b64(pg, svwhilelt_b64(0, 2)),
+            std::min<std::uint64_t>(2, lanes<double>()));
   EXPECT_EQ(svcntp_b64(pg, svptrue_b64()), lanes<double>());
   EXPECT_EQ(svcntp_b64(pg, svpfalse_b()), 0u);
 }

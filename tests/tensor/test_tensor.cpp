@@ -13,7 +13,8 @@ using CMat3 = iMatrix<C, 3>;
 using CVec3 = iVector<C, 3>;
 
 C tv(int tag, int i, int j = 0) {
-  return {0.5 * ((tag * 7 + i * 3 + j) % 11) - 2.0, 0.25 * ((tag * 13 + i * 5 + j * 2) % 9) - 1.0};
+  return {0.5 * ((tag * 7 + i * 3 + j) % 11) - 2.0,
+          0.25 * ((tag * 13 + i * 5 + j * 2) % 9) - 1.0};
 }
 
 CMat3 make_mat(int tag) {
