@@ -17,6 +17,11 @@
 // unpreconditioned facade solve (drift here means a correctness bug, not
 // a perf one).
 //
+// A third section solves the same problem with kMixedCG x kSchurEvenOdd
+// (fp32 Schur solves inside a double defect correction) and reports its
+// instructions per solve, restarts and inner iterations; check_insns.py
+// gates the instruction count against bench/baseline.json.
+//
 // `--json` prints a machine-readable summary (consumed by CI artifacts
 // and bench/baseline.json) instead of the human tables; it includes the
 // SolverParams each section ran with.
@@ -142,6 +147,38 @@ SchurComparison run_schur_comparison(const PaddedBaseline& baseline) {
   c.ratio = c.half_insns_per_iter / c.padded_insns_per_iter;
   c.solution_delta = norm2(x_half - x_full) / norm2(x_full);
   return c;
+}
+
+/// Facade params of the mixed-precision section: the Schur section's,
+/// with kMixedCG.
+solver::SolverParams mixed_params() {
+  return schur_params().with_algorithm(solver::Algorithm::kMixedCG);
+}
+
+struct MixedRow {
+  unsigned vl;
+  double insns_per_solve;
+  int restarts;
+  int inner_iterations;
+  bool converged;
+};
+
+/// One kMixedCG x kSchurEvenOdd solve of the Schur section's problem.
+template <typename S>
+MixedRow run_mixed() {
+  sve::VLGuard vl(8 * S::vlb);
+  lattice::GridCartesian grid({4, 4, 4, 8},
+                              lattice::GridCartesian::default_simd_layout(S::Nsimd()));
+  qcd::GaugeField<S> gauge(&grid);
+  qcd::random_gauge(SiteRNG(2018), gauge);
+  qcd::LatticeFermion<S> b(&grid), x(&grid);
+  gaussian_fill(SiteRNG(6), b);
+  x.set_zero();
+  solver::WilsonSolver<S> mixed(gauge, 0.2, mixed_params());
+  sve::CounterScope scope;
+  const auto stats = mixed.solve(b, x);
+  return {static_cast<unsigned>(8 * S::vlb), static_cast<double>(scope.delta().total()),
+          stats.iterations, stats.inner_iterations, stats.converged};
 }
 
 // ===== multi-RHS block engine (WilsonSolver::solve_batched) ===============
@@ -428,6 +465,10 @@ int main(int argc, char** argv) {
       run_schur_comparison<simd::SimdComplex<double, simd::kVLB512, simd::SveFcmla>>(
           kPaddedBaseline[1]),
   };
+  const MixedRow mixed[] = {
+      run_mixed<simd::SimdComplex<double, simd::kVLB128, simd::SveFcmla>>(),
+      run_mixed<simd::SimdComplex<double, simd::kVLB512, simd::SveFcmla>>(),
+  };
   // Wall-clock stats of the sections above, captured BEFORE the multi-RHS
   // section resets the metrics registry for its own width measurements.
   const WallClockStats wall = capture_wall_clock();
@@ -450,6 +491,8 @@ int main(int argc, char** argv) {
     iters_match = iters_match && c.half_iterations == c.padded_iterations;
     solutions_agree = solutions_agree && c.solution_delta < 1e-12;
   }
+  bool mixed_converged = true;
+  for (const auto& r : mixed) mixed_converged = mixed_converged && r.converged;
   // Multi-RHS gates (deterministic; see the section comment): the byte
   // model's traffic amortization must hold the >= 1.5x the engine was
   // built for, every batched column must equal its single solve bitwise,
@@ -484,6 +527,16 @@ int main(int argc, char** argv) {
                   c.padded_iterations, c.half_iterations, c.solution_delta,
                   i + 1 < std::size(schur) ? "," : "");
     }
+    std::printf("  ],\n  \"mixed_params\": ");
+    print_params_json(mixed_params());
+    std::printf(",\n  \"mixed_schur\": [\n");
+    for (std::size_t i = 0; i < std::size(mixed); ++i) {
+      const auto& r = mixed[i];
+      std::printf("    {\"vl\": %u, \"insns_per_solve\": %.0f, \"restarts\": %d, "
+                  "\"inner_iterations\": %d, \"converged\": %s}%s\n",
+                  r.vl, r.insns_per_solve, r.restarts, r.inner_iterations,
+                  r.converged ? "true" : "false", i + 1 < std::size(mixed) ? "," : "");
+    }
     std::printf("  ],\n");
     std::printf(
         "  \"multi_rhs\": {\"lattice\": [12, 12, 12, 24], \"columns\": %d, "
@@ -499,15 +552,17 @@ int main(int argc, char** argv) {
                 "  \"schur_half_gate_055\": %s,\n"
                 "  \"schur_iterations_match_baseline\": %s,\n"
                 "  \"schur_solutions_agree\": %s,\n"
+                "  \"mixed_converged\": %s,\n"
                 "  \"multi_rhs_traffic_amortized\": %s,\n"
                 "  \"multi_rhs_columns_agree\": %s,\n"
                 "  \"multi_rhs_n1_bitwise\": %s\n}\n",
                 same_iters ? "true" : "false", ratio_gate ? "true" : "false",
                 iters_match ? "true" : "false", solutions_agree ? "true" : "false",
-                multi_traffic ? "true" : "false",
+                mixed_converged ? "true" : "false", multi_traffic ? "true" : "false",
                 multi_columns_agree ? "true" : "false",
                 multi.n1_bitwise ? "true" : "false");
-    return (same_iters && ratio_gate && iters_match && solutions_agree && multi_ok)
+    return (same_iters && ratio_gate && iters_match && solutions_agree &&
+            mixed_converged && multi_ok)
                ? 0
                : 1;
   }
@@ -535,6 +590,14 @@ int main(int argc, char** argv) {
               iters_match ? "yes" : "NO");
   std::printf("Schur and unpreconditioned solutions agree (< 1e-12): %s\n",
               solutions_agree ? "yes" : "NO");
+
+  std::printf("\n=== MixedCG x Schur: fp32 Schur solves in a double defect "
+              "correction ===\n\n");
+  std::printf("  %-6s %16s %9s %7s %10s\n", "VL", "insn/solve", "restarts", "inner",
+              "converged");
+  for (const auto& r : mixed)
+    std::printf("  %-6u %16.0f %9d %7d %10s\n", r.vl, r.insns_per_solve, r.restarts,
+                r.inner_iterations, r.converged ? "yes" : "NO");
 
   std::printf("\n=== multi-RHS block engine, 12^3 x 24, 12 columns, 8 fixed "
               "iterations ===\n\n");
@@ -566,7 +629,8 @@ int main(int argc, char** argv) {
   std::printf("\n=== wall clock (this machine; not a gate) ===\n\n%s",
               wall.report.c_str());
 
-  return (same_iters && ratio_gate && iters_match && solutions_agree && multi_ok)
+  return (same_iters && ratio_gate && iters_match && solutions_agree && mixed_converged &&
+          multi_ok)
              ? 0
              : 1;
 }

@@ -47,7 +47,8 @@ void report(benchmark::State& state, std::size_t elements_per_iter,
             const sve::InsnCounters& delta, std::size_t iters) {
   state.SetItemsProcessed(static_cast<std::int64_t>(elements_per_iter * iters));
   state.counters["insns/elem"] = benchmark::Counter(
-      static_cast<double>(delta.total()) / static_cast<double>(elements_per_iter * iters));
+      static_cast<double>(delta.total()) /
+      static_cast<double>(elements_per_iter * iters));
   state.counters["fcmla/elem"] = benchmark::Counter(
       static_cast<double>(delta[sve::InsnClass::kFCmla]) /
       static_cast<double>(elements_per_iter * iters));

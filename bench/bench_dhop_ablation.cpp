@@ -105,15 +105,16 @@ void bench_kernel_vla_whilelt(benchmark::State& state) {
 using D512F = simd::SimdComplex<double, simd::kVLB512, simd::SveFcmla>;
 using D256F = simd::SimdComplex<double, simd::kVLB256, simd::SveFcmla>;
 using D512G = simd::SimdComplex<double, simd::kVLB512, simd::Generic>;
+constexpr auto kMs = benchmark::kMillisecond;
 
 }  // namespace
 
-BENCHMARK(bench_dhop_stencil<D512F>)->Name("DhopStencil/fcmla/512")->Unit(benchmark::kMillisecond);
-BENCHMARK(bench_dhop_cshift<D512F>)->Name("DhopCshift/fcmla/512")->Unit(benchmark::kMillisecond);
-BENCHMARK(bench_dhop_stencil<D256F>)->Name("DhopStencil/fcmla/256")->Unit(benchmark::kMillisecond);
-BENCHMARK(bench_dhop_cshift<D256F>)->Name("DhopCshift/fcmla/256")->Unit(benchmark::kMillisecond);
-BENCHMARK(bench_dhop_stencil<D512G>)->Name("DhopStencil/generic/512")->Unit(benchmark::kMillisecond);
-BENCHMARK(bench_dhop_cshift<D512G>)->Name("DhopCshift/generic/512")->Unit(benchmark::kMillisecond);
+BENCHMARK(bench_dhop_stencil<D512F>)->Name("DhopStencil/fcmla/512")->Unit(kMs);
+BENCHMARK(bench_dhop_cshift<D512F>)->Name("DhopCshift/fcmla/512")->Unit(kMs);
+BENCHMARK(bench_dhop_stencil<D256F>)->Name("DhopStencil/fcmla/256")->Unit(kMs);
+BENCHMARK(bench_dhop_cshift<D256F>)->Name("DhopCshift/fcmla/256")->Unit(kMs);
+BENCHMARK(bench_dhop_stencil<D512G>)->Name("DhopStencil/generic/512")->Unit(kMs);
+BENCHMARK(bench_dhop_cshift<D512G>)->Name("DhopCshift/generic/512")->Unit(kMs);
 
 BENCHMARK(bench_kernel_fixed_ptrue)->Arg(128)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);
 BENCHMARK(bench_kernel_vla_whilelt)->Arg(128)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);

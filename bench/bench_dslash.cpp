@@ -42,7 +42,8 @@ void bench_dhop(benchmark::State& state) {
     ++iters;
   }
   const auto d = scope.delta();
-  const double sites = static_cast<double>(setup.grid.gsites()) * static_cast<double>(iters);
+  const double sites =
+      static_cast<double>(setup.grid.gsites()) * static_cast<double>(iters);
   state.counters["Mflop/s"] = benchmark::Counter(
       qcd::kDhopFlopsPerSite * sites / 1e6, benchmark::Counter::kIsRate);
   state.counters["insns/site"] =

@@ -113,7 +113,11 @@ void bench_fused_inner_product(benchmark::State& state) {
 
 BENCHMARK(bench_eager_chain)->Name("Axpy3/eager")->Unit(benchmark::kMillisecond);
 BENCHMARK(bench_fused_expr)->Name("Axpy3/fused-expr")->Unit(benchmark::kMillisecond);
-BENCHMARK(bench_eager_inner_product)->Name("InnerProd/eager")->Unit(benchmark::kMillisecond);
-BENCHMARK(bench_fused_inner_product)->Name("InnerProd/fused-expr")->Unit(benchmark::kMillisecond);
+BENCHMARK(bench_eager_inner_product)
+    ->Name("InnerProd/eager")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(bench_fused_inner_product)
+    ->Name("InnerProd/fused-expr")
+    ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

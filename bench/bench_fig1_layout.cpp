@@ -18,7 +18,8 @@ template <typename S>
 void analyze(const char* label) {
   sve::VLGuard vl(8 * S::vlb);
   const lattice::Coordinate dims{8, 8, 8, 16};
-  lattice::GridCartesian grid(dims, lattice::GridCartesian::default_simd_layout(S::Nsimd()));
+  lattice::GridCartesian grid(dims,
+                              lattice::GridCartesian::default_simd_layout(S::Nsimd()));
 
   std::printf("--- %s: Nsimd = %u virtual nodes ---\n", label, S::Nsimd());
   std::printf("  lattice      %s\n", lattice::to_string(grid.fdimensions()).c_str());
@@ -61,10 +62,12 @@ void analyze(const char* label) {
 
 int main() {
   std::printf("=== F1: Fig. 1 virtual-node decomposition, 8^3 x 16 sub-lattice ===\n\n");
-  analyze<simd::SimdComplex<double, simd::kVLB128, simd::SveFcmla>>("128-bit SVE (vComplexD)");
-  analyze<simd::SimdComplex<double, simd::kVLB256, simd::SveFcmla>>("256-bit SVE (vComplexD)");
-  analyze<simd::SimdComplex<double, simd::kVLB512, simd::SveFcmla>>("512-bit SVE (vComplexD)");
-  analyze<simd::SimdComplex<float, simd::kVLB512, simd::SveFcmla>>("512-bit SVE (vComplexF)");
+  using simd::SimdComplex;
+  using simd::SveFcmla;
+  analyze<SimdComplex<double, simd::kVLB128, SveFcmla>>("128-bit SVE (vComplexD)");
+  analyze<SimdComplex<double, simd::kVLB256, SveFcmla>>("256-bit SVE (vComplexD)");
+  analyze<SimdComplex<double, simd::kVLB512, SveFcmla>>("512-bit SVE (vComplexD)");
+  analyze<SimdComplex<float, simd::kVLB512, SveFcmla>>("512-bit SVE (vComplexF)");
   std::printf("Neighbouring sites always live in different vectors (or reach across a\n"
               "block boundary via one stored permutation) -- the Fig. 1 property that\n"
               "makes the hopping term permute-free in the bulk.\n");

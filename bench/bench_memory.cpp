@@ -114,8 +114,12 @@ void bench_memcpy_baseline(benchmark::State& state) {
 
 BENCHMARK(bench_copy)->Name("Memory/copy")->Unit(benchmark::kMicrosecond);
 BENCHMARK(bench_stream_copy)->Name("Memory/stream-copy")->Unit(benchmark::kMicrosecond);
-BENCHMARK(bench_prefetch_copy)->Name("Memory/prefetch-copy")->Unit(benchmark::kMicrosecond);
+BENCHMARK(bench_prefetch_copy)
+    ->Name("Memory/prefetch-copy")
+    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(bench_splat)->Name("Memory/splat")->Unit(benchmark::kMicrosecond);
-BENCHMARK(bench_memcpy_baseline)->Name("Memory/memcpy-baseline")->Unit(benchmark::kMicrosecond);
+BENCHMARK(bench_memcpy_baseline)
+    ->Name("Memory/memcpy-baseline")
+    ->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

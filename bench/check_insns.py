@@ -13,7 +13,9 @@ The run's kind is read from its JSON: bench_cg's output carries
 output.  Every baseline row in bench/baseline.json (next to this script) must
 appear in the run, and its count must not be higher than the baseline's:
 insns/site for each "bench_dslash" row, half_insns_per_iter (the Schur CG's
-instructions per iteration) for each vl of "bench_cg.schur_half_vs_padded".
+instructions per iteration) for each vl of "bench_cg.schur_half_vs_padded",
+and insns_per_solve (one MixedCG x Schur solve) for each vl of
+"bench_cg.mixed_schur".
 The counters are simulated SVE instruction counts, deterministic for a given
 source tree, so any increase is a real regression.  A decrease passes and is
 reported, as a reminder to lower the baseline.
@@ -24,18 +26,23 @@ from pathlib import Path
 
 
 def dslash_rows(run, baseline):
-    """(name, measured, baseline) per bench_dslash baseline row."""
+    """(name, measured, baseline, unit) per bench_dslash baseline row."""
     measured = {b["name"]: b["insns/site"] for b in run["benchmarks"]}
-    return "insns/site", [(row["name"], measured.get(row["name"]), row["insns/site"])
-                          for row in baseline["bench_dslash"]]
+    return [(row["name"], measured.get(row["name"]), row["insns/site"], "insns/site")
+            for row in baseline["bench_dslash"]]
 
 
 def cg_rows(run, baseline):
-    """(name, measured, baseline) per bench_cg Schur row, keyed by vl."""
-    measured = {r["vl"]: r["half_insns_per_iter"] for r in run["schur_half_vs_padded"]}
-    return "insns/iter", [(f"bench_cg schur vl{row['vl']}", measured.get(row["vl"]),
-                           row["half_insns_per_iter"])
-                          for row in baseline["bench_cg"]["schur_half_vs_padded"]]
+    """(name, measured, baseline, unit) per bench_cg Schur and MixedCG row, by vl."""
+    checks = []
+    for section, key, label, unit in (
+            ("schur_half_vs_padded", "half_insns_per_iter", "schur", "insns/iter"),
+            ("mixed_schur", "insns_per_solve", "mixed", "insns/solve")):
+        measured = {r["vl"]: r[key] for r in run.get(section, [])}
+        checks += [(f"bench_cg {label} vl{row['vl']}", measured.get(row["vl"]), row[key],
+                    unit)
+                   for row in baseline["bench_cg"][section]]
+    return checks
 
 
 def main(argv):
@@ -46,9 +53,8 @@ def main(argv):
     run = json.loads(path.read_text())
     baseline = json.loads(baseline_path.read_text())
     rows = cg_rows if run.get("benchmark") == "bench_cg" else dslash_rows
-    unit, checks = rows(run, baseline)
     failures = []
-    for name, got, want in checks:
+    for name, got, want, unit in rows(run, baseline):
         if got is None:
             failures.append(f"{name}: missing from {path}")
             continue

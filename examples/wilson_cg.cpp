@@ -5,7 +5,7 @@
 // Usage: ./examples/wilson_cg [L] [T] [mass] [tol] [vl_bits] [alg] [precond]
 //   defaults:                  4   8   0.2    1e-8  512       cg    schur
 //   alg:     cg | bicgstab | mixed
-//   precond: schur | none
+//   precond: schur | none  (mixed runs only with schur)
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -62,6 +62,10 @@ int run(int L, int T, double mass, const solver::SolverParams& params) {
   return stats.converged ? 0 : 1;
 }
 
+constexpr const char* kUsage =
+    "usage: wilson_cg [L] [T] [mass] [tol] [vl_bits] [cg|bicgstab|mixed] [schur|none]"
+    " (mixed runs only with schur)\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -95,6 +99,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "precond must be schur or none\n");
       return 2;
     }
+  }
+  if (params.algorithm == solver::Algorithm::kMixedCG &&
+      params.preconditioner == solver::Preconditioner::kNone) {
+    std::fputs(kUsage, stderr);
+    return 2;
   }
 
   svelat::sve::set_vector_length(vl);

@@ -91,6 +91,10 @@ class BlockLattice {
     return data_.data() + static_cast<std::size_t>(o) * N;
   }
 
+  /// A width-1 block field indexes like a Lattice: site o's one column.
+  vobj& operator[](std::int64_t o) requires(N == 1) { return at(o, 0); }
+  const vobj& operator[](std::int64_t o) const requires(N == 1) { return at(o, 0); }
+
   vobj& at(std::int64_t o, int j) {
     return data_[static_cast<std::size_t>(o) * N + static_cast<std::size_t>(j)];
   }
@@ -136,6 +140,17 @@ void block_sub(BlockLattice<vobj, N, GridT>& r, const BlockLattice<vobj, N, Grid
     const vobj* ys = y.site(o);
     vobj* rs = r.site(o);
     for (int j = 0; j < N; ++j) rs[j] = xs[j] - ys[j];
+  });
+}
+
+/// x_j += y_j for every column (block analogue of Lattice::operator+=).
+template <class vobj, int N, class GridT>
+void block_add(BlockLattice<vobj, N, GridT>& x, const BlockLattice<vobj, N, GridT>& y) {
+  x.check_same(y);
+  thread_for(x.osites(), [&](std::int64_t o) {
+    const vobj* ys = y.site(o);
+    vobj* xs = x.site(o);
+    for (int j = 0; j < N; ++j) xs[j] += ys[j];
   });
 }
 

@@ -128,6 +128,12 @@ inline MeasurementJob decode_job(const std::vector<std::uint8_t>& in,
                       " holds an out-of-range enum or source component");
   job.algorithm = static_cast<solver::Algorithm>(alg);
   job.preconditioner = static_cast<solver::Preconditioner>(pre);
+  // The solver aborts on this combination: the job would kill every worker
+  // it is requeued onto.
+  if (job.algorithm == solver::Algorithm::kMixedCG &&
+      job.preconditioner == solver::Preconditioner::kNone)
+    throw IoError(IoErrorCode::kCorruptPayload,
+                  "job record " + std::to_string(job.job_id) + " is kMixedCG x kNone");
   return job;
 }
 

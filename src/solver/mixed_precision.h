@@ -7,49 +7,46 @@
 // SVE the payoff is architectural: fp32 doubles the lanes per vector,
 // halving instructions per site (cf. bench_dslash 512f).
 //
-// The defect-correction driver itself lives in the WilsonSolver facade
-// (solver/solver.h, Algorithm::kMixedCG); this header provides the
-// layout-safe field conversion it is built on.
+// kMixedCG's defect correction (the Schur engine of solver/solver.h)
+// converts its residual and correction half pieces with convert_field, and
+// the facade its fp32 copy of the gauge field.
 #pragma once
 
-#include "lattice/lattice.h"
+#include "lattice/block.h"
 #include "support/assert.h"
-#include "tensor/tensor.h"
 
 namespace svelat::solver {
 
-/// Convert any lattice field between scalar precisions through global
-/// coordinates (layout-safe for differing Nsimd / simd_layout).
-/// Writes into a caller-owned destination and allocates nothing, so the
-/// defect-correction loop stays on the allocation-free hot path when its
-/// scratch fields come from the facade's SolverWorkspace pools.
-template <class VDst, class VSrc>
-void convert_field(lattice::Lattice<VDst>& dst, const lattice::Lattice<VSrc>& src) {
-  using dst_sobj = typename lattice::Lattice<VDst>::scalar_object;
-  using src_sobj = typename lattice::Lattice<VSrc>::scalar_object;
-  using DstC = tensor::scalar_element_t<dst_sobj>;
-  using SrcC = tensor::scalar_element_t<src_sobj>;
-  using DstR = typename DstC::value_type;
-  constexpr std::size_t ncomp = sizeof(src_sobj) / sizeof(SrcC);
-  static_assert(sizeof(dst_sobj) / sizeof(DstC) == ncomp,
+/// Convert a field between scalar precisions through global coordinates,
+/// so the two fields may have different SIMD layouts.  Both are lattice
+/// fields, or both width-1 block fields of one parity (indexed alike).
+/// Writes into a caller-owned destination and allocates nothing.
+template <class Dst, class Src>
+void convert_field(Dst& dst, const Src& src) {
+  using DstC = typename Dst::simd_type;
+  using SrcC = typename Src::simd_type;
+  using DstR = typename DstC::scalar_type::value_type;
+  constexpr std::size_t ncomp = sizeof(typename Src::vector_object) / sizeof(SrcC);
+  static_assert(sizeof(typename Dst::vector_object) / sizeof(DstC) == ncomp,
                 "fields must have the same tensor structure");
 
-  const lattice::GridCartesian* sg = src.grid();
-  SVELAT_ASSERT_MSG(sg->fdimensions() == dst.grid()->fdimensions(),
+  const auto* sg = src.grid();
+  const auto* dg = dst.grid();
+  SVELAT_ASSERT_MSG(sg->fdimensions() == dg->fdimensions(),
                     "precision conversion requires identical lattice extents");
   // Threaded over *source* outer sites: every global coordinate maps to a
-  // unique (site, lane) slot in dst, and lane pokes touch disjoint bytes,
+  // unique (site, lane) slot in dst, and lane writes touch disjoint bytes,
   // so cross-layout conversion is race-free.
   thread_for(sg->osites(), [&](std::int64_t o) {
+    const SrcC* in = reinterpret_cast<const SrcC*>(&src[o]);
     for (unsigned l = 0; l < sg->isites(); ++l) {
       const lattice::Coordinate x = sg->global_coor(o, l);
-      const src_sobj s = src.peek(x);
-      dst_sobj d;
-      const SrcC* in = reinterpret_cast<const SrcC*>(&s);
-      DstC* out = reinterpret_cast<DstC*>(&d);
-      for (std::size_t k = 0; k < ncomp; ++k)
-        out[k] = DstC(static_cast<DstR>(in[k].real()), static_cast<DstR>(in[k].imag()));
-      dst.poke(x, d);
+      DstC* out = reinterpret_cast<DstC*>(&dst[dg->outer_index(x)]);
+      const unsigned lane = dg->inner_index(x);
+      for (std::size_t k = 0; k < ncomp; ++k) {
+        const auto c = in[k].lane(l);
+        out[k].set_lane(lane, {static_cast<DstR>(c.real()), static_cast<DstR>(c.imag())});
+      }
     }
   });
 }

@@ -20,7 +20,8 @@ namespace svelat::solver {
 enum class Algorithm {
   kCG,        ///< CG on the normal equations (hermitian positive definite)
   kBiCGSTAB,  ///< BiCGSTAB directly on the non-hermitian system
-  kMixedCG,   ///< double-precision defect correction around a single-precision CG
+  kMixedCG,   ///< double-precision defect correction around a single-precision
+              ///< CG (kSchurEvenOdd only)
 };
 
 /// Operator formulation the algorithm runs on.
@@ -104,21 +105,15 @@ struct StallGuard {
 /// configuration: Schur-preconditioned CG on true half-checkerboard
 /// fields (the path measured at 13.4% of the zero-padded instruction
 /// count per iteration, bench_cg at VL 128), solved to |r|/|b| <= 1e-9.
-///
-/// The mixed-precision fields reproduce the tuning the defect-correction
-/// solver shipped with (inner single-precision Schur CG to 1e-4, at most
-/// 400 inner iterations per restart, at most 24 outer restarts); they are
-/// ignored by the direct algorithms.
+/// kMixedCG has no knobs of its own: its inner target and restart cap are
+/// WilsonSolver's kMixedInnerTolerance and kMixedMaxRestarts.
 struct SolverParams {
   Algorithm algorithm = Algorithm::kCG;
   Preconditioner preconditioner = Preconditioner::kSchurEvenOdd;
   double tolerance = 1e-9;   ///< target |r|/|b| of the full system
-  int max_iterations = 1000; ///< outer iteration cap (CG/BiCGSTAB)
-
-  // Mixed-precision (Algorithm::kMixedCG) knobs.
-  double inner_tolerance = 1e-4;  ///< single-precision inner CG target
-  int inner_max_iterations = 400; ///< inner iteration cap per restart
-  int max_restarts = 24;          ///< outer defect-correction restart cap
+  int max_iterations = 1000; ///< iteration cap of each Krylov solve: the
+                             ///< CG/BiCGSTAB solve, or each fp32 inner
+                             ///< solve of kMixedCG
 
   // Graceful degradation (all OFF by default; docs/FAULTS.md).
   FallbackPolicy fallback = FallbackPolicy::kNone;
@@ -139,12 +134,6 @@ struct SolverParams {
   }
   SolverParams& with_tolerance(double t) { tolerance = t; return *this; }
   SolverParams& with_max_iterations(int n) { max_iterations = n; return *this; }
-  SolverParams& with_inner_tolerance(double t) { inner_tolerance = t; return *this; }
-  SolverParams& with_inner_max_iterations(int n) {
-    inner_max_iterations = n;
-    return *this;
-  }
-  SolverParams& with_max_restarts(int n) { max_restarts = n; return *this; }
   SolverParams& with_fallback(FallbackPolicy p) { fallback = p; return *this; }
   SolverParams& with_stall_window(int n) { stall_window = n; return *this; }
   SolverParams& with_divergence_factor(double f) {

@@ -10,8 +10,9 @@
 //   kCG       x kSchurEvenOdd  CG on Mhat^dag Mhat, half-volume fields
 //   kBiCGSTAB x kNone          BiCGSTAB directly on M
 //   kBiCGSTAB x kSchurEvenOdd  BiCGSTAB directly on Mhat, half-volume
-//   kMixedCG  x kNone          double defect correction, fp32 inner CG on M
-//   kMixedCG  x kSchurEvenOdd  double defect correction, fp32 inner Schur CG
+//   kMixedCG  x kSchurEvenOdd  double defect correction, fp32 Schur CG inside
+//
+// kMixedCG x kNone is rejected at construction.
 //
 // Every Schur solve runs one engine, SchurEngine below: the block operator
 // of qcd/block.h, the Schur driver and the block CG of solver/block_cg.h,
@@ -26,12 +27,12 @@
 // stall); the caller that knows the user's system computes the true
 // residual -- the Schur driver, or solve_wilson / solve_wilson_bicgstab
 // on the kNone paths -- and the facade sets the solution norm.  kMixedCG's
-// inner fp32 Schur solve reports its verdict only: the outer loop
-// recomputes the true residual in double precision.
+// defect correction re-forms the true residual in double precision after
+// every restart, and its verdict is that residual against the target.
 //
 // Construction pays the expensive setup once -- Schur operator data
 // (half grids, stencil tables, double-stored gauge), kMixedCG's fp32
-// operator -- and each Schur engine is built on the first solve of its
+// copy of it -- and each Schur engine is built on the first solve of its
 // width, so repeated solves against the same configuration (the 12
 // spin-colour columns of a propagator) only pay iterations.
 //
@@ -84,41 +85,31 @@ class WilsonSolver {
   /// Inner scalar of Algorithm::kMixedCG: same VL and backend, fp32 lanes.
   using InnerScalar = detail::rebind_real_t<S, float>;
 
+  /// kMixedCG's fixed tuning: the target of each restart's fp32 solve
+  /// (capped at params.max_iterations iterations), and the restart cap.
+  static constexpr double kMixedInnerTolerance = 1e-4;
+  static constexpr int kMixedMaxRestarts = 24;
+
   WilsonSolver(const qcd::GaugeField<S>& gauge, double mass, SolverParams params = {})
       : gauge_(&gauge), mass_(mass), params_(params) {
-    switch (params_.algorithm) {
-      case Algorithm::kCG:
-      case Algorithm::kBiCGSTAB:
-        if (schur()) {
-          eo_.emplace(*gauge_, mass_);
-        } else {
-          dirac_.emplace(*gauge_, mass_);
-        }
-        break;
-      case Algorithm::kMixedCG: {
-        SVELAT_ASSERT_MSG((std::is_same_v<typename S::real_type, double>),
-                          "MixedCG needs a double-precision outer scalar");
-        dirac_.emplace(*gauge_, mass_);  // outer defect-correction operator
-        grid_f_.emplace(
-            gauge_->grid()->fdimensions(),
-            lattice::GridCartesian::default_simd_layout(InnerScalar::Nsimd()));
-        // The fp32 operators copy the links they read, so the converted
-        // configuration lives only while they are built.
-        qcd::GaugeField<InnerScalar> gauge_f(&*grid_f_);
-        for (int mu = 0; mu < lattice::Nd; ++mu)
-          convert_field(gauge_f.U[mu], gauge_->U[mu]);
-        if (schur()) {
-          eo_f_.emplace(gauge_f, mass_);
-        } else {
-          dirac_f_.emplace(gauge_f, mass_);
-        }
-        r_.emplace(gauge_->grid());
-        mx_.emplace(gauge_->grid());
-        e_d_.emplace(gauge_->grid());
-        r_f_.emplace(&*grid_f_);
-        e_f_.emplace(&*grid_f_);
-        break;
-      }
+    if (!schur()) {
+      SVELAT_ASSERT_MSG(params_.algorithm != Algorithm::kMixedCG,
+                        "kMixedCG runs the Schur engine: kNone is not supported");
+      dirac_.emplace(*gauge_, mass_);
+      return;
+    }
+    eo_.emplace(*gauge_, mass_);
+    if (params_.algorithm == Algorithm::kMixedCG) {
+      SVELAT_ASSERT_MSG((std::is_same_v<typename S::real_type, double>),
+                        "MixedCG needs a double-precision outer scalar");
+      grid_f_.emplace(gauge_->grid()->fdimensions(),
+                      lattice::GridCartesian::default_simd_layout(InnerScalar::Nsimd()));
+      // The fp32 Schur data copies the links it reads, so the converted
+      // configuration lives only while it is built.
+      qcd::GaugeField<InnerScalar> gauge_f(&*grid_f_);
+      for (int mu = 0; mu < lattice::Nd; ++mu)
+        convert_field(gauge_f.U[mu], gauge_->U[mu]);
+      eo_f_.emplace(gauge_f, mass_);
     }
   }
 
@@ -270,15 +261,16 @@ class WilsonSolver {
     }
     switch (algorithm) {
       case Algorithm::kCG:
-        res = schur() ? engine(single_, schur_data()).cg(b, x, tol, max_it, guard)
+        res = schur() ? engine(single_, *eo_).cg(b, x, tol, max_it, guard)
                       : solve_wilson(*dirac_, b, x, tol, max_it, guard, &kws_);
         break;
       case Algorithm::kBiCGSTAB:
-        res = schur() ? engine(single_, schur_data()).bicgstab(b, x, tol, max_it, guard)
+        res = schur() ? engine(single_, *eo_).bicgstab(b, x, tol, max_it, guard)
                       : solve_wilson_bicgstab(*dirac_, b, x, tol, max_it, guard, &kws_);
         break;
       case Algorithm::kMixedCG:
-        res = mixed(b, x, guard);
+        res = engine(single_, *eo_).defect_correction(b, x, engine(single_f_, *eo_f_),
+                                                      tol, max_it, guard);
         break;
     }
     return res;
@@ -289,9 +281,8 @@ class WilsonSolver {
   /// equations -- slower per iteration, but positive definite, so free of
   /// BiCGSTAB's zero denominators (StallReason::kBreakdown) and of the
   /// fp32 precision floor).  The fallback runs attempt() on this solver's
-  /// own operators and engines (only kMixedCG x kSchurEvenOdd builds its
-  /// double-precision Schur data here, on first use), with guards off,
-  /// from a zero guess, and its result carries the degradation report.
+  /// own operators and engines, with guards off, from a zero guess, and
+  /// its result carries the degradation report.
   /// The facade-level "solve" metrics region, wall clock and summary log
   /// belong to the caller, which finishes assembling the result (combined
   /// wall_seconds) before anything is logged.
@@ -311,24 +302,13 @@ class WilsonSolver {
     return res;
   }
 
-  /// The double-precision Schur data, built on first use by a kMixedCG
-  /// solver's fallback (kCG and kBiCGSTAB build it at construction).
-  const qcd::SchurEvenOddWilson<S>& schur_data() {
-    if (!eo_) eo_.emplace(*gauge_, mass_);
-    return *eo_;
-  }
-
-  /// What a Schur solve reports besides the Krylov verdict: each column's
-  /// full-system true residual and |b| (step 4 of the Schur solve), or nothing
-  /// more, for a caller that recomputes its own residual (kMixedCG's inner
-  /// fp32 solve).
-  enum class Report { kTrueResidual, kVerdictOnly };
-
   /// The one owner of an N-wide Schur solve over scalar T: the block
   /// operator view over its hop provider (the single-rank Schur data or a
   /// rank's distributed operator), the driver's half-field scratch and the
   /// Krylov work-field pool.  Built on the first solve of its width and
-  /// reused ever after: a warm solve constructs no fields.
+  /// reused ever after: a warm solve constructs no fields.  Every solve
+  /// runs the driver's seams: load b's parity pieces, steps 1-3 from them,
+  /// store x, and step 4's full-system residual pieces.
   template <class T, int N, class Hops = qcd::SchurEvenOddWilson<T>>
   class SchurEngine {
    public:
@@ -341,22 +321,20 @@ class WilsonSolver {
     /// M x_j = b_j for N columns: CG on the normal equations
     /// Mhat^dag Mhat x_e = Mhat^dag b'_e.
     Results cg(std::span<const Fermion, N> b, std::span<Fermion, N> x, double tolerance,
-               int max_iterations, StallGuard guard,
-               Report report = Report::kTrueResidual) {
-      return solve(b, x, report, [&](const HalfBlock& b_prime, HalfBlock& x_e) {
-        HalfBlock& rhs = krylov_.get(SolverWorkspace<HalfBlock>::kRhs, eo_.even_grid());
-        eo_.mhat_dag(b_prime, rhs);
-        return block_conjugate_gradient(eo_, krylov_, rhs, x_e, tolerance, max_iterations,
-                                        guard);
-      });
+               int max_iterations, StallGuard guard) {
+      load(b);
+      Results stats = cg_steps(tolerance, max_iterations, guard);
+      store(x);
+      report_true_residuals(stats);
+      return stats;
     }
 
     /// The same for one column.
     SolverResult cg(const Fermion& b, Fermion& x, double tolerance, int max_iterations,
-                    StallGuard guard, Report report = Report::kTrueResidual)
+                    StallGuard guard)
       requires(N == 1)
     {
-      return cg(column(b), column(x), tolerance, max_iterations, guard, report)[0];
+      return cg(column(b), column(x), tolerance, max_iterations, guard)[0];
     }
 
     /// M x = b for one column with BiCGSTAB: Mhat is not hermitian, so it
@@ -366,90 +344,164 @@ class WilsonSolver {
       requires(N == 1)
     {
       const auto op = [this](const HalfBlock& in, HalfBlock& out) { eo_.mhat(in, out); };
-      return solve(column(b), column(x), Report::kTrueResidual,
-                   [&](const HalfBlock& b_prime, HalfBlock& x_e) {
-                     return Results{solver::bicgstab(op, b_prime, x_e, tolerance,
-                                                     max_iterations, guard, &krylov_,
-                                                     InitialGuess::kZero)};
-                   })[0];
+      load(column(b));
+      Results stats = steps([&](const HalfBlock& b_prime, HalfBlock& x_e) {
+        return Results{solver::bicgstab(op, b_prime, x_e, tolerance, max_iterations,
+                                        guard, &krylov_, InitialGuess::kZero)};
+      });
+      store(column(x));
+      report_true_residuals(stats);
+      return stats[0];
+    }
+
+    /// M x = b for one column by kMixedCG's defect correction: b, x (from
+    /// zero) and the full-system residual r are this engine's half pieces.
+    /// Each restart runs `inner`'s (fp32) steps 1-3 on r, adds the
+    /// correction to x and re-forms r with two parity sweeps.
+    template <class Inner>
+    SolverResult defect_correction(const Fermion& b, Fermion& x, Inner& inner,
+                                   double tolerance, int max_iterations, StallGuard guard)
+      requires(N == 1)
+    {
+      load(column(b));
+      const double b2 = norm2(b_e_) + norm2(b_o_);
+      SVELAT_ASSERT_MSG(b2 > 0.0, "mixed CG needs a non-zero right-hand side");
+      SolverResult stats;
+      stats.rhs_norm = std::sqrt(b2);
+      x_e_.set_zero();  // x = 0, so r = b
+      x_o_.set_zero();
+      lattice::block_copy(tmp_e_, b_e_);
+      lattice::block_copy(tmp_o_, b_o_);
+      double rel = 1.0;
+      stats.residual_history.push_back(rel);
+      while (rel > tolerance && stats.iterations < kMixedMaxRestarts) {
+        // A restart that stops improving r is a stall worth cutting short.
+        if ((stats.stall = guard.check(rel)) != StallReason::kNone) break;
+        convert_field(inner.b_e_, tmp_e_);
+        convert_field(inner.b_o_, tmp_o_);
+        stats.inner_iterations +=
+            inner.cg_steps(kMixedInnerTolerance, max_iterations, {})[0].iterations;
+        convert_field(tmp_e_, inner.x_e_);
+        convert_field(tmp_o_, inner.x_o_);
+        lattice::block_add(x_e_, tmp_e_);
+        lattice::block_add(x_o_, tmp_o_);
+        eo_.dhop_oe(x_e_, tmp_o_);
+        rel = std::sqrt(residual(/*minus_mx=*/true)[0] / b2);
+        stats.residual_history.push_back(rel);
+        ++stats.iterations;
+      }
+      stats.final_residual = rel;
+      stats.true_residual = rel;
+      stats.converged = rel <= tolerance;
+      store(column(x));
+      return stats;
     }
 
    private:
+    template <class, int, class>
+    friend class SchurEngine;  // kMixedCG's double engine fills the fp32 one
+
     template <class F>
     static std::span<F, 1> column(F& f) { return std::span<F, 1>(&f, 1); }
 
-    /// The driver: the Schur solve of N right-hand sides b[j] into x[j],
-    /// on half-volume fields only.  `krylov_solve` solves Mhat x_e = b'_e
-    /// from the zero x_e it is handed; the driver computes the one
-    /// full-system true residual per column unless `report` says not to.
-    /// Every shared coefficient is column-independent and every
-    /// per-column reduction follows the single-column tree, so column j's
-    /// numbers are bitwise the N = 1 solve's.
-    template <class KrylovSolve>
-    Results solve(std::span<const Fermion, N> b, std::span<Fermion, N> x, Report report,
-                  const KrylovSolve& krylov_solve) {
-      using lattice::block_axpy;
-      using lattice::block_norm2;
-      const double d = eo_.diag();
-
+    /// Loads the parity pieces of the right-hand sides.
+    void load(std::span<const Fermion, N> b) {
       for (int j = 0; j < N; ++j) {
         const Fermion& bj = b[static_cast<std::size_t>(j)];
         lattice::pick_checkerboard(bj, b_e_, j);
         lattice::pick_checkerboard(bj, b_o_, j);
       }
+    }
+
+    /// Steps 1-3 of the Schur solve of the loaded pieces, on
+    /// half-volume fields only.  `krylov_solve` solves Mhat x_e = b'_e
+    /// from the zero x_e it is handed.  Every shared coefficient is
+    /// column-independent and every per-column reduction follows the
+    /// single-column tree, so column j's numbers are bitwise the N = 1
+    /// solve's.
+    template <class KrylovSolve>
+    Results steps(const KrylovSolve& krylov_solve) {
+      const double d = eo_.diag();
 
       // 1. b'_e = b_e + (1/(2(4+m))) Dh_eo b_o     (Meo = -Dh_eo/2)
       eo_.dhop_eo(b_o_, tmp_e_);
-      block_axpy(b_prime_, 0.5 / d, tmp_e_, b_e_);
+      lattice::block_axpy(b_prime_, 0.5 / d, tmp_e_, b_e_);
 
       // 2. Solve Mhat x_e = b'_e on the even half lattice from zero.
       x_e_.set_zero();
       Results stats = krylov_solve(b_prime_, x_e_);
 
       // 3. x_o = (b_o + (1/2) Dh_oe x_e) / (4+m).  tmp_o keeps Dh_oe x_e
-      //    for the odd residual below.
+      //    for the odd residual of step 4.
       eo_.dhop_oe(x_e_, tmp_o_);
-      block_axpy(x_o_, 0.5, tmp_o_, b_o_);
+      lattice::block_axpy(x_o_, 0.5, tmp_o_, b_o_);
       const T c{typename T::scalar_type(1.0 / d, 0.0)};
       thread_for(x_o_.osites(), [&](std::int64_t h) {
         qcd::SpinColourVector<T>* xs = x_o_.site(h);
         for (int j = 0; j < N; ++j) xs[j] = c * xs[j];
       });
+      return stats;
+    }
 
+    /// Steps 1-3 with CG on the normal equations.
+    Results cg_steps(double tolerance, int max_iterations, StallGuard guard) {
+      return steps([&](const HalfBlock& b_prime, HalfBlock& x_e) {
+        HalfBlock& rhs = krylov_.get(SolverWorkspace<HalfBlock>::kRhs, eo_.even_grid());
+        eo_.mhat_dag(b_prime, rhs);
+        return block_conjugate_gradient(eo_, krylov_, rhs, x_e, tolerance, max_iterations,
+                                        guard);
+      });
+    }
+
+    /// Stores the solution pieces into both parities of x.
+    void store(std::span<Fermion, N> x) const {
       for (int j = 0; j < N; ++j) {
         Fermion& xj = x[static_cast<std::size_t>(j)];
         lattice::set_checkerboard(xj, x_e_, j);
         lattice::set_checkerboard(xj, x_o_, j);
       }
-      if (report == Report::kVerdictOnly) return stats;
+    }
 
-      // 4. Per-column true residual of the full system, from half pieces:
-      //    r_p = b_p - (4+m) x_p + (1/2) Dh_{p,1-p} x_{1-p}, formed in
-      //    place over the hop result in tmp_p.
+    /// Step 4: the full-system residual pieces and each column's
+    /// |r|^2, formed in place over the hop result in tmp_p (tmp_o must hold
+    /// Dh_oe x_e): r_p = b_p - (4+m) x_p + (1/2) Dh_{p,1-p} x_{1-p}.  With
+    /// `minus_mx` it is rounded as b - M x, with M x formed as
+    /// qcd::WilsonDirac::m forms it: kMixedCG's corrections are then bitwise
+    /// those of a defect correction on the full-lattice operator.
+    std::array<double, N> residual(bool minus_mx = false) {
       eo_.dhop_eo(x_o_, tmp_e_);
-      const T md(typename T::scalar_type(-d, 0.0));
-      const T half_c(typename T::scalar_type(0.5, 0.0));
-      const auto residual = [&](const HalfBlock& bp, const HalfBlock& xp, HalfBlock& rp) {
+      const double sign = minus_mx ? -1.0 : 1.0;
+      const T xc(typename T::scalar_type(-sign * eo_.diag(), 0.0));
+      const T hc(typename T::scalar_type(sign * 0.5, 0.0));
+      const auto form = [&](const HalfBlock& bp, const HalfBlock& xp, HalfBlock& rp) {
         thread_for(rp.osites(), [&](std::int64_t h) {
           const qcd::SpinColourVector<T>* bs = bp.site(h);
           const qcd::SpinColourVector<T>* xs = xp.site(h);
           qcd::SpinColourVector<T>* rs = rp.site(h);
-          for (int j = 0; j < N; ++j) rs[j] = bs[j] + md * xs[j] + half_c * rs[j];
+          for (int j = 0; j < N; ++j)
+            rs[j] = minus_mx ? bs[j] - (xc * xs[j] + hc * rs[j])
+                             : bs[j] + xc * xs[j] + hc * rs[j];
         });
       };
-      residual(b_e_, x_e_, tmp_e_);
-      residual(b_o_, x_o_, tmp_o_);
-      const std::array<double, N> be2 = block_norm2(b_e_);
-      const std::array<double, N> bo2 = block_norm2(b_o_);
-      const std::array<double, N> re2 = block_norm2(tmp_e_);
-      const std::array<double, N> ro2 = block_norm2(tmp_o_);
-      for (int j = 0; j < N; ++j) {
-        const auto u = static_cast<std::size_t>(j);
+      form(b_e_, x_e_, tmp_e_);
+      form(b_o_, x_o_, tmp_o_);
+      const std::array<double, N> re2 = lattice::block_norm2(tmp_e_);
+      const std::array<double, N> ro2 = lattice::block_norm2(tmp_o_);
+      std::array<double, N> r2;
+      for (std::size_t u = 0; u < N; ++u) r2[u] = re2[u] + ro2[u];
+      return r2;
+    }
+
+    /// Each column's true residual and |b|.
+    void report_true_residuals(Results& stats) {
+      const std::array<double, N> r2 = residual();
+      const std::array<double, N> be2 = lattice::block_norm2(b_e_);
+      const std::array<double, N> bo2 = lattice::block_norm2(b_o_);
+      for (std::size_t u = 0; u < N; ++u) {
         const double b2 = be2[u] + bo2[u];
-        stats[u].true_residual = std::sqrt((re2[u] + ro2[u]) / b2);
+        stats[u].true_residual = std::sqrt(r2[u] / b2);
         stats[u].rhs_norm = std::sqrt(b2);
       }
-      return stats;
     }
 
     qcd::BlockSchurEvenOddWilson<T, N, Hops> eo_;
@@ -502,66 +554,6 @@ class WilsonSolver {
     }
   }
 
-  /// Mixed-precision defect correction: an outer double-precision residual
-  /// loop wrapping an inner single-precision solve of M e = r on the
-  /// converted gauge field.  params_.max_restarts caps the outer cycles;
-  /// params_.inner_tolerance / inner_max_iterations tune the inner CG.
-  SolverResult mixed(const Fermion& b, Fermion& x, StallGuard guard = {}) {
-    SolverResult stats;
-    const double b2 = norm2(b);
-    SVELAT_ASSERT_MSG(b2 > 0.0, "mixed CG needs a non-zero right-hand side");
-    stats.rhs_norm = std::sqrt(b2);
-
-    Fermion &r = *r_, &mx = *mx_, &e_d = *e_d_;
-    qcd::LatticeFermion<InnerScalar> &r_f = *r_f_, &e_f = *e_f_;
-
-    dirac_->m(x, mx);
-    sub(r, b, mx);
-    double rel = std::sqrt(norm2(r) / b2);
-    stats.residual_history.push_back(rel);
-
-    while (rel > params_.tolerance && stats.iterations < params_.max_restarts) {
-      // The guard watches the OUTER (true double-precision) residual: a
-      // defect-correction cycle that stops improving it -- e.g. the inner
-      // solve returns no correction -- is a stall worth cutting short.
-      if ((stats.stall = guard.check(rel)) != StallReason::kNone) break;
-      // Inner solve in single precision: M e = r (approximately).
-      convert_field(r_f, r);
-      e_f.set_zero();
-      const double tol = params_.inner_tolerance;
-      const int max_it = params_.inner_max_iterations;
-      // Only the inner iteration count is read: the outer loop recomputes
-      // the true residual in double precision.
-      const SolverResult inner =
-          schur() ? engine(single_f_, *eo_f_)
-                        .cg(r_f, e_f, tol, max_it, StallGuard{}, Report::kVerdictOnly)
-                  : solve_wilson(*dirac_f_, r_f, e_f, tol, max_it, StallGuard{}, &kws_f_);
-      stats.inner_iterations += inner.iterations;
-
-      // Defect correction in double precision; the residual is re-derived
-      // after *every* correction, so final_residual and the history always
-      // reflect the returned x (including a solve that only reaches
-      // tolerance on its last permitted restart).
-      convert_field(e_d, e_f);
-      x += e_d;
-      dirac_->m(x, mx);
-      sub(r, b, mx);
-      rel = std::sqrt(norm2(r) / b2);
-      stats.residual_history.push_back(rel);
-      ++stats.iterations;
-    }
-
-    // The outer recursion residual *is* the true residual here: each cycle
-    // recomputes r = b - M x against the double-precision operator, so no
-    // extra operator application is needed.
-    stats.final_residual = rel;
-    stats.true_residual = rel;
-    // Accept with 10x headroom over the target: the defect-correction
-    // residual stalls at the inner (fp32) precision floor.
-    stats.converged = rel <= params_.tolerance * 10;
-    return stats;
-  }
-
   const qcd::GaugeField<S>* gauge_ = nullptr;  ///< null in distributed mode
   double mass_;
   SolverParams params_;
@@ -572,8 +564,7 @@ class WilsonSolver {
   std::optional<SchurEngine<S, 1, comms::DistributedWilsonDirac<S>>> dist_;
 
   // Engaged per configuration (see constructor): only what the chosen
-  // algorithm x preconditioner combination needs is built.  A kMixedCG x
-  // kSchurEvenOdd solver engages eo_ on its first fallback.
+  // algorithm x preconditioner combination needs is built.
   std::optional<qcd::WilsonDirac<S>> dirac_;
   std::optional<qcd::SchurEvenOddWilson<S>> eo_;
   /// Schur engines, each built on the first solve of its width: solve()
@@ -581,23 +572,17 @@ class WilsonSolver {
   std::optional<SchurEngine<S, 1>> single_;
   std::optional<SchurEngine<S, kBlockWidth>> block_;
 
-  // kMixedCG state: the fp32 grid and operator plus the outer-loop
-  // scratch fields, all allocated once at construction (the inner Schur
-  // engine on the first solve).
+  // kMixedCG's fp32 grid and Schur data, built at construction, and its
+  // fp32 engine, built on the first solve.
   std::optional<lattice::GridCartesian> grid_f_;
   std::optional<qcd::SchurEvenOddWilson<InnerScalar>> eo_f_;
   std::optional<SchurEngine<InnerScalar, 1>> single_f_;
-  std::optional<qcd::WilsonDirac<InnerScalar>> dirac_f_;
-  std::optional<Fermion> r_, mx_, e_d_;
-  std::optional<qcd::LatticeFermion<InnerScalar>> r_f_, e_f_;
 
-  // Krylov work-field pools (solver/workspace.h) of the full-lattice
-  // paths, one per field type a configuration can touch (the Schur
-  // engines hold their own).  Populated lazily on the first solve and
-  // reused ever after: a warm solve() constructs no fermion fields
-  // (pinned by tests/solver/test_allocation.cpp).
+  // Krylov work-field pool (solver/workspace.h) of the full-lattice paths
+  // (the Schur engines hold their own).  Populated lazily on the first
+  // solve and reused ever after: a warm solve() constructs no fermion
+  // fields (pinned by tests/solver/test_allocation.cpp).
   SolverWorkspace<Fermion> kws_;
-  SolverWorkspace<qcd::LatticeFermion<InnerScalar>> kws_f_;
 };
 
 }  // namespace svelat::solver

@@ -33,8 +33,8 @@ class SolverWorkspace {
  public:
   // Slot names double as documentation of which kernel owns what: CG
   // uses kR/kP/kAp, BiCGSTAB adds kR0/kV/kS/kT (the block CG takes kV for
-  // Mhat p, BiCGSTAB's v = A p), and the normal-equation /
-  // defect-correction wrappers use kRhs/kMx for M^dag b and M x.
+  // Mhat p, BiCGSTAB's v = A p), and the normal-equation wrappers use
+  // kRhs/kMx for M^dag b and M x.
   static constexpr std::size_t kR = 0;
   static constexpr std::size_t kP = 1;
   static constexpr std::size_t kAp = 2;

@@ -470,6 +470,16 @@ TEST(DistributedSolverDeathTest, NoPreconditionerIsRejected) {
                "kNone is not supported");
 }
 
+TEST(SolverDeathTest, MixedCGWithoutPreconditionerIsRejected) {
+  // kMixedCG runs only on the Schur engine, on one rank or none.
+  sve::set_vector_length(kVL);
+  const Problem p;
+  EXPECT_DEATH(WilsonSolver<S>(p.gauge, kMass,
+                               params(Algorithm::kMixedCG)
+                                   .with_preconditioner(Preconditioner::kNone)),
+               "kMixedCG runs the Schur engine: kNone is not supported");
+}
+
 TEST(DistributedSolverDeathTest, OddLocalSplitExtentIsRejected) {
   // 4^3 x 6 over 2 ranks: each slab is 3 time slices, so rank 1 would
   // start on an odd coordinate and its local parities would be flipped.

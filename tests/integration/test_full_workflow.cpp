@@ -77,9 +77,7 @@ TEST_F(FullWorkflowTest, AllSolversAgreeOnThermalizedBackground) {
                                     .with_algorithm(Algorithm::kBiCGSTAB)
                                     .with_preconditioner(Preconditioner::kNone));
   solver::WilsonSolver<Sd> mixed(*gauge_, mass,
-                                 SolverParams{base}
-                                     .with_algorithm(Algorithm::kMixedCG)
-                                     .with_max_restarts(25));
+                                 SolverParams{base}.with_algorithm(Algorithm::kMixedCG));
 
   Fermion x_cg(grid_.get()), x_schur(grid_.get()), x_bicg(grid_.get()),
       x_mixed(grid_.get());

@@ -80,6 +80,18 @@ TEST(MeasurementJob, DecodeRejectsEveryDefectClass) {
     EXPECT_EQ(e.code(), io::IoErrorCode::kCorruptPayload);
   }
 
+  // kMixedCG runs only on the Schur engine: the solver would abort on the
+  // job, so the record is corrupt.
+  MeasurementJob mixed_none = sample_job(1);
+  mixed_none.algorithm = solver::Algorithm::kMixedCG;
+  mixed_none.preconditioner = solver::Preconditioner::kNone;
+  try {
+    decode_job(encode_job(mixed_none));
+    FAIL() << "kMixedCG x kNone accepted";
+  } catch (const io::IoError& e) {
+    EXPECT_EQ(e.code(), io::IoErrorCode::kCorruptPayload);
+  }
+
   std::vector<std::uint8_t> negative_t = good;
   for (std::size_t k = 32; k < 36; ++k) negative_t[k] = 0xFF;  // source t: u32 -1
   try {

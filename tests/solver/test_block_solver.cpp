@@ -264,11 +264,12 @@ TEST(BlockSolver, SchurBiCGSTABRunsThreePlusFourParitySweepsPerIteration) {
   metrics::reset();
 }
 
-TEST(BlockSolver, MixedSchurInnerSolvesRunFourPlusFourParitySweepsPerIteration) {
-  // Each restart's fp32 inner solve is a Schur CG of k iterations asked
-  // for its verdict only: Dh_eo b_o, Mhat^dag b'_e (2 sweeps), 4 per
-  // iteration and Dh_oe x_e -- no Dh_eo x_o for a true residual that the
-  // outer loop recomputes in double precision anyway.
+TEST(BlockSolver, MixedSchurSolveRunsSixSweepsPerRestartAndFourPerInnerIteration) {
+  // Each restart runs the fp32 engine's steps 1-3 on the residual's half
+  // pieces -- Dh_eo b_o, Mhat^dag b'_e (2 sweeps), 4 per inner iteration
+  // and Dh_oe x_e -- and re-forms the double residual from the corrected
+  // x with Dh_oe x_e and Dh_eo x_o.  The zero start costs none, and no
+  // full-lattice operator runs.
   const BatchProblem p;
   metrics::reset();
   metrics::set_enabled(true);
@@ -278,10 +279,12 @@ TEST(BlockSolver, MixedSchurInnerSolvesRunFourPlusFourParitySweepsPerIteration) 
   const SolverResult res = solver.solve(b[0], x[0]);
   ASSERT_TRUE(res.converged);
   ASSERT_FALSE(res.fallback_used);
+  ASSERT_GT(res.iterations, 0);
   const std::uint64_t sweeps =
       metrics::get("dhop_eo_block").calls + metrics::get("dhop_oe_block").calls;
-  EXPECT_EQ(sweeps, 4u * static_cast<std::uint64_t>(res.iterations) +
+  EXPECT_EQ(sweeps, 6u * static_cast<std::uint64_t>(res.iterations) +
                         4u * static_cast<std::uint64_t>(res.inner_iterations));
+  EXPECT_EQ(metrics::get("dhop").calls, 0u);
   metrics::reset();
 }
 #endif

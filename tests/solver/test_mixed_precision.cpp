@@ -1,6 +1,6 @@
 // Mixed-precision defect-correction solver tests (Algorithm::kMixedCG of
-// the WilsonSolver facade) and the precision-conversion utility it is
-// built on.
+// the WilsonSolver facade, which runs it on the Schur engine) and the
+// precision-conversion utility it is built on.
 #include "solver/mixed_precision.h"
 
 #include <gtest/gtest.h>
@@ -16,12 +16,7 @@ using Sf = simd::SimdComplex<float, simd::kVLB512, simd::SveFcmla>;
 using Fd = qcd::LatticeFermion<Sd>;
 
 SolverParams mixed_params(double tol) {
-  return SolverParams{}
-      .with_algorithm(Algorithm::kMixedCG)
-      .with_tolerance(tol)
-      .with_inner_tolerance(1e-4)
-      .with_inner_max_iterations(400)
-      .with_max_restarts(20);
+  return SolverParams{}.with_algorithm(Algorithm::kMixedCG).with_tolerance(tol);
 }
 
 class MixedTest : public ::testing::Test {
@@ -76,6 +71,37 @@ TEST_F(MixedTest, ConvertFieldRoundsToFloat) {
   EXPECT_LT(rel, 1e-7);      // but only at float epsilon level
 }
 
+TEST_F(MixedTest, ConvertFieldMapsHalfPiecesAcrossLayouts) {
+  // kMixedCG's residual and correction pieces: width-1 half block fields
+  // of one parity, whose fp64 and fp32 half grids split the lattice into
+  // different SIMD layouts.  Every global coordinate keeps its value,
+  // rounded to float, and converts back to that rounded value.
+  lattice::GridCartesian grid_f(grid_->fdimensions(),
+                                lattice::GridCartesian::default_simd_layout(Sf::Nsimd()));
+  ASSERT_NE(grid_f.simd_layout(), grid_->simd_layout());
+  const lattice::GridRedBlackCartesian odd_d(grid_.get(), lattice::kParityOdd);
+  const lattice::GridRedBlackCartesian odd_f(&grid_f, lattice::kParityOdd);
+  qcd::HalfBlockFermion<Sd, 1> d(&odd_d), back(&odd_d);
+  qcd::HalfBlockFermion<Sf, 1> f(&odd_f);
+  lattice::pick_checkerboard(*b_, d, 0);
+  convert_field(f, d);
+  convert_field(back, f);
+  for (std::int64_t h = 0; h < odd_d.osites(); ++h) {
+    for (unsigned l = 0; l < odd_d.isites(); ++l) {
+      const lattice::Coordinate x = odd_d.global_coor(h, l);
+      for (int s = 0; s < qcd::Ns; ++s) {
+        for (int c = 0; c < qcd::Nc; ++c) {
+          const std::complex<double> v = d.at(h, 0)(s)(c).lane(l);
+          const std::complex<float> vf(static_cast<float>(v.real()),
+                                       static_cast<float>(v.imag()));
+          EXPECT_EQ(f.at(odd_f.outer_index(x), 0)(s)(c).lane(odd_f.inner_index(x)), vf);
+          EXPECT_EQ(back.at(h, 0)(s)(c).lane(l), std::complex<double>(vf));
+        }
+      }
+    }
+  }
+}
+
 TEST_F(MixedTest, InnerScalarRebindsToFloat) {
   // kMixedCG derives its inner scalar from the outer one: same VL and
   // backend, fp32 lanes (twice as many virtual nodes per vector).
@@ -106,20 +132,34 @@ TEST_F(MixedTest, MatchesDoubleSolve) {
   EXPECT_LT(norm2(*x_ - x_double) / norm2(x_double), 1e-16);
 }
 
-TEST_F(MixedTest, TighterInnerToleranceFewerOuterIterations) {
-  Fd x2(grid_.get());
-  x2.set_zero();
-  WilsonSolver<Sd> loose_solver(
-      *gauge_, 0.2,
-      mixed_params(1e-9).with_inner_tolerance(1e-2).with_max_restarts(40));
-  WilsonSolver<Sd> tight_solver(
-      *gauge_, 0.2,
-      mixed_params(1e-9).with_inner_tolerance(1e-5).with_max_restarts(40));
-  const auto loose = loose_solver.solve(*b_, *x_);
-  const auto tight = tight_solver.solve(*b_, x2);
-  ASSERT_TRUE(loose.converged);
-  ASSERT_TRUE(tight.converged);
-  EXPECT_LT(tight.iterations, loose.iterations);
+TEST_F(MixedTest, RestartCapAboveTheTargetIsNotConverged) {
+  // One fp32 iteration per restart: 24 restarts leave the residual well
+  // above 1e-14.  A solve whose target sits at half that final residual
+  // runs the same restarts and stops on the cap between the target and 10x
+  // it.  Its verdict is the target itself, so it has not converged.
+  constexpr int kCap = WilsonSolver<Sd>::kMixedMaxRestarts;
+  const SolverParams starved = mixed_params(1e-14).with_max_iterations(1);
+  WilsonSolver<Sd> probe_solver(*gauge_, 0.2, starved);
+  const SolverResult probe = probe_solver.solve(*b_, *x_);
+  ASSERT_EQ(probe.iterations, kCap);
+  ASSERT_EQ(probe.inner_iterations, kCap);
+  const double final_rel = probe.final_residual;
+  ASSERT_GT(final_rel, 1e-14);
+  // No earlier restart got below the final residual, so a looser target
+  // cannot end the solve before the cap.
+  for (int k = 0; k < kCap; ++k)
+    ASSERT_GT(probe.residual_history[static_cast<std::size_t>(k)], final_rel);
+
+  const double target = final_rel / 2;
+  WilsonSolver<Sd> solver(*gauge_, 0.2, SolverParams{starved}.with_tolerance(target));
+  x_->set_zero();
+  const SolverResult res = solver.solve(*b_, *x_);
+  EXPECT_EQ(res.iterations, kCap);
+  EXPECT_EQ(res.final_residual, final_rel);
+  EXPECT_EQ(res.true_residual, final_rel);
+  EXPECT_GT(res.final_residual, target);
+  EXPECT_LT(res.final_residual, 10 * target);
+  EXPECT_FALSE(res.converged);
 }
 
 }  // namespace

@@ -27,7 +27,6 @@ constexpr Combo kAllCombos[] = {
     {Algorithm::kCG, Preconditioner::kSchurEvenOdd},
     {Algorithm::kBiCGSTAB, Preconditioner::kNone},
     {Algorithm::kBiCGSTAB, Preconditioner::kSchurEvenOdd},
-    {Algorithm::kMixedCG, Preconditioner::kNone},
     {Algorithm::kMixedCG, Preconditioner::kSchurEvenOdd},
 };
 
@@ -59,15 +58,11 @@ class SolverApiTest : public ::testing::Test {
         .with_max_iterations(800);
   }
 
-  /// Starved configuration of a combo: one outer iteration (and, for the
-  /// mixed algorithm, one restart of one inner iteration) at an
-  /// unreachable tolerance.
+  /// Starved configuration of a combo: one iteration (for the mixed
+  /// algorithm, one inner iteration per restart) at an unreachable
+  /// tolerance.
   SolverParams starved_params_for(const Combo& c) const {
-    return params_for(c)
-        .with_tolerance(1e-14)
-        .with_max_iterations(1)
-        .with_max_restarts(1)
-        .with_inner_max_iterations(1);
+    return params_for(c).with_tolerance(1e-14).with_max_iterations(1);
   }
 
   std::unique_ptr<lattice::GridCartesian> grid_;
@@ -81,11 +76,6 @@ TEST_F(SolverApiTest, ProductionDefaultsAreSchurCG) {
   EXPECT_EQ(d.preconditioner, Preconditioner::kSchurEvenOdd);
   EXPECT_DOUBLE_EQ(d.tolerance, 1e-9);
   EXPECT_EQ(d.max_iterations, 1000);
-  // Mixed-precision knobs default to the measured defect-correction
-  // tuning: inner fp32 CG to 1e-4, <= 400 inner iterations per restart.
-  EXPECT_DOUBLE_EQ(d.inner_tolerance, 1e-4);
-  EXPECT_EQ(d.inner_max_iterations, 400);
-  EXPECT_EQ(d.max_restarts, 24);
   EXPECT_EQ(d.verbosity, 0);
 }
 
