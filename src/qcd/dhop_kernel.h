@@ -29,13 +29,9 @@
 #include <cstdint>
 
 #include "qcd/types.h"
+#include "tensor/regs.h"
 
 namespace svelat::qcd::detail {
-
-/// Register-level primitives of S's backend.
-template <class S>
-using HopRegs = typename simd::Ops<typename S::policy_type>::template Regs<
-    typename S::real_type, S::vlb>;
 
 /// One hop's neighbour: the spinor in memory and the Fig. 1 lane
 /// permutation it needs (in virtual nodes, 0 = none).  The kernel loads
@@ -61,13 +57,14 @@ inline HopSource<S> stencil_source(const TableT& st, std::int64_t o, int dir,
 /// neighbour first (a sign flip, which commutes bitwise with the lane
 /// permutation), the fused form of a separate `gamma5 in` pass.
 template <int Mu, int Sign, bool G5In, class S>
-inline void hop(const typename HopRegs<S>::pred& pg, const typename HopRegs<S>::reg& z,
+inline void hop(const typename simd::RegsOf<S>::pred& pg,
+                const typename simd::RegsOf<S>::reg& z,
                 const HopSource<S>& src, const ColourMatrix<S>& u,
-                typename HopRegs<S>::template tuple<Nc>& a0,
-                typename HopRegs<S>::template tuple<Nc>& a1,
-                typename HopRegs<S>::template tuple<Nc>& a2,
-                typename HopRegs<S>::template tuple<Nc>& a3) {
-  using R = HopRegs<S>;
+                typename simd::RegsOf<S>::template tuple<Nc>& a0,
+                typename simd::RegsOf<S>::template tuple<Nc>& a1,
+                typename simd::RegsOf<S>::template tuple<Nc>& a2,
+                typename simd::RegsOf<S>::template tuple<Nc>& a3) {
+  using R = simd::RegsOf<S>;
   using reg = typename R::reg;
   using C3 = typename R::template tuple<Nc>;
   constexpr bool plus = Sign > 0;
@@ -160,13 +157,13 @@ inline void hop(const typename HopRegs<S>::pred& pg, const typename HopRegs<S>::
 /// `source(dir)` returns the HopSource of direction dir (0..Nd-1 forward,
 /// Nd..2Nd-1 backward); u_fwd[mu][o] and u_bwd[mu][o] are the links.
 template <bool G5In, class S, class UFieldT, class SourceF>
-inline void hop_sum(const typename HopRegs<S>::pred& pg,
-                    const typename HopRegs<S>::reg& z, const UFieldT* u_fwd,
+inline void hop_sum(const typename simd::RegsOf<S>::pred& pg,
+                    const typename simd::RegsOf<S>::reg& z, const UFieldT* u_fwd,
                     const UFieldT* u_bwd, std::int64_t o, SourceF&& source,
-                    typename HopRegs<S>::template tuple<Nc>& a0,
-                    typename HopRegs<S>::template tuple<Nc>& a1,
-                    typename HopRegs<S>::template tuple<Nc>& a2,
-                    typename HopRegs<S>::template tuple<Nc>& a3) {
+                    typename simd::RegsOf<S>::template tuple<Nc>& a0,
+                    typename simd::RegsOf<S>::template tuple<Nc>& a1,
+                    typename simd::RegsOf<S>::template tuple<Nc>& a2,
+                    typename simd::RegsOf<S>::template tuple<Nc>& a3) {
   for (int c = 0; c < Nc; ++c) a0.reg[c] = a1.reg[c] = a2.reg[c] = a3.reg[c] = z;
   const auto both = [&]<int Mu>() {
     hop<Mu, +1, G5In, S>(pg, z, source(Mu), u_fwd[Mu][o], a0, a1, a2, a3);
@@ -180,13 +177,13 @@ inline void hop_sum(const typename HopRegs<S>::pred& pg,
 
 /// Store the accumulator (one colour triplet per spin) into a site object.
 template <class S>
-inline void store_site(const typename HopRegs<S>::pred& pg,
-                       const typename HopRegs<S>::template tuple<Nc>& a0,
-                       const typename HopRegs<S>::template tuple<Nc>& a1,
-                       const typename HopRegs<S>::template tuple<Nc>& a2,
-                       const typename HopRegs<S>::template tuple<Nc>& a3,
+inline void store_site(const typename simd::RegsOf<S>::pred& pg,
+                       const typename simd::RegsOf<S>::template tuple<Nc>& a0,
+                       const typename simd::RegsOf<S>::template tuple<Nc>& a1,
+                       const typename simd::RegsOf<S>::template tuple<Nc>& a2,
+                       const typename simd::RegsOf<S>::template tuple<Nc>& a3,
                        SpinColourVector<S>& out) {
-  using R = HopRegs<S>;
+  using R = simd::RegsOf<S>;
   for (int c = 0; c < Nc; ++c) {
     R::store(pg, out(0)(c).raw(), a0.reg[c]);
     R::store(pg, out(1)(c).raw(), a1.reg[c]);
@@ -214,8 +211,9 @@ struct StoreColumn {
 /// Post hook: the Wilson diagonal fused into the sweep, out_j = a in_j +
 /// b acc_j per component.  With G5 it stores gamma5(a gamma5(in_j) +
 /// b acc_j), the fused form of gamma5-in/gamma5-out passes.  With `norm`
-/// set it also writes norm[j] = <out_j, out_j> (per lane), computed from
-/// the registers just stored.  Same functors, operands and order as the
+/// set it also writes norm[j] = <out_j, out_j> (per lane), folded from
+/// the registers just stored by tensor::fold_elements, the fold of
+/// lattice/block.h's norms.  Same functors, operands and order as the
 /// tensor expressions (`a * in + b * acc`, tensor::innerProduct), so
 /// bitwise their values.
 template <bool G5, class S>
@@ -228,31 +226,31 @@ struct DiagColumn {
   template <class P, class Z, class C3>
   void operator()(int j, const P& pg, const Z& z, const C3& a0, const C3& a1,
                   const C3& a2, const C3& a3) const {
-    using R = HopRegs<S>;
+    using R = simd::RegsOf<S>;
     const typename R::reg ar = R::load(pg, a.raw());
     const typename R::reg br = R::load(pg, b.raw());
-    typename R::reg n;
-    const auto spin = [&](int s, const C3& acc) {
+    // Element k of a spinor is spin k / Nc, colour k % Nc.
+    const auto value = [&](int k, const S& x_in, S& x_out) {
+      const int s = k / Nc;
+      const C3& acc = s == 0 ? a0 : s == 1 ? a1 : s == 2 ? a2 : a3;
       const bool flip = G5 && s >= 2;  // gamma5 = diag(1, 1, -1, -1)
-      C3 v;
-      for (int c = 0; c < Nc; ++c) {
-        typename R::reg x = R::load(pg, in[j](s)(c).raw());
-        if (flip) x = R::neg(pg, x);
-        v.reg[c] = R::add(pg, R::mult(pg, z, ar, x), R::mult(pg, z, br, acc.reg[c]));
-        if (flip) v.reg[c] = R::neg(pg, v.reg[c]);
-        R::store(pg, out[j](s)(c).raw(), v.reg[c]);
-      }
-      if (norm == nullptr) return;
-      typename R::reg ns = R::mult_conj(pg, z, v.reg[0], v.reg[0]);
-      for (int c = 1; c < Nc; ++c)
-        ns = R::add(pg, ns, R::mult_conj(pg, z, v.reg[c], v.reg[c]));
-      n = s == 0 ? ns : R::add(pg, n, ns);
+      typename R::reg x = R::load(pg, x_in.raw());
+      if (flip) x = R::neg(pg, x);
+      typename R::reg v =
+          R::add(pg, R::mult(pg, z, ar, x), R::mult(pg, z, br, acc.reg[k % Nc]));
+      if (flip) v = R::neg(pg, v);
+      R::store(pg, x_out.raw(), v);
+      return v;
     };
-    spin(0, a0);
-    spin(1, a1);
-    spin(2, a2);
-    spin(3, a3);
-    if (norm != nullptr) R::store(pg, norm[j].raw(), n);
+    if (norm == nullptr) {
+      tensor::for_each_element(value, in[j], out[j]);
+      return;
+    }
+    const auto value_norm = [&](int k, const S& x_in, S& x_out) {
+      const typename R::reg v = value(k, x_in, x_out);
+      return R::mult_conj(pg, z, v, v);
+    };
+    R::store(pg, norm[j].raw(), tensor::fold_elements<R>(pg, value_norm, in[j], out[j]));
   }
 };
 
@@ -263,7 +261,7 @@ struct DiagColumn {
 template <class S, class FermT, class TableT, class UFieldT>
 inline void dhop_site(const FermT& in, const TableT& st, const UFieldT* u_fwd,
                       const UFieldT* u_bwd, std::int64_t o, SpinColourVector<S>& out) {
-  using R = HopRegs<S>;
+  using R = simd::RegsOf<S>;
   const typename R::pred pg = R::ptrue();
   const typename R::reg z = R::zero();
   typename R::template tuple<Nc> a0, a1, a2, a3;

@@ -140,7 +140,7 @@ class SchurEvenOddWilson {
                       "a sweep reads the opposite parity of the operator's half grids");
     const lattice::GridRedBlackCartesian& target = even ? even_ : odd_;
     const lattice::StencilRedBlack& st = stencils_[even ? 0 : 1];
-    using R = detail::HopRegs<S>;
+    using R = simd::RegsOf<S>;
     thread_for(n, [&](std::int64_t i) {
       const std::int64_t h = site(i);
       const std::int64_t o = target.full_osite(h);

@@ -16,8 +16,10 @@
 //                          one predicate its caller hoisted (`ptrue()`),
 //                          like `pg1` in the Sec. V-C listing.  Kernels that
 //                          keep values in registers across many operations
-//                          (qcd/dhop_kernel.h) are written against this
-//                          level.
+//                          (the hop kernel of qcd/dhop_kernel.h, the
+//                          linear algebra of lattice/block.h) are written
+//                          against this level, named simd::RegsOf<S> for a
+//                          SimdComplex type S (simd_complex.h).
 //   Ops<P>::add(x, y), ... memory-level functors on vec<T> arrays, the API
 //                          of SimdComplex: each is a load-op-store wrapper
 //                          over the register level with a single predicate.

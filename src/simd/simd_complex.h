@@ -131,6 +131,14 @@ class SimdComplex {
   vector_type data_;
 };
 
+/// The register level (Ops<P>::Regs, ops.h) of SimdComplex type S: its
+/// backend's primitives at its real type and vector length.  Kernels that
+/// keep S values in registers (qcd/dhop_kernel.h, lattice/block.h) compute
+/// with these.
+template <class S>
+using RegsOf = typename Ops<typename S::policy_type>::template Regs<typename S::real_type,
+                                                                    S::vlb>;
+
 /// The Grid-style aliases at the three paper vector lengths.
 template <typename Policy>
 using vComplexD128 = SimdComplex<double, kVLB128, Policy>;

@@ -19,6 +19,11 @@
 //   - the x and p updates fuse into one pass over the pre-update p
 //     (block_xp_update).
 //
+// Both passes are register-resident (lattice/block.h): under one PTRUE
+// per site they load each vector they read once, store each vector they
+// write once and fold |r|^2 in registers -- 9.53 and 11.19 instructions
+// per vector at sve-fcmla/512, N = 12.
+//
 // Determinism contract: all per-column reductions run through the fixed
 // chunked tree of support/parallel.h, so results are bitwise
 // thread-count-invariant and column-independent: column j of an N-wide

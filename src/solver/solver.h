@@ -59,6 +59,7 @@
 #include "support/logging.h"
 #include "support/metrics.h"
 #include "support/timer.h"
+#include "tensor/regs.h"
 
 namespace svelat::solver {
 
@@ -435,11 +436,7 @@ class WilsonSolver {
       //    for the odd residual of step 4.
       eo_.dhop_oe(x_e_, tmp_o_);
       lattice::block_axpy(x_o_, 0.5, tmp_o_, b_o_);
-      const T c{typename T::scalar_type(1.0 / d, 0.0)};
-      thread_for(x_o_.osites(), [&](std::int64_t h) {
-        qcd::SpinColourVector<T>* xs = x_o_.site(h);
-        for (int j = 0; j < N; ++j) xs[j] = c * xs[j];
-      });
+      lattice::block_scale(x_o_, 1.0 / d);
       return stats;
     }
 
@@ -467,20 +464,36 @@ class WilsonSolver {
     /// Dh_oe x_e): r_p = b_p - (4+m) x_p + (1/2) Dh_{p,1-p} x_{1-p}.  With
     /// `minus_mx` it is rounded as b - M x, with M x formed as
     /// qcd::WilsonDirac::m forms it: kMixedCG's corrections are then bitwise
-    /// those of a defect correction on the full-lattice operator.
+    /// those of a defect correction on the full-lattice operator.  Each
+    /// element is formed in registers by the primitives of the SimdComplex
+    /// expression `b + xc * x + hc * r` (`b - (xc * x + hc * r)` with
+    /// `minus_mx`), so it holds that expression's bits.
     std::array<double, N> residual(bool minus_mx = false) {
       eo_.dhop_eo(x_o_, tmp_e_);
       const double sign = minus_mx ? -1.0 : 1.0;
       const T xc(typename T::scalar_type(-sign * eo_.diag(), 0.0));
       const T hc(typename T::scalar_type(sign * 0.5, 0.0));
+      using R = simd::RegsOf<T>;
       const auto form = [&](const HalfBlock& bp, const HalfBlock& xp, HalfBlock& rp) {
         thread_for(rp.osites(), [&](std::int64_t h) {
+          const typename R::pred pg = R::ptrue();
+          const typename R::reg z = R::zero();
+          const typename R::reg xcr = R::load(pg, xc.raw());
+          const typename R::reg hcr = R::load(pg, hc.raw());
           const qcd::SpinColourVector<T>* bs = bp.site(h);
           const qcd::SpinColourVector<T>* xs = xp.site(h);
           qcd::SpinColourVector<T>* rs = rp.site(h);
           for (int j = 0; j < N; ++j)
-            rs[j] = minus_mx ? bs[j] - (xc * xs[j] + hc * rs[j])
-                             : bs[j] + xc * xs[j] + hc * rs[j];
+            tensor::for_each_element(
+                [&](int, const T& be, const T& xe, T& re) {
+                  const typename R::reg bv = R::load(pg, be.raw());
+                  const typename R::reg xt = R::mult(pg, z, xcr, R::load(pg, xe.raw()));
+                  const typename R::reg ht = R::mult(pg, z, hcr, R::load(pg, re.raw()));
+                  R::store(pg, re.raw(),
+                           minus_mx ? R::sub(pg, bv, R::add(pg, xt, ht))
+                                    : R::add(pg, R::add(pg, bv, xt), ht));
+                },
+                bs[j], xs[j], rs[j]);
         });
       };
       form(b_e_, x_e_, tmp_e_);

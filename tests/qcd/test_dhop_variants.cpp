@@ -390,6 +390,59 @@ TEST(DhopKernelCeiling, DistributedSchurMhatDagMhatFcmlaVL512InstructionsPerSite
       << "one-rank DistributedWilsonDirac";
 }
 
+// Instructions per SIMD vector of the Schur engine's linear algebra at
+// sve-fcmla/512 (lattice/block.h), N = 1 and 12 columns on the
+// bench_dslash lattice.  A register-resident pass issues its data's loads,
+// stores and arithmetic plus a per-site PTRUE, zero, coefficient loads and
+// reduction store; a pass that round-trips each operation through
+// SimdComplex's memory-level functors issues more than twice the ceiling.
+template <int N>
+void expect_linalg_ceilings() {
+  using S = SC<double, simd::kVLB512, simd::SveFcmla>;
+  using Spinor = SpinColourVector<S>;
+  using Grid = lattice::GridCartesian;
+  using Block = lattice::BlockLattice<Spinor, N>;
+  sve::VLGuard vl(512);
+  Grid grid({4, 4, 4, 8}, Grid::default_simd_layout(S::Nsimd()));
+  Block x(&grid), y(&grid), r(&grid);
+  {
+    LatticeFermion<S> tmp(&grid);
+    for (int j = 0; j < N; ++j) {
+      gaussian_fill(SiteRNG(60 + static_cast<unsigned>(j)), tmp);
+      x.copy_in_column(j, tmp);
+      gaussian_fill(SiteRNG(80 + static_cast<unsigned>(j)), tmp);
+      y.copy_in_column(j, tmp);
+    }
+  }
+  std::array<double, N> a;
+  for (int j = 0; j < N; ++j) a[static_cast<std::size_t>(j)] = 0.3 + 0.01 * j;
+  const auto all = lattice::all_columns<N>();
+  const double vectors = static_cast<double>(grid.osites()) * N * Ns * Nc;
+  const auto per_vector = [&](auto&& pass) {
+    const sve::CounterScope scope;
+    pass();
+    return static_cast<double>(scope.delta().total()) / vectors;
+  };
+  EXPECT_LE(per_vector([&] {
+              (void)lattice::block_axpy_norm2<Spinor, N, Grid>(r, a, x, y, all);
+            }), 10.0)
+      << "block_axpy_norm2, N = " << N;
+  EXPECT_LE(per_vector([&] {
+              lattice::block_xp_update<Spinor, N, Grid>(x, y, r, a, a, all);
+            }), 11.5)
+      << "block_xp_update, N = " << N;
+  EXPECT_LE(per_vector([&] { (void)lattice::block_norm2(x); }), 5.0)
+      << "block_norm2, N = " << N;
+  EXPECT_LE(per_vector([&] { lattice::block_axpy(r, 0.5, x, y); }), 6.5)
+      << "block_axpy, N = " << N;
+}
+
+TEST(LinalgCeiling, FcmlaVL512InstructionsPerVector) {
+  const ThreadCountGuard one(1);
+  expect_linalg_ceilings<1>();
+  expect_linalg_ceilings<12>();
+}
+
 TEST(DhopVariants, WideVector1024LatticeWorks) {
   // Paper Sec. V-B: wider vectors are possible with extra specialization.
   // The SIMD layer carries 1024-bit vectors; an 8-lane vComplexD lattice
