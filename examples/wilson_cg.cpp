@@ -5,7 +5,7 @@
 // Usage: ./examples/wilson_cg [L] [T] [mass] [tol] [vl_bits] [alg] [precond]
 //   defaults:                  4   8   0.2    1e-8  512       cg    schur
 //   alg:     cg | bicgstab | mixed
-//   precond: schur | none  (mixed runs only with schur)
+//   precond: schur | none  (none runs cg only)
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -64,7 +64,7 @@ int run(int L, int T, double mass, const solver::SolverParams& params) {
 
 constexpr const char* kUsage =
     "usage: wilson_cg [L] [T] [mass] [tol] [vl_bits] [cg|bicgstab|mixed] [schur|none]"
-    " (mixed runs only with schur)\n";
+    " (none runs cg only)\n";
 
 }  // namespace
 
@@ -100,8 +100,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (params.algorithm == solver::Algorithm::kMixedCG &&
-      params.preconditioner == solver::Preconditioner::kNone) {
+  if (!solver::supported(params.algorithm, params.preconditioner)) {
     std::fputs(kUsage, stderr);
     return 2;
   }

@@ -24,6 +24,7 @@
 #include "qcd/qcd.h"              // IWYU pragma: export
 #include "simd/simd.h"            // IWYU pragma: export
 #include "solver/solver.h"        // IWYU pragma: export
+#include "support/logging.h"      // IWYU pragma: export
 #include "support/random.h"       // IWYU pragma: export
 #include "support/timer.h"        // IWYU pragma: export
 #include "sve/sve.h"              // IWYU pragma: export

@@ -198,29 +198,6 @@ std::array<double, N> real_sums(const ColumnArray<S, N>& acc) {
 
 }  // namespace detail
 
-/// r_j = x_j - y_j for every column (block analogue of lattice::sub).
-template <class vobj, int N, class GridT>
-void block_sub(BlockLattice<vobj, N, GridT>& r, const BlockLattice<vobj, N, GridT>& x,
-               const BlockLattice<vobj, N, GridT>& y) {
-  x.check_same(y);
-  using S = typename BlockLattice<vobj, N, GridT>::simd_type;
-  using R = simd::RegsOf<S>;
-  thread_for(x.osites(), [&](std::int64_t o) {
-    const typename R::pred pg = R::ptrue();
-    const vobj* xs = x.site(o);
-    const vobj* ys = y.site(o);
-    vobj* rs = r.site(o);
-    for (int j = 0; j < N; ++j)
-      tensor::for_each_element(
-          [&](int, const S& xe, const S& ye, S& re) {
-            const typename R::reg xv = R::load(pg, xe.raw());
-            const typename R::reg yv = R::load(pg, ye.raw());
-            R::store(pg, re.raw(), R::sub(pg, xv, yv));
-          },
-          xs[j], ys[j], rs[j]);
-  });
-}
-
 /// x_j += y_j for every column (block analogue of Lattice::operator+=).
 template <class vobj, int N, class GridT>
 void block_add(BlockLattice<vobj, N, GridT>& x, const BlockLattice<vobj, N, GridT>& y) {
@@ -391,12 +368,6 @@ void block_xp_update(BlockLattice<vobj, N, GridT>& x, BlockLattice<vobj, N, Grid
 // free functions those loops call: the passes above at N = 1, and the one
 // inner product, each computing the bits lattice.h's twin computes over
 // the column as a Lattice (through the grid's ring, if any).
-
-template <class vobj, class GridT>
-void sub(BlockLattice<vobj, 1, GridT>& r, const BlockLattice<vobj, 1, GridT>& x,
-         const BlockLattice<vobj, 1, GridT>& y) {
-  block_sub(r, x, y);
-}
 
 template <class vobj, class GridT, typename C>
 void axpy(BlockLattice<vobj, 1, GridT>& r, const C& a,

@@ -128,12 +128,13 @@ inline MeasurementJob decode_job(const std::vector<std::uint8_t>& in,
                       " holds an out-of-range enum or source component");
   job.algorithm = static_cast<solver::Algorithm>(alg);
   job.preconditioner = static_cast<solver::Preconditioner>(pre);
-  // The solver aborts on this combination: the job would kill every worker
-  // it is requeued onto.
-  if (job.algorithm == solver::Algorithm::kMixedCG &&
-      job.preconditioner == solver::Preconditioner::kNone)
+  // The solver aborts on an unsupported combination: the job would kill
+  // every worker it is requeued onto.
+  if (!solver::supported(job.algorithm, job.preconditioner))
     throw IoError(IoErrorCode::kCorruptPayload,
-                  "job record " + std::to_string(job.job_id) + " is kMixedCG x kNone");
+                  "job record " + std::to_string(job.job_id) + " is " +
+                      solver::to_string(job.algorithm) + " x " +
+                      solver::to_string(job.preconditioner) + ": kNone runs kCG only");
   return job;
 }
 

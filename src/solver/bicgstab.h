@@ -1,7 +1,10 @@
 // BiCGSTAB: solves the non-hermitian system M x = b directly, avoiding the
 // condition-number squaring of the normal equations that CG needs.
 // Standard alternative iterative solver in LQCD codes for Wilson fermions
-// (the paper's Sec. II-A "iterative solvers like Conjugate Gradient").
+// (the paper's Sec. II-A "iterative solvers like Conjugate Gradient").  The
+// solver::WilsonSolver facade runs it on the Schur operator Mhat only
+// (solver::supported): on the full-lattice operator it breaks down on every
+// point source.
 #pragma once
 
 #include <cmath>
@@ -10,29 +13,21 @@
 
 namespace svelat::solver {
 
-/// What bicgstab may assume of the `x` it is handed.
-enum class InitialGuess {
-  kGiven,  ///< any guess: r0 = b - A x costs one operator application
-  kZero,   ///< zeros (the Schur solve zeroes it): r0 = b, no application
-};
-
-/// BiCGSTAB for a general (non-hermitian) operator `op`.  `x` carries the
-/// initial guess (zeros under InitialGuess::kZero) and receives the
-/// solution.  An armed StallGuard
+/// BiCGSTAB for a general (non-hermitian) operator `op`.  `x` must hold
+/// zeros on entry (the Schur driver zeroes it), so r0 = b costs no operator
+/// application; it receives the solution.  An armed StallGuard
 /// (default: off) cuts the loop short on divergence or stall, reporting
 /// the reason in SolverResult::stall.  A breakdown (<r0, v>, |t|, rho or
-/// omega = 0; a point source on the Wilson operator hits <r0, v> = 0
-/// exactly) ends the loop with StallReason::kBreakdown, never an abort.
-/// A caller-owned `workspace` makes repeated solves allocation-free
-/// (slots kR/kR0/kP/kV/kS/kT).  Returns the recursion verdict only: the
-/// caller that knows the user's system computes the true residual
-/// (solve_wilson_bicgstab below, or the Schur driver), and the facade the
-/// solution norm.
+/// omega = 0; a point source on the full-lattice Wilson operator hits
+/// <r0, v> = 0 exactly) ends the loop with StallReason::kBreakdown, never
+/// an abort.  A caller-owned `workspace` makes repeated solves
+/// allocation-free (slots kR/kR0/kP/kV/kS/kT).  Returns the recursion
+/// verdict only: the caller that knows the user's system (the Schur
+/// driver) computes the true residual, and the facade the solution norm.
 template <class Field, class LinearOp>
 SolverResult bicgstab(const LinearOp& op, const Field& b, Field& x, double tolerance,
                       int max_iterations, StallGuard guard = {},
-                      SolverWorkspace<Field>* workspace = nullptr,
-                      InitialGuess guess = InitialGuess::kGiven) {
+                      SolverWorkspace<Field>* workspace = nullptr) {
   using C = decltype(innerProduct(b, b));
   SolverResult stats;
   stats.algorithm = Algorithm::kBiCGSTAB;
@@ -52,13 +47,8 @@ SolverResult bicgstab(const LinearOp& op, const Field& b, Field& x, double toler
   Field& v = pool.get(WS::kV, b.grid());
   Field& s = pool.get(WS::kS, b.grid());
   Field& t = pool.get(WS::kT, b.grid());
-  if (guess == InitialGuess::kZero) {
-    r = b;           // r0 = b - A 0
-  } else {
-    op(x, v);
-    sub(r, b, v);    // r0 = b - A x0
-  }
-  r0 = r;          // shadow residual
+  r = b;   // r0 = b - A 0
+  r0 = r;  // shadow residual
   p = r;
   C rho = innerProduct(r0, r);
   double rr = norm2(r);
@@ -109,7 +99,9 @@ SolverResult bicgstab(const LinearOp& op, const Field& b, Field& x, double toler
         stats.stall = StallReason::kBreakdown;
         break;
       }
-      const C omega = innerProduct(t, s) / t2;
+      // t2 in C's own real type: an fp32 field's inner products are
+      // std::complex<float> (a no-op cast in double).
+      const C omega = innerProduct(t, s) / static_cast<typename C::value_type>(t2);
 
       // x += alpha p + omega s
       axpy(x, alpha, p, x);
@@ -134,27 +126,6 @@ SolverResult bicgstab(const LinearOp& op, const Field& b, Field& x, double toler
 
   stats.converged = rr <= stop;
   stats.final_residual = std::sqrt(rr / b2);
-  return stats;
-}
-
-/// Solve M x = b with BiCGSTAB directly on the Wilson operator; returns
-/// BiCGSTAB's verdict with the true residual |b - M x| / |b|.  Building
-/// block of the solver::WilsonSolver facade (Algorithm::kBiCGSTAB,
-/// Preconditioner::kNone).  Operator-generic like solve_wilson: any `Op`
-/// with m() over `Field`.
-template <class Op, class Field>
-SolverResult solve_wilson_bicgstab(const Op& dirac, const Field& b, Field& x,
-                                   double tolerance, int max_iterations,
-                                   StallGuard guard = {},
-                                   SolverWorkspace<Field>* workspace = nullptr) {
-  SolverWorkspace<Field> local;
-  SolverWorkspace<Field>& pool = workspace ? *workspace : local;
-  using WS = SolverWorkspace<Field>;
-  auto op = [&dirac](const Field& in, Field& out) { dirac.m(in, out); };
-  SolverResult stats = bicgstab(op, b, x, tolerance, max_iterations, guard, &pool);
-  stats.true_residual = wilson_true_residual(dirac, b, x, norm2(b),
-                                             pool.get(WS::kV, b.grid()),
-                                             pool.get(WS::kR, b.grid()));
   return stats;
 }
 

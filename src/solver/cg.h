@@ -121,16 +121,6 @@ struct WilsonNormalOp {
   }
 };
 
-/// |b - M x| / |b| of the Wilson system, b2 = |b|^2, through scratch mx
-/// and r: the true residual of solve_wilson and solve_wilson_bicgstab.
-template <class Op, class Field>
-double wilson_true_residual(const Op& dirac, const Field& b, const Field& x, double b2,
-                            Field& mx, Field& r) {
-  dirac.m(x, mx);
-  sub(r, b, mx);
-  return std::sqrt(norm2(r) / b2);
-}
-
 /// Solve M x = b through the normal equations; returns CG stats plus the
 /// true Wilson residual |b - M x| / |b|.  Building block of the
 /// solver::WilsonSolver facade (Algorithm::kCG, Preconditioner::kNone).
@@ -153,8 +143,11 @@ SolverResult solve_wilson(const Op& dirac, const Field& b, Field& x,
   // Replace the normal-equation |b| with the Wilson-system one.
   const double b2 = norm2(b);
   stats.rhs_norm = std::sqrt(b2);
-  stats.true_residual = wilson_true_residual(dirac, b, x, b2, pool.get(WS::kMx, b.grid()),
-                                             pool.get(WS::kR, b.grid()));
+  Field& mx = pool.get(WS::kMx, b.grid());
+  Field& r = pool.get(WS::kR, b.grid());
+  dirac.m(x, mx);
+  sub(r, b, mx);
+  stats.true_residual = std::sqrt(norm2(r) / b2);
   return stats;
 }
 

@@ -4,7 +4,8 @@
 // correction, preconditioned or not -- takes one SolverParams and returns
 // one SolverResult.  This replaces the positional (tolerance,
 // max_iterations) argument pairs and the SolverStats / MixedStats struct
-// split that predated the facade.
+// split that predated the facade.  supported() below is the one statement
+// of which algorithm x preconditioner combinations exist.
 #pragma once
 
 #include <cstdio>
@@ -19,16 +20,24 @@ namespace svelat::solver {
 /// Iterative algorithm driving the outer solve.
 enum class Algorithm {
   kCG,        ///< CG on the normal equations (hermitian positive definite)
-  kBiCGSTAB,  ///< BiCGSTAB directly on the non-hermitian system
+  kBiCGSTAB,  ///< BiCGSTAB directly on the non-hermitian Schur system
   kMixedCG,   ///< double-precision defect correction around a single-precision
-              ///< CG (kSchurEvenOdd only)
+              ///< Schur CG
 };
 
 /// Operator formulation the algorithm runs on.
 enum class Preconditioner {
-  kNone,         ///< full-lattice Wilson operator
+  kNone,         ///< full-lattice Wilson operator (kCG only)
   kSchurEvenOdd  ///< Schur complement on the even half-checkerboard sublattice
 };
+
+/// Whether the facade runs `a` on `p`: every algorithm runs on the Schur
+/// engine, and kNone runs only the paper's CG on the normal equations
+/// (solver/cg.h).  The facade asserts it, service::decode_job rejects a
+/// job record without it and examples/wilson_cg reports a usage error.
+constexpr bool supported(Algorithm a, Preconditioner p) {
+  return p == Preconditioner::kSchurEvenOdd || a == Algorithm::kCG;
+}
 
 inline const char* to_string(Algorithm a) {
   switch (a) {
@@ -51,7 +60,7 @@ inline const char* to_string(Preconditioner p) {
 /// degradation; part of the fault-tolerance layer, see docs/FAULTS.md).
 enum class FallbackPolicy {
   kNone,  ///< report converged == false, nothing else
-  kAuto,  ///< retry once with a more robust configuration:
+  kAuto,  ///< retry once on CG over the same Schur system:
           ///< kBiCGSTAB -> kCG (normal equations), kMixedCG -> full-
           ///< precision kCG.  kCG itself has no further fallback.
 };
@@ -122,8 +131,6 @@ struct SolverParams {
   double divergence_factor = 0.0;  ///< residual growth over the best seen that
                                    ///< declares divergence (0: off)
 
-  int verbosity = 0;  ///< 0 silent, >= 1 one summary line per solve
-
   // Chainable named setters, so call sites can spell only what differs
   // from production defaults (SolverParams stays an aggregate: designated
   // initializers work too).
@@ -140,7 +147,6 @@ struct SolverParams {
     divergence_factor = f;
     return *this;
   }
-  SolverParams& with_verbosity(int v) { verbosity = v; return *this; }
 };
 
 /// Outcome of one solve.  Every field is populated by every algorithm x
@@ -189,7 +195,7 @@ struct SolverResult {
   Algorithm fallback_from = Algorithm::kCG;  ///< first-attempt algorithm
   int first_attempt_iterations = 0;          ///< iterations spent before fallback
 
-  /// One-line human-readable summary, e.g. for verbose solves.
+  /// One-line human-readable summary.
   std::string summary() const;
 };
 

@@ -3,16 +3,16 @@
 // The paper's production cost is dominated by iterative Wilson solves
 // (Sec. II-A/II-C).  This facade owns the operator setup and the
 // half-checkerboard workspaces, and dispatches every algorithm x
-// preconditioner combination of SolverParams onto the true half-volume
-// kernels:
+// preconditioner combination of SolverParams that solver::supported
+// admits:
 //
-//   kCG       x kNone          CG on the normal equations M^dag M
+//   kCG       x kNone          the paper's CG on the normal equations M^dag M
 //   kCG       x kSchurEvenOdd  CG on Mhat^dag Mhat, half-volume fields
-//   kBiCGSTAB x kNone          BiCGSTAB directly on M
 //   kBiCGSTAB x kSchurEvenOdd  BiCGSTAB directly on Mhat, half-volume
 //   kMixedCG  x kSchurEvenOdd  double defect correction, fp32 Schur CG inside
 //
-// kMixedCG x kNone is rejected at construction.
+// kNone runs only the paper's CG (solver/cg.h); BiCGSTAB and kMixedCG run
+// only on the Schur engine, and the constructor rejects them on kNone.
 //
 // Every Schur solve runs one engine, SchurEngine below: the block operator
 // of qcd/block.h, the Schur driver and the block CG of solver/block_cg.h,
@@ -25,10 +25,10 @@
 // Each result has one author per field.  The Krylov loops return their
 // recursion verdict (converged, iterations, history, final residual,
 // stall); the caller that knows the user's system computes the true
-// residual -- the Schur driver, or solve_wilson / solve_wilson_bicgstab
-// on the kNone paths -- and the facade sets the solution norm.  kMixedCG's
-// defect correction re-forms the true residual in double precision after
-// every restart, and its verdict is that residual against the target.
+// residual -- the Schur driver, or solve_wilson on the kNone path -- and
+// the facade sets the solution norm.  kMixedCG's defect correction
+// re-forms the true residual in double precision after every restart, and
+// its verdict is that residual against the target.
 //
 // Construction pays the expensive setup once -- Schur operator data
 // (half grids, stencil tables, double-stored gauge), kMixedCG's fp32
@@ -56,7 +56,6 @@
 #include "solver/mixed_precision.h"
 #include "solver/result.h"
 #include "solver/workspace.h"
-#include "support/logging.h"
 #include "support/metrics.h"
 #include "support/timer.h"
 #include "tensor/regs.h"
@@ -93,9 +92,9 @@ class WilsonSolver {
 
   WilsonSolver(const qcd::GaugeField<S>& gauge, double mass, SolverParams params = {})
       : gauge_(&gauge), mass_(mass), params_(params) {
+    SVELAT_ASSERT_MSG(supported(params_.algorithm, params_.preconditioner),
+                      "kNone runs kCG only: kBiCGSTAB and kMixedCG run the Schur engine");
     if (!schur()) {
-      SVELAT_ASSERT_MSG(params_.algorithm != Algorithm::kMixedCG,
-                        "kMixedCG runs the Schur engine: kNone is not supported");
       dirac_.emplace(*gauge_, mass_);
       return;
     }
@@ -153,8 +152,8 @@ class WilsonSolver {
     return *eo_;
   }
 
-  /// Solve M x = b.  `x` carries the initial guess for the kNone paths;
-  /// the Schur paths always start the preconditioned system from zero and
+  /// Solve M x = b.  `x` carries the initial guess for the kNone CG; the
+  /// Schur paths always start the preconditioned system from zero and
   /// overwrite both parities of `x`.  Non-convergence is reported through
   /// SolverResult::converged, never asserted.
   ///
@@ -163,9 +162,9 @@ class WilsonSolver {
   /// stalled solve is cut short and the reason recorded in
   /// SolverResult::stall; with params.fallback == FallbackPolicy::kAuto a
   /// failed solve is retried once on the robust path (kBiCGSTAB -> kCG
-  /// normal equations, kMixedCG -> full-precision kCG) from a zero guess,
-  /// and the result records the degradation (fallback_used,
-  /// fallback_from, first_attempt_iterations).
+  /// normal equations, kMixedCG -> full-precision kCG, both on the Schur
+  /// system) from a zero guess, and the result records the degradation
+  /// (fallback_used, fallback_from, first_attempt_iterations).
   SolverResult solve(const Fermion& b, Fermion& x) {
     StopWatch sw;
     const StallGuard guard{params_.stall_window, params_.divergence_factor};
@@ -194,7 +193,6 @@ class WilsonSolver {
     // per facade-level solve: the fallback path runs through attempt(),
     // never solve(), so a degraded solve does not double-count itself.
     metrics::record("solve", res.wall_seconds, 0.0, 0.0);
-    if (params_.verbosity >= 1) log_info() << "WilsonSolver " << res.summary();
     return res;
   }
 
@@ -240,7 +238,7 @@ class WilsonSolver {
 
   /// One solve attempt with `algorithm` on the configured preconditioner:
   /// the dispatch without the facade bookkeeping ("solve" region, wall
-  /// clock, fallback, logging) -- shared by solve() and the fallback path.
+  /// clock, fallback) -- shared by solve() and the fallback path.
   SolverResult attempt(Algorithm algorithm, const Fermion& b, Fermion& x,
                        StallGuard guard) {
     const double tol = params_.tolerance;
@@ -266,8 +264,7 @@ class WilsonSolver {
                       : solve_wilson(*dirac_, b, x, tol, max_it, guard, &kws_);
         break;
       case Algorithm::kBiCGSTAB:
-        res = schur() ? engine(single_, *eo_).bicgstab(b, x, tol, max_it, guard)
-                      : solve_wilson_bicgstab(*dirac_, b, x, tol, max_it, guard, &kws_);
+        res = engine(single_, *eo_).bicgstab(b, x, tol, max_it, guard);
         break;
       case Algorithm::kMixedCG:
         res = engine(single_, *eo_).defect_correction(b, x, engine(single_f_, *eo_f_),
@@ -282,11 +279,10 @@ class WilsonSolver {
   /// equations -- slower per iteration, but positive definite, so free of
   /// BiCGSTAB's zero denominators (StallReason::kBreakdown) and of the
   /// fp32 precision floor).  The fallback runs attempt() on this solver's
-  /// own operators and engines, with guards off, from a zero guess, and
-  /// its result carries the degradation report.
-  /// The facade-level "solve" metrics region, wall clock and summary log
-  /// belong to the caller, which finishes assembling the result (combined
-  /// wall_seconds) before anything is logged.
+  /// own Schur engines, with guards off, from a zero guess, and its result
+  /// carries the degradation report.  The facade-level "solve" metrics
+  /// region and wall clock belong to the caller, which finishes assembling
+  /// the result (combined wall_seconds).
   SolverResult fallback_solve(const Fermion& b, Fermion& x,
                               const SolverResult& first) {
     x.set_zero();
@@ -348,7 +344,7 @@ class WilsonSolver {
       load(column(b));
       Results stats = steps([&](const HalfBlock& b_prime, HalfBlock& x_e) {
         return Results{solver::bicgstab(op, b_prime, x_e, tolerance, max_iterations,
-                                        guard, &krylov_, InitialGuess::kZero)};
+                                        guard, &krylov_)};
       });
       store(column(x));
       report_true_residuals(stats);
@@ -562,7 +558,6 @@ class WilsonSolver {
       r.target_residual = params_.tolerance;
       r.block_width = kBlockWidth;
       r.wall_seconds = secs / kBlockWidth;
-      if (params_.verbosity >= 1) log_info() << "WilsonSolver " << r.summary();
       out[base_i + u] = r;
     }
   }
@@ -591,7 +586,7 @@ class WilsonSolver {
   std::optional<qcd::SchurEvenOddWilson<InnerScalar>> eo_f_;
   std::optional<SchurEngine<InnerScalar, 1>> single_f_;
 
-  // Krylov work-field pool (solver/workspace.h) of the full-lattice paths
+  // Krylov work-field pool (solver/workspace.h) of the full-lattice CG
   // (the Schur engines hold their own).  Populated lazily on the first
   // solve and reused ever after: a warm solve() constructs no fermion
   // fields (pinned by tests/solver/test_allocation.cpp).

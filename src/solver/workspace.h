@@ -12,7 +12,7 @@
 //
 // A workspace is bound to the grid of its first use; callers that solve
 // on several grids or field types (full-grid fields of the unpreconditioned
-// paths, the half-grid block fields of each Schur engine) hold one
+// CG, the half-grid block fields of each Schur engine) hold one
 // workspace per grid/field type, as solver::WilsonSolver does.
 #pragma once
 

@@ -477,7 +477,7 @@ TEST(SolverDeathTest, MixedCGWithoutPreconditionerIsRejected) {
   EXPECT_DEATH(WilsonSolver<S>(p.gauge, kMass,
                                params(Algorithm::kMixedCG)
                                    .with_preconditioner(Preconditioner::kNone)),
-               "kMixedCG runs the Schur engine: kNone is not supported");
+               "kNone runs kCG only");
 }
 
 TEST(DistributedSolverDeathTest, OddLocalSplitExtentIsRejected) {

@@ -73,9 +73,7 @@ TEST_F(FullWorkflowTest, AllSolversAgreeOnThermalizedBackground) {
                                   Preconditioner::kNone));
   solver::WilsonSolver<Sd> schur(*gauge_, mass, base);
   solver::WilsonSolver<Sd> bicg(*gauge_, mass,
-                                SolverParams{base}
-                                    .with_algorithm(Algorithm::kBiCGSTAB)
-                                    .with_preconditioner(Preconditioner::kNone));
+                                SolverParams{base}.with_algorithm(Algorithm::kBiCGSTAB));
   solver::WilsonSolver<Sd> mixed(*gauge_, mass,
                                  SolverParams{base}.with_algorithm(Algorithm::kMixedCG));
 

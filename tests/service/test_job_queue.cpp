@@ -80,16 +80,20 @@ TEST(MeasurementJob, DecodeRejectsEveryDefectClass) {
     EXPECT_EQ(e.code(), io::IoErrorCode::kCorruptPayload);
   }
 
-  // kMixedCG runs only on the Schur engine: the solver would abort on the
-  // job, so the record is corrupt.
-  MeasurementJob mixed_none = sample_job(1);
-  mixed_none.algorithm = solver::Algorithm::kMixedCG;
-  mixed_none.preconditioner = solver::Preconditioner::kNone;
-  try {
-    decode_job(encode_job(mixed_none));
-    FAIL() << "kMixedCG x kNone accepted";
-  } catch (const io::IoError& e) {
-    EXPECT_EQ(e.code(), io::IoErrorCode::kCorruptPayload);
+  // kNone runs kCG only (solver::supported): the solver would abort on a
+  // kMixedCG or kBiCGSTAB job without the Schur engine, so the record is
+  // corrupt.
+  for (const solver::Algorithm alg :
+       {solver::Algorithm::kMixedCG, solver::Algorithm::kBiCGSTAB}) {
+    MeasurementJob unpreconditioned = sample_job(1);
+    unpreconditioned.algorithm = alg;
+    unpreconditioned.preconditioner = solver::Preconditioner::kNone;
+    try {
+      decode_job(encode_job(unpreconditioned));
+      FAIL() << solver::to_string(alg) << " x kNone accepted";
+    } catch (const io::IoError& e) {
+      EXPECT_EQ(e.code(), io::IoErrorCode::kCorruptPayload) << solver::to_string(alg);
+    }
   }
 
   std::vector<std::uint8_t> negative_t = good;

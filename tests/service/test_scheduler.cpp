@@ -168,26 +168,6 @@ TEST(MeasureJob, SchurJobsReportHopAndLinalgRates) {
   metrics::reset();
 }
 
-TEST(MeasureJob, BiCGSTABBreakdownIsAVerdictNotAnAbort) {
-  // BiCGSTAB x kNone breaks down exactly on a point source (<r0, v> = 0
-  // in its second iteration).  decode_job accepts the configuration, so
-  // the breakdown must reach the job's record as converged == false: an
-  // abort would kill the worker, and the requeue the next one.
-  sve::VLGuard vl(256);
-  lattice::GridCartesian grid({4, 4, 4, 8},
-                              lattice::GridCartesian::default_simd_layout(S::Nsimd()));
-  qcd::GaugeField<S> gauge(&grid);
-  qcd::random_gauge(SiteRNG(2018), gauge);
-  MeasurementJob job = small_job(1);
-  job.algorithm = solver::Algorithm::kBiCGSTAB;
-  job.preconditioner = solver::Preconditioner::kNone;
-  const JobResult r = measure_job(gauge, decode_job(encode_job(job)));
-  EXPECT_FALSE(r.converged);
-  EXPECT_EQ(r.job_id, job.job_id);
-  EXPECT_EQ(r.correlator.size(), 8u);
-  metrics::reset();
-}
-
 // --- end to end over real forked ranks --------------------------------------
 
 /// Jobs 1..n of small_job.

@@ -1,9 +1,11 @@
-// BiCGSTAB tests on the (non-hermitian) Wilson operator.
+// BiCGSTAB tests on the (non-hermitian) Wilson operator: the generic loop
+// on the full-lattice M, and the facade's kBiCGSTAB x kSchurEvenOdd path.
 #include "solver/bicgstab.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "qcd/propagator.h"
 #include "qcd/qcd.h"
@@ -31,6 +33,18 @@ class BiCGStabTest : public ::testing::Test {
     x_->set_zero();
   }
 
+  /// The generic loop on M from the zero x_, with the Wilson true residual
+  /// |b - M x| / |b| of the x it returns.
+  SolverResult solve_m(const qcd::WilsonDirac<S>& dirac, double tolerance,
+                       int max_iterations) {
+    const auto m = [&dirac](const Fermion& in, Fermion& out) { dirac.m(in, out); };
+    SolverResult stats = bicgstab(m, *b_, *x_, tolerance, max_iterations);
+    Fermion mx(grid_.get());
+    dirac.m(*x_, mx);
+    stats.true_residual = std::sqrt(norm2(*b_ - mx) / norm2(*b_));
+    return stats;
+  }
+
   std::unique_ptr<lattice::GridCartesian> grid_;
   std::unique_ptr<qcd::GaugeField<S>> gauge_;
   std::unique_ptr<Fermion> b_, x_;
@@ -38,14 +52,14 @@ class BiCGStabTest : public ::testing::Test {
 
 TEST_F(BiCGStabTest, ConvergesOnWilsonSystem) {
   const qcd::WilsonDirac<S> dirac(*gauge_, 0.2);
-  const auto stats = solve_wilson_bicgstab(dirac, *b_, *x_, 1e-8, 500);
+  const auto stats = solve_m(dirac, 1e-8, 500);
   EXPECT_TRUE(stats.converged);
   EXPECT_LT(stats.true_residual, 1e-7);
 }
 
 TEST_F(BiCGStabTest, SolutionSatisfiesEquation) {
   const qcd::WilsonDirac<S> dirac(*gauge_, 0.3);
-  const auto stats = solve_wilson_bicgstab(dirac, *b_, *x_, 1e-10, 500);
+  const auto stats = solve_m(dirac, 1e-10, 500);
   ASSERT_TRUE(stats.converged);
   Fermion mx(grid_.get());
   dirac.m(*x_, mx);
@@ -56,7 +70,7 @@ TEST_F(BiCGStabTest, AgreesWithCG) {
   const qcd::WilsonDirac<S> dirac(*gauge_, 0.2);
   Fermion x_cg(grid_.get());
   x_cg.set_zero();
-  const auto s1 = solve_wilson_bicgstab(dirac, *b_, *x_, 1e-10, 500);
+  const auto s1 = solve_m(dirac, 1e-10, 500);
   const auto s2 = solve_wilson(dirac, *b_, x_cg, 1e-10, 800);
   ASSERT_TRUE(s1.converged);
   ASSERT_TRUE(s2.converged);
@@ -71,7 +85,7 @@ TEST_F(BiCGStabTest, FewerMatrixApplicationsThanNormalCG) {
   const qcd::WilsonDirac<S> dirac(*gauge_, 0.1);
   Fermion x_cg(grid_.get());
   x_cg.set_zero();
-  const auto s1 = solve_wilson_bicgstab(dirac, *b_, *x_, 1e-8, 500);
+  const auto s1 = solve_m(dirac, 1e-8, 500);
   const auto s2 = solve_wilson(dirac, *b_, x_cg, 1e-8, 800);
   ASSERT_TRUE(s1.converged);
   ASSERT_TRUE(s2.converged);
@@ -103,7 +117,7 @@ TEST_F(BiCGStabTest, SchurHalfFieldSolveAgreesWithFullSolvers) {
 
 TEST_F(BiCGStabTest, ResidualHistoryRecorded) {
   const qcd::WilsonDirac<S> dirac(*gauge_, 0.2);
-  const auto stats = solve_wilson_bicgstab(dirac, *b_, *x_, 1e-6, 500);
+  const auto stats = solve_m(dirac, 1e-6, 500);
   ASSERT_TRUE(stats.converged);
   ASSERT_GE(stats.residual_history.size(), 2u);
   EXPECT_DOUBLE_EQ(stats.residual_history.front(), 1.0);
@@ -115,15 +129,13 @@ TEST_F(BiCGStabTest, PointSourceBreakdownEndsTheLoopWithAVerdict) {
   // projectors 1 +- gamma_mu annihilate a hop followed by its return.
   const qcd::WilsonDirac<S> dirac(*gauge_, 0.2);
   qcd::point_source(*b_, {1, 2, 3, 4}, 0, 0);
-  const auto stats = solve_wilson_bicgstab(dirac, *b_, *x_, 1e-8, 500);
+  const auto stats = solve_m(dirac, 1e-8, 500);
   EXPECT_FALSE(stats.converged);
   EXPECT_EQ(stats.stall, StallReason::kBreakdown);
   EXPECT_EQ(stats.iterations, 1);
-  // The wrapper, not the loop, reports the Wilson true residual of the
-  // returned x.
-  Fermion mx(grid_.get());
-  dirac.m(*x_, mx);
-  EXPECT_DOUBLE_EQ(stats.true_residual, std::sqrt(norm2(*b_ - mx) / norm2(*b_)));
+  // The loop ends at its finite current iterate, and says why.
+  EXPECT_TRUE(std::isfinite(stats.true_residual));
+  EXPECT_NE(stats.summary().find("breakdown"), std::string::npos) << stats.summary();
 }
 
 TEST_F(BiCGStabTest, KrylovLoopsReturnOnlyTheirRecursionVerdict) {
@@ -148,7 +160,7 @@ TEST_F(BiCGStabTest, KrylovLoopsReturnOnlyTheirRecursionVerdict) {
 TEST_F(BiCGStabTest, ZeroRhsRejected) {
   const qcd::WilsonDirac<S> dirac(*gauge_, 0.2);
   b_->set_zero();
-  EXPECT_DEATH((void)solve_wilson_bicgstab(dirac, *b_, *x_, 1e-8, 10), "non-zero");
+  EXPECT_DEATH((void)solve_m(dirac, 1e-8, 10), "non-zero");
 }
 
 }  // namespace

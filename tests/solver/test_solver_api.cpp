@@ -1,8 +1,8 @@
-// Conformance suite of the WilsonSolver facade: every algorithm x
+// Conformance suite of the WilsonSolver facade: every supported algorithm x
 // preconditioner combination must converge on a small lattice, return a
 // fully-populated SolverResult, agree with the zero-padded test oracle to
 // solver tolerance, and *report* (never assert) non-convergence when
-// starved of iterations.
+// starved of iterations.  The facade rejects every other combination.
 #include "solver/solver.h"
 
 #include <gtest/gtest.h>
@@ -25,9 +25,14 @@ struct Combo {
 constexpr Combo kAllCombos[] = {
     {Algorithm::kCG, Preconditioner::kNone},
     {Algorithm::kCG, Preconditioner::kSchurEvenOdd},
-    {Algorithm::kBiCGSTAB, Preconditioner::kNone},
     {Algorithm::kBiCGSTAB, Preconditioner::kSchurEvenOdd},
     {Algorithm::kMixedCG, Preconditioner::kSchurEvenOdd},
+};
+
+/// The combinations solver::supported rejects: kNone runs kCG only.
+constexpr Combo kRejectedCombos[] = {
+    {Algorithm::kBiCGSTAB, Preconditioner::kNone},
+    {Algorithm::kMixedCG, Preconditioner::kNone},
 };
 
 std::string combo_name(const Combo& c) {
@@ -76,7 +81,15 @@ TEST_F(SolverApiTest, ProductionDefaultsAreSchurCG) {
   EXPECT_EQ(d.preconditioner, Preconditioner::kSchurEvenOdd);
   EXPECT_DOUBLE_EQ(d.tolerance, 1e-9);
   EXPECT_EQ(d.max_iterations, 1000);
-  EXPECT_EQ(d.verbosity, 0);
+}
+
+using SolverApiDeathTest = SolverApiTest;
+
+TEST_F(SolverApiDeathTest, UnsupportedCombinationsAreRejectedAtConstruction) {
+  for (const Combo& c : kRejectedCombos) {
+    SCOPED_TRACE(combo_name(c));
+    EXPECT_DEATH(WilsonSolver<S>(*gauge_, kMass, params_for(c)), "kNone runs kCG only");
+  }
 }
 
 TEST_F(SolverApiTest, EveryCombinationConvergesWithFullyPopulatedResult) {
@@ -164,6 +177,40 @@ TEST_F(SolverApiTest, SummaryNamesAlgorithmAndOutcome) {
   const std::string s = res.summary();
   EXPECT_NE(s.find("cg/schur_even_odd"), std::string::npos) << s;
   EXPECT_NE(s.find("converged"), std::string::npos) << s;
+}
+
+TEST(SinglePrecisionFacade, SolvesEveryCombinationButMixedCGToItsTolerance) {
+  // WilsonSolver over an fp32 scalar: kMixedCG alone needs a double outer
+  // scalar.  Each true residual is recomputed here on the full system.
+  using Sf = simd::SimdComplex<float, simd::kVLB512, simd::SveFcmla>;
+  using Ff = qcd::LatticeFermion<Sf>;
+  constexpr double kTolF = 1e-5;
+  sve::set_vector_length(512);
+  lattice::GridCartesian grid({4, 4, 4, 8},
+                              lattice::GridCartesian::default_simd_layout(Sf::Nsimd()));
+  qcd::GaugeField<Sf> gauge(&grid);
+  qcd::random_gauge(SiteRNG(42), gauge);
+  Ff b(&grid), mx(&grid);
+  gaussian_fill(SiteRNG(31), b);
+  const qcd::WilsonDirac<Sf> dirac(gauge, 0.2);
+  for (const Combo& c : kAllCombos) {
+    if (c.algorithm == Algorithm::kMixedCG) continue;
+    SCOPED_TRACE(combo_name(c));
+    WilsonSolver<Sf> solver(gauge, 0.2,
+                            SolverParams{}
+                                .with_algorithm(c.algorithm)
+                                .with_preconditioner(c.preconditioner)
+                                .with_tolerance(kTolF)
+                                .with_max_iterations(200));
+    Ff x(&grid);
+    x.set_zero();
+    const SolverResult res = solver.solve(b, x);
+    EXPECT_TRUE(res.converged);
+    dirac.m(x, mx);
+    const double true_residual = std::sqrt(norm2(b - mx) / norm2(b));
+    EXPECT_LT(true_residual, kTolF);
+    EXPECT_NEAR(res.true_residual, true_residual, 1e-6);
+  }
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <memory>
 #include <string>
 
@@ -87,13 +86,13 @@ class SolverFallbackTest : public ::testing::Test {
         .with_stall_window(2);
   }
 
-  /// BiCGSTAB on the unpreconditioned operator from a point source: it
-  /// breaks down exactly (see BiCGSTABBreakdownOnAPointSourceIsAVerdict),
-  /// and kAuto's CG fallback converges.
-  SolverParams breaking_bicgstab() const {
+  /// BiCGSTAB x Schur from the point source at {1, 2, 3, 4}: its residual
+  /// triples at iteration 7 (1.87e-8 -> 5.78e-8), which a divergence factor
+  /// of 2 cuts short, and kAuto's CG fallback converges.
+  SolverParams diverging_bicgstab() const {
     return SolverParams{}
         .with_algorithm(Algorithm::kBiCGSTAB)
-        .with_preconditioner(Preconditioner::kNone)
+        .with_divergence_factor(2.0)
         .with_fallback(FallbackPolicy::kAuto);
   }
 
@@ -148,13 +147,14 @@ TEST_F(SolverFallbackTest, FallbackSolveRecordsExactlyOneSolveRegion) {
   // attempt(), never solve(): exactly one region call per facade solve.
   metrics::reset();
   metrics::set_enabled(true);
-  WilsonSolver<S> solver(*gauge_, kMass, breaking_bicgstab());
+  WilsonSolver<S> solver(*gauge_, kMass, diverging_bicgstab());
   Fermion b(grid_.get()), x(grid_.get());
   qcd::point_source(b, {1, 2, 3, 4}, 0, 0);
   x.set_zero();
   const SolverResult res = solver.solve(b, x);
   EXPECT_TRUE(res.converged);
   EXPECT_TRUE(res.fallback_used);
+  EXPECT_EQ(res.stall, StallReason::kDiverged);
 #if SVELAT_METRICS_ENABLED
   EXPECT_EQ(metrics::get("solve").calls, 1u);
 #endif
@@ -201,46 +201,6 @@ TEST_F(SolverFallbackTest, AutoFallbackRescuesAnIterationStarvedBiCGSTAB) {
   EXPECT_EQ(res.fallback_from, Algorithm::kBiCGSTAB);
   EXPECT_EQ(res.algorithm, Algorithm::kCG);
   EXPECT_EQ(res.first_attempt_iterations, 2);
-}
-
-// A point source breaks BiCGSTAB on the unpreconditioned Wilson operator
-// down exactly: the projectors 1 +- gamma_mu annihilate a hop followed by
-// its return, so <r0, v> of the second iteration is 0.  The breakdown is
-// a verdict, never an abort (a service job on this configuration used to
-// kill its worker, and its requeue the next one).
-TEST_F(SolverFallbackTest, BiCGSTABBreakdownOnAPointSourceIsAVerdict) {
-  WilsonSolver<S> solver(*gauge_, kMass,
-                         SolverParams{}
-                             .with_algorithm(Algorithm::kBiCGSTAB)
-                             .with_preconditioner(Preconditioner::kNone));
-  Fermion b(grid_.get()), x(grid_.get());
-  qcd::point_source(b, {1, 2, 3, 4}, 0, 0);
-  x.set_zero();
-  const SolverResult res = solver.solve(b, x);
-
-  EXPECT_FALSE(res.converged);
-  EXPECT_EQ(res.stall, StallReason::kBreakdown);
-  EXPECT_FALSE(res.fallback_used);
-  EXPECT_TRUE(std::isfinite(res.true_residual));
-  EXPECT_NE(res.summary().find("breakdown"), std::string::npos) << res.summary();
-}
-
-TEST_F(SolverFallbackTest, AutoFallbackRescuesABiCGSTABBreakdown) {
-  WilsonSolver<S> solver(*gauge_, kMass, breaking_bicgstab());
-  Fermion b(grid_.get()), x(grid_.get());
-  qcd::point_source(b, {1, 2, 3, 4}, 0, 0);
-  x.set_zero();
-  const SolverResult res = solver.solve(b, x);
-
-  EXPECT_TRUE(res.converged);
-  EXPECT_EQ(res.algorithm, Algorithm::kCG);
-  EXPECT_TRUE(res.fallback_used);
-  EXPECT_EQ(res.fallback_from, Algorithm::kBiCGSTAB);
-  EXPECT_EQ(res.stall, StallReason::kBreakdown);
-  EXPECT_LE(res.true_residual, 1e-8);
-  const std::string s = res.summary();
-  EXPECT_NE(s.find("fallback from bicgstab"), std::string::npos) << s;
-  EXPECT_NE(s.find("breakdown"), std::string::npos) << s;
 }
 
 TEST_F(SolverFallbackTest, ConvergedSolvesNeverFallBack) {
