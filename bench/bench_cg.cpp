@@ -20,7 +20,11 @@
 //
 // `--json` prints a machine-readable summary (consumed by CI artifacts
 // and bench/baseline.json) instead of the human tables; it includes the
-// SolverParams each section ran with.
+// SolverParams each section ran with.  Every machine-dependent figure
+// sits in its `wall_clock` object: solves/s, the hop sweeps' GB/s from
+// their traffic model, the solver linear algebra's seconds and the
+// multi-RHS timings.  CI's metrics-determinism lane drops that key and
+// diffs the rest between metered and unmetered builds.
 #include <cstdio>
 #include <cstring>
 #include <initializer_list>
@@ -218,7 +222,7 @@ solver::SolverParams multi_rhs_params(int iters) {
 
 /// Batched dhop throughput at one block width: repeated Mhat sweeps over
 /// a DRAM-resident block field, rated by the dhop_*_block regions'
-/// amortized byte model.  Resets the metrics registry around itself.
+/// amortized traffic model.  Resets the metrics registry around itself.
 template <typename S, int N>
 MultiRhsWidthRow measure_block_dhop_width(const qcd::SchurEvenOddWilson<S>& eo) {
   qcd::BlockSchurEvenOddWilson<S, N> beo(eo);
@@ -234,12 +238,11 @@ MultiRhsWidthRow measure_block_dhop_width(const qcd::SchurEvenOddWilson<S>& eo) 
   metrics::reset();
   constexpr int kReps = 3;
   for (int r = 0; r < kReps; ++r) beo.mhat(in, out);
-  const metrics::RegionStats oe = metrics::get("dhop_oe_block");
-  const metrics::RegionStats ec = metrics::get("dhop_eo_block");
+  const double gb = metrics::gb_per_sec({"dhop_eo_block", "dhop_oe_block"});
+  const double bytes =
+      metrics::get("dhop_eo_block").bytes + metrics::get("dhop_oe_block").bytes;
   metrics::reset();
-  const double bytes = oe.bytes + ec.bytes;
-  const double secs = oe.seconds + ec.seconds;
-  return {N, secs > 0.0 ? bytes / secs / 1e9 : 0.0, bytes / (kReps * N)};
+  return {N, gb, bytes / (kReps * N)};
 }
 
 /// Width-1 batched solve vs the facade solve, small lattice: a width-1
@@ -339,59 +342,44 @@ MultiRhsSection run_multi_rhs() {
   return m;
 }
 
-/// Combined wall-clock rates of a set of metrics regions (bytes, flops
-/// and seconds summed before dividing).
-void combined_rates(std::initializer_list<const char*> regions, double* gb,
-                    double* gflop) {
-  double bytes = 0.0, flops = 0.0, seconds = 0.0;
-  for (const char* name : regions) {
-    const metrics::RegionStats s = metrics::get(name);
-    bytes += s.bytes;
-    flops += s.flops;
-    seconds += s.seconds;
-  }
-  *gb = seconds > 0.0 ? bytes / seconds / 1e9 : 0.0;
-  *gflop = seconds > 0.0 ? flops / seconds / 1e9 : 0.0;
-}
-
 /// The `wall_clock` JSON section: REAL elapsed time over every solve of
-/// the sections ABOVE the multi-RHS one, with GB/s / GFLOP/s from the
-/// metrics byte/flop models (support/metrics.h).  Machine-dependent by
-/// nature -- reported for observability, never gated and never baselined
-/// (the instruction gates above are the only acceptance criteria).
-/// Zeros in SVELAT_METRICS_DISABLED builds or under SVELAT_METRICS=0.
-/// Captured into a struct BEFORE the multi-RHS section runs, because
-/// that section resets the metrics registry for its own rates.
+/// the sections ABOVE the multi-RHS one, the hop sweeps' GB/s from their
+/// traffic model and the solver linear algebra's seconds
+/// (support/metrics.h).  Machine-dependent by nature -- reported for
+/// observability, never gated and never baselined (the instruction gates
+/// above are the only acceptance criteria).  Zeros in
+/// SVELAT_METRICS_DISABLED builds or under SVELAT_METRICS=0.  Captured
+/// into a struct BEFORE the multi-RHS section runs, because that section
+/// resets the metrics registry for its own rates.
 struct WallClockStats {
   metrics::RegionStats solve;
-  double dhop_gb = 0.0, dhop_gflop = 0.0;
-  double linalg_gb = 0.0, linalg_gflop = 0.0;
+  double dhop_gb = 0.0;
+  double linalg_seconds = 0.0;
   std::string report;  ///< human-readable metrics::report() snapshot
 };
 
 WallClockStats capture_wall_clock() {
   WallClockStats w;
   w.solve = metrics::get("solve");
-  combined_rates({"dhop", "dhop_eo_block", "dhop_oe_block"}, &w.dhop_gb, &w.dhop_gflop);
-  combined_rates({"cg_linalg", "bicgstab_linalg", "block_cg_linalg"}, &w.linalg_gb,
-                 &w.linalg_gflop);
+  w.dhop_gb = metrics::gb_per_sec({"dhop", "dhop_eo_block", "dhop_oe_block"});
+  for (const char* region : {"cg_linalg", "bicgstab_linalg", "block_cg_linalg"})
+    w.linalg_seconds += metrics::get(region).seconds;
   w.report = metrics::report();
   return w;
 }
 
-/// CI's metrics-determinism lane strips everything from the `"wall_clock"`
-/// line through the `"solver_linalg"` line before diffing metrics-on vs
-/// metrics-off outputs, so EVERY machine- or build-dependent number (all
-/// timing, including the multi-RHS comparison and width GB/s rows) must be
-/// printed inside that range; the main JSON body must stay bitwise
-/// build-invariant.
+/// CI's metrics-determinism lane drops the `wall_clock` key before diffing
+/// metrics-on vs metrics-off outputs, so EVERY machine- or build-dependent
+/// number (all timing, including the multi-RHS comparison and width GB/s
+/// rows) must be printed inside that object; the rest of the JSON must
+/// stay bitwise build-invariant.
 void print_wall_clock_json(const WallClockStats& w, const MultiRhsSection& m) {
   std::printf(
       "  \"wall_clock\": {\"solves\": %llu, \"seconds\": %.4f, "
       "\"solves_per_sec\": %.4f,\n"
-      "    \"dhop\": {\"gb_per_sec\": %.4f, \"gflop_per_sec\": %.4f},\n",
+      "    \"dhop\": {\"gb_per_sec\": %.4f},\n",
       static_cast<unsigned long long>(w.solve.calls), w.solve.seconds,
-      w.solve.calls_per_sec(), w.dhop_gb, w.dhop_gflop);
+      w.solve.calls_per_sec(), w.dhop_gb);
   std::printf(
       "    \"multi_rhs\": {\"sequential\": {\"seconds\": %.3f, "
       "\"solves_per_sec\": %.4f},\n"
@@ -406,8 +394,8 @@ void print_wall_clock_json(const WallClockStats& w, const MultiRhsSection& m) {
                 i + 1 < std::size(m.widths) ? ", " : "");
   std::printf(
       "]},\n"
-      "    \"solver_linalg\": {\"gb_per_sec\": %.4f, \"gflop_per_sec\": %.4f}},\n",
-      w.linalg_gb, w.linalg_gflop);
+      "    \"solver_linalg\": {\"seconds\": %.4f}},\n",
+      w.linalg_seconds);
 }
 
 void print_params_json(const solver::SolverParams& p) {

@@ -204,7 +204,7 @@ class DistributedWilsonDirac {
     // Phase 2: interior sites overlap with the in-flight faces; every hop
     // is the parity stencil's.
     {
-      metrics::ScopedTimer mt("dhop_interior", p.interior_bytes, p.interior_flops);
+      metrics::ScopedTimer mt("dhop_interior", p.interior_bytes);
       sweep_list<G5In>(parity, in, p.interior,
                        [](std::int64_t) { return qcd::detail::StencilHops{}; }, hook);
     }
@@ -217,7 +217,7 @@ class DistributedWilsonDirac {
     }
     // Phase 4: boundary sites, off-rank hops served from the ghosts.
     {
-      metrics::ScopedTimer mt("dhop_faces", p.boundary_bytes, p.boundary_flops);
+      metrics::ScopedTimer mt("dhop_faces", p.boundary_bytes);
       const lattice::GridRedBlackCartesian* target =
           parity == lattice::kParityEven ? even_grid() : odd_grid();
       sweep_list<G5In>(
@@ -266,8 +266,8 @@ class DistributedWilsonDirac {
   struct Sites {
     std::vector<std::int64_t> interior;  ///< half sites, all hops local
     std::vector<std::int64_t> boundary;  ///< half sites on the rank cut
-    double interior_bytes = 0.0, interior_flops = 0.0;
-    double boundary_bytes = 0.0, boundary_flops = 0.0;
+    /// The hop traffic model (qcd::kDhopRealsPerSite) of each list's sweep.
+    double interior_bytes = 0.0, boundary_bytes = 0.0;
     std::vector<FaceSite> face[2];  ///< sites on slice 0 / slice L-1
   };
 
@@ -362,12 +362,8 @@ class DistributedWilsonDirac {
         const int t = lattice::lex_coor(g.full_osite(h), rdims)[split];
         (t == 0 || t == l_split - 1 ? p.boundary : p.interior).push_back(h);
       }
-      const auto n_int = static_cast<double>(p.interior.size());
-      const auto n_bnd = static_cast<double>(p.boundary.size());
-      p.interior_bytes = site_bytes * nsimd * n_int;
-      p.interior_flops = qcd::kDhopFlopsPerSite * nsimd * n_int;
-      p.boundary_bytes = site_bytes * nsimd * n_bnd;
-      p.boundary_flops = qcd::kDhopFlopsPerSite * nsimd * n_bnd;
+      p.interior_bytes = site_bytes * nsimd * static_cast<double>(p.interior.size());
+      p.boundary_bytes = site_bytes * nsimd * static_cast<double>(p.boundary.size());
       for (int e = 0; e < 2; ++e) {
         lattice::Coordinate x;
         for (int a = 0; a < face_extent(dims, split, 0); ++a)

@@ -111,8 +111,7 @@ class SchurEvenOddWilson {
     const double sites = static_cast<double>(target->gsites());
     metrics::ScopedTimer mt(
         parity == lattice::kParityEven ? "dhop_eo_block" : "dhop_oe_block",
-        sites * block_dhop_reals_per_site(N) * sizeof(typename S::real_type),
-        sites * kDhopFlopsPerSite * N);
+        sites * block_dhop_reals_per_site(N) * sizeof(typename S::real_type));
     sweep_sites<G5In>(
         parity, in, target->osites(), [](std::int64_t i) { return i; },
         [](std::int64_t) { return detail::StencilHops{}; }, hook);

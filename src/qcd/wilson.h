@@ -64,8 +64,7 @@ class WilsonDirac {
         tmp_g5_(grid_),
         tmp_m_(grid_),
         dhop_bytes_(static_cast<double>(grid_->gsites()) * kDhopRealsPerSite *
-                    sizeof(typename S::real_type)),
-        dhop_flops_(kDhopFlopsPerSite * static_cast<double>(grid_->gsites())) {}
+                    sizeof(typename S::real_type)) {}
 
   const lattice::GridCartesian* grid() const { return grid_; }
   double mass() const { return mass_; }
@@ -74,7 +73,7 @@ class WilsonDirac {
   /// site reads neighbours from `in` (never written here) and writes only
   /// its own out[o].
   void dhop(const Fermion& in, Fermion& out) const {
-    metrics::ScopedTimer mt("dhop", dhop_bytes_, dhop_flops_);
+    metrics::ScopedTimer mt("dhop", dhop_bytes_);
     thread_for(grid_->osites(), [&](std::int64_t o) {
       detail::dhop_site<S>(in, stencil_, u_fwd_, u_bwd_, o, out[o]);
     });
@@ -123,7 +122,6 @@ class WilsonDirac {
   mutable Fermion tmp_g5_;
   mutable Fermion tmp_m_;
   double dhop_bytes_;  ///< wall-clock metrics model of one application
-  double dhop_flops_;
 };
 
 // ---------------------------------------------------------------------------

@@ -28,7 +28,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -91,8 +93,9 @@ inline std::vector<std::uint8_t> encode_job(const MeasurementJob& job) {
 }
 
 /// Decode one job record at `off` (advancing it), validating magic,
-/// version and every enum-like field.  Throws io::IoError naming the
-/// defect -- kBadMagic / kBadVersion / kTruncated / kCorruptPayload.
+/// version, every enum-like field, a finite mass and tolerance, and an
+/// iteration cap that fits an int.  Throws io::IoError naming the defect
+/// -- kBadMagic / kBadVersion / kTruncated / kCorruptPayload.
 inline MeasurementJob decode_job(const std::vector<std::uint8_t>& in,
                                  std::size_t& off) {
   using io::IoError;
@@ -117,7 +120,7 @@ inline MeasurementJob decode_job(const std::vector<std::uint8_t>& in,
   const std::uint32_t alg = io::get_u32(in, off, code, "job algorithm");
   const std::uint32_t pre = io::get_u32(in, off, code, "job preconditioner");
   job.tolerance = io::get_f64(in, off, code, "job tolerance");
-  job.max_iterations = static_cast<int>(io::get_u32(in, off, code, "job iterations"));
+  const std::uint32_t iters = io::get_u32(in, off, code, "job iterations");
   // A source component above INT32_MAX converted to a negative int.
   const bool source_ok = std::ranges::none_of(job.source, [](int x) { return x < 0; });
   if (!source_ok || alg > static_cast<std::uint32_t>(solver::Algorithm::kMixedCG) ||
@@ -126,6 +129,16 @@ inline MeasurementJob decode_job(const std::vector<std::uint8_t>& in,
     throw IoError(IoErrorCode::kCorruptPayload,
                   "job record " + std::to_string(job.job_id) +
                       " holds an out-of-range enum or source component");
+  // A NaN mass aborts the worker inside the solver, a NaN tolerance runs
+  // every solve to its cap, an infinite one "converges" at once, and a cap
+  // above INT32_MAX converts to a negative int that runs no iteration.
+  if (!std::isfinite(job.mass) || !std::isfinite(job.tolerance) ||
+      iters > static_cast<std::uint32_t>(std::numeric_limits<int>::max()))
+    throw IoError(IoErrorCode::kCorruptPayload,
+                  "job record " + std::to_string(job.job_id) +
+                      " holds a non-finite mass or tolerance, or an iteration "
+                      "cap above INT32_MAX");
+  job.max_iterations = static_cast<int>(iters);
   job.algorithm = static_cast<solver::Algorithm>(alg);
   job.preconditioner = static_cast<solver::Preconditioner>(pre);
   // The solver aborts on an unsupported combination: the job would kill

@@ -19,16 +19,15 @@ namespace svelat::service {
 // Record layout:
 //   offset  size  field
 //        0     4  magic "SVJR"
-//        4     4  version (1)
-//        8     4  payload length P
+//        4     4  version (2)
+//        8     4  payload length P = 40 + 8 T
 //       12     P  payload: job_id u64, config_id u32, converged u32,
 //                 iterations u32, wall_seconds f64, dhop GB/s f64,
-//                 dhop GFLOP/s f64, linalg GB/s f64, linalg GFLOP/s f64,
 //                 correlator length T u32, T x f64
 //     12+P     4  CRC-32 over bytes [0, 12+P) of the record
 
 namespace {
-constexpr std::size_t kResultFixedPayload = 64;  // everything but the T doubles
+constexpr std::size_t kResultFixedPayload = 40;  // everything but the T doubles
 }  // namespace
 
 void encode_result(std::vector<std::uint8_t>& out, const JobResult& r) {
@@ -43,9 +42,6 @@ void encode_result(std::vector<std::uint8_t>& out, const JobResult& r) {
   io::put_u32(out, r.iterations);
   io::put_f64(out, r.wall_seconds);
   io::put_f64(out, r.dhop_gb_per_sec);
-  io::put_f64(out, r.dhop_gflop_per_sec);
-  io::put_f64(out, r.linalg_gb_per_sec);
-  io::put_f64(out, r.linalg_gflop_per_sec);
   io::put_u32(out, static_cast<std::uint32_t>(r.correlator.size()));
   for (const double c : r.correlator) io::put_f64(out, c);
   io::put_u32(out, io::crc32(out.data() + start, out.size() - start));
@@ -86,9 +82,6 @@ JobResult decode_result(const std::vector<std::uint8_t>& in, std::size_t& off) {
   r.iterations = io::get_u32(in, off, code, "result iterations");
   r.wall_seconds = io::get_f64(in, off, code, "result wall seconds");
   r.dhop_gb_per_sec = io::get_f64(in, off, code, "result dhop GB/s");
-  r.dhop_gflop_per_sec = io::get_f64(in, off, code, "result dhop GFLOP/s");
-  r.linalg_gb_per_sec = io::get_f64(in, off, code, "result linalg GB/s");
-  r.linalg_gflop_per_sec = io::get_f64(in, off, code, "result linalg GFLOP/s");
   const std::uint32_t nt = io::get_u32(in, off, code, "result correlator length");
   if (kResultFixedPayload + 8 * static_cast<std::size_t>(nt) != payload)
     throw IoError(IoErrorCode::kCorruptPayload,
@@ -131,8 +124,11 @@ std::size_t recover_results(const std::string& path, const JobQueue& queue) {
   if (!std::filesystem::exists(path)) return 0;
   const std::vector<std::uint8_t> bytes = io::read_file_bytes(path);
 
-  // Lenient parse: a defect mid-file is a torn tail from a crash during
-  // append -- everything before it is trusted, everything after dropped.
+  // A crash mid-append leaves a final record that runs past the end of
+  // the file: that torn tail is dropped.  Any other defect is not a crash
+  // artifact, and dropping it would drop the complete records after it,
+  // whose jobs are done and never re-run: it propagates, and the file
+  // stays as it is.
   std::vector<JobResult> kept;
   std::size_t off = 0, valid_bytes = 0, pruned = 0;
   std::set<std::uint64_t> seen;
@@ -140,7 +136,8 @@ std::size_t recover_results(const std::string& path, const JobQueue& queue) {
     JobResult r;
     try {
       r = decode_result(bytes, off);
-    } catch (const io::IoError&) {
+    } catch (const io::IoError& e) {
+      if (e.code() != io::IoErrorCode::kTruncated) throw;
       break;  // torn tail
     }
     const QueueEntry* e = queue.find(r.job_id);

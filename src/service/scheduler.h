@@ -6,7 +6,7 @@
 // then dispatches jobs and collects results until the queue is drained.
 // Ranks 1..R-1 are WORKERS: each decodes the gauge into its own grid,
 // then loops { receive job -> solve the propagator column -> time-slice
-// correlator + wall-clock metrics -> send JobResult } until it receives
+// correlator + wall-clock hop rate -> send JobResult } until it receives
 // the empty shutdown payload.
 //
 // Wire protocol (tags continue the distributed.h ladder, which ends at
@@ -60,26 +60,21 @@ inline constexpr int kJobTag = 701;
 inline constexpr int kResultTag = 702;
 
 inline constexpr std::uint32_t kResultMagic = 0x524A5653u;  // "SVJR" on disk
-inline constexpr std::uint32_t kResultVersion = 1;
+inline constexpr std::uint32_t kResultVersion = 2;
 
 /// What a worker sends back per job: convergence outcome, the time-slice
-/// correlator of the solved column, and the worker-side wall-clock rates
-/// (support/metrics.h) for the two hot regions.  The rates are
-/// machine-dependent observability -- nothing gates on them.
+/// correlator of the solved column, and the worker-side wall clock
+/// (support/metrics.h).  The wall-clock fields are machine-dependent
+/// observability -- nothing gates on them.
 struct JobResult {
   std::uint64_t job_id = 0;
   std::uint32_t config_id = 0;
   bool converged = false;
   std::uint32_t iterations = 0;
-  double wall_seconds = 0.0;         ///< the solve() facade wall clock
-  /// dhop + dhop_eo_block + dhop_oe_block combined (the full-lattice and
-  /// Schur hopping sweeps).
+  double wall_seconds = 0.0;  ///< the solve() facade wall clock
+  /// The hop traffic model over the seconds of dhop + dhop_eo_block +
+  /// dhop_oe_block combined (the full-lattice and Schur hopping sweeps).
   double dhop_gb_per_sec = 0.0;
-  double dhop_gflop_per_sec = 0.0;
-  /// cg_linalg + bicgstab_linalg + block_cg_linalg combined (the
-  /// full-lattice, BiCGSTAB and Schur CG iteration tails).
-  double linalg_gb_per_sec = 0.0;
-  double linalg_gflop_per_sec = 0.0;
   /// C(t) = sum_x |x(x, t)|^2 of the solved column, one entry per slice.
   std::vector<double> correlator;
 };
@@ -102,10 +97,13 @@ void append_result(const std::string& path, const JobResult& r);
 std::vector<JobResult> read_results(const std::string& path);
 
 /// Startup recovery: drop any record whose job is not kDone in `queue`
-/// (an orphan from a crash between append and complete) and any torn
-/// tail from a crash mid-append, then rewrite the file atomically.
-/// Returns the number of records pruned.  A missing file is an empty
-/// history, not an error.
+/// (an orphan from a crash between append and complete) and a torn tail
+/// from a crash mid-append, then rewrite the file atomically.  Only a
+/// final record that runs past the end of the file (kTruncated) is a torn
+/// tail: any other defect (a CRC mismatch, a record of another version)
+/// rethrows its io::IoError and leaves the file untouched, so a defect
+/// inside a complete record never drops it.  Returns the number of
+/// records pruned.  A missing file is an empty history, not an error.
 std::size_t recover_results(const std::string& path, const JobQueue& queue);
 
 struct SchedulerConfig {
@@ -137,26 +135,11 @@ std::vector<double> timeslice_norms(const qcd::LatticeFermion<S>& x) {
   return qcd::timeslice_norm2(table, x);
 }
 
-/// Combined GB/s / GFLOP/s of a set of metrics regions (bytes and flops
-/// summed over the regions, divided by their summed seconds).
-inline void combined_rates(const std::vector<const char*>& regions, double& gb,
-                           double& gflop) {
-  double bytes = 0.0, flops = 0.0, seconds = 0.0;
-  for (const char* name : regions) {
-    const metrics::RegionStats s = metrics::get(name);
-    bytes += s.bytes;
-    flops += s.flops;
-    seconds += s.seconds;
-  }
-  gb = seconds > 0.0 ? bytes / seconds / 1e9 : 0.0;
-  gflop = seconds > 0.0 ? flops / seconds / 1e9 : 0.0;
-}
-
 }  // namespace detail
 
 /// Run one job against a loaded gauge configuration: solve the named
 /// propagator column and package correlator + metrics.  The metrics
-/// registry is reset first so the reported rates cover exactly this job.
+/// registry is reset first so the reported rate covers exactly this job.
 template <class S>
 JobResult measure_job(const qcd::GaugeField<S>& gauge, const MeasurementJob& job) {
   metrics::reset();
@@ -176,10 +159,7 @@ JobResult measure_job(const qcd::GaugeField<S>& gauge, const MeasurementJob& job
   out.converged = res.converged;
   out.iterations = static_cast<std::uint32_t>(res.iterations);
   out.wall_seconds = res.wall_seconds;
-  detail::combined_rates({"dhop", "dhop_eo_block", "dhop_oe_block"}, out.dhop_gb_per_sec,
-                         out.dhop_gflop_per_sec);
-  detail::combined_rates({"cg_linalg", "bicgstab_linalg", "block_cg_linalg"},
-                         out.linalg_gb_per_sec, out.linalg_gflop_per_sec);
+  out.dhop_gb_per_sec = metrics::gb_per_sec({"dhop", "dhop_eo_block", "dhop_oe_block"});
   out.correlator = detail::timeslice_norms(x[0]);
   return out;
 }

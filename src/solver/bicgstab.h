@@ -53,11 +53,8 @@ SolverResult bicgstab(const LinearOp& op, const Field& b, Field& x, double toler
   C rho = innerProduct(r0, r);
   double rr = norm2(r);
 
-  // Wall-clock model of the two linalg clusters between the operator
-  // applications (which are timed at dhop granularity); passes and
-  // flops/complex per kernel as in solver/cg.h's FieldModel.
-  const detail::FieldModel<Field> fm(b);
-
+  // The linalg clusters between the operator applications (which are
+  // timed at dhop granularity) are timed as "bicgstab_linalg".
   for (int k = 0; k < max_iterations && rr > stop; ++k) {
     stats.residual_history.push_back(std::sqrt(rr / b2));
     if ((stats.stall = guard.check(stats.residual_history.back())) !=
@@ -68,9 +65,7 @@ SolverResult bicgstab(const LinearOp& op, const Field& b, Field& x, double toler
     C alpha;
     double s2;
     {
-      // innerProduct (2 passes, 8 f/c) + axpy_norm2 (3 passes, 12 f/c).
-      metrics::ScopedTimer mt("bicgstab_linalg", 5.0 * fm.pass_bytes,
-                              20.0 * fm.n_complex);
+      metrics::ScopedTimer mt("bicgstab_linalg");
       const C r0v = innerProduct(r0, v);
       if (std::abs(r0v) == 0.0) {
         stats.stall = StallReason::kBreakdown;
@@ -80,8 +75,7 @@ SolverResult bicgstab(const LinearOp& op, const Field& b, Field& x, double toler
       s2 = axpy_norm2(s, -alpha, v, r);  // s = r - alpha v, |s|^2
     }
     if (s2 <= stop) {  // early half-step convergence
-      metrics::ScopedTimer mt("bicgstab_linalg", 3.0 * fm.pass_bytes,
-                              8.0 * fm.n_complex);
+      metrics::ScopedTimer mt("bicgstab_linalg");
       axpy(x, alpha, p, x);
       rr = s2;
       stats.iterations = k + 1;
@@ -90,10 +84,7 @@ SolverResult bicgstab(const LinearOp& op, const Field& b, Field& x, double toler
 
     op(s, t);
     {
-      // norm2 + 2 innerProduct + 4 axpy + the fused axpy_norm2:
-      // 20 field passes, 64 flops per complex element.
-      metrics::ScopedTimer mt("bicgstab_linalg", 20.0 * fm.pass_bytes,
-                              64.0 * fm.n_complex);
+      metrics::ScopedTimer mt("bicgstab_linalg");
       const double t2 = norm2(t);
       if (t2 == 0.0) {
         stats.stall = StallReason::kBreakdown;

@@ -88,16 +88,6 @@ std::array<SolverResult, N> block_conjugate_gradient(
 
   lattice::ColumnMask<N> active = lattice::all_columns<N>();
 
-  // Wall-clock model of the per-iteration linalg tail (operator sweeps
-  // are timed at dhop_*_block granularity): block_axpy_norm2 is 3 block
-  // passes / 12 flops per complex, block_xp_update 5 passes / 16 f/c.
-  const double pass_bytes =
-      static_cast<double>(b.osites()) * sizeof(vobj) * N;
-  const double n_complex =
-      pass_bytes / (2.0 * sizeof(typename S::real_type));
-  const double iter_bytes = 8.0 * pass_bytes;
-  const double iter_flops = 28.0 * n_complex;
-
   std::array<double, N> alpha{}, nal{}, beta{};
   for (int k = 0; k < max_iterations; ++k) {
     bool any = false;
@@ -123,7 +113,9 @@ std::array<SolverResult, N> block_conjugate_gradient(
     const std::array<double, N> pap = eo.mhat_norm2(p, mp);
     eo.mhat_dag(mp, ap);
     {
-      metrics::ScopedTimer mt("block_cg_linalg", iter_bytes, iter_flops);
+      // The linalg tail; the operator sweeps are timed at dhop_*_block
+      // granularity.
+      metrics::ScopedTimer mt("block_cg_linalg");
       for (int j = 0; j < N; ++j) {
         const auto u = static_cast<std::size_t>(j);
         if (!active[u]) continue;

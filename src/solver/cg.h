@@ -19,25 +19,6 @@
 
 namespace svelat::solver {
 
-namespace detail {
-
-/// Wall-clock metrics model of a lattice field: its memory footprint in
-/// bytes (one full pass) and its complex-element count.  axpy-style
-/// kernels cost 3 passes and 8 flops/complex; inner products 2 passes and
-/// 8 flops/complex; norms 1 pass and 4 flops/complex.
-template <class Field>
-struct FieldModel {
-  double pass_bytes;
-  double n_complex;
-  explicit FieldModel(const Field& f)
-      : pass_bytes(static_cast<double>(f.osites()) *
-                   sizeof(typename Field::vector_object)),
-        n_complex(pass_bytes /
-                  (2.0 * sizeof(typename Field::simd_type::real_type))) {}
-};
-
-}  // namespace detail
-
 /// CG for A x = b with A hermitian positive definite.  `op(in, out)`
 /// applies A.  `x` carries the initial guess and receives the solution.
 /// Field is any lattice field type with grid()/norm2/innerProduct/axpy.
@@ -72,13 +53,6 @@ SolverResult conjugate_gradient(const LinearOp& op, const Field& b, Field& x,
   double rr = norm2(r);
   const double stop = tolerance * tolerance * b2;
 
-  // Per-iteration linalg tail (the operator application is timed at dhop
-  // granularity): innerProduct (2 passes, 8 flops/complex), two axpy
-  // (3 passes, 8 f/c each) and the fused axpy_norm2 (3 passes, 12 f/c).
-  const detail::FieldModel<Field> fm(b);
-  const double iter_bytes = 11.0 * fm.pass_bytes;
-  const double iter_flops = 36.0 * fm.n_complex;
-
   for (int k = 0; k < max_iterations; ++k) {
     stats.residual_history.push_back(std::sqrt(rr / b2));
     if (rr <= stop) break;
@@ -88,7 +62,9 @@ SolverResult conjugate_gradient(const LinearOp& op, const Field& b, Field& x,
 
     op(p, ap);
     {
-      metrics::ScopedTimer mt("cg_linalg", iter_bytes, iter_flops);
+      // The linalg tail; the operator application is timed at dhop
+      // granularity.
+      metrics::ScopedTimer mt("cg_linalg");
       const double pap = std::real(innerProduct(p, ap));
       SVELAT_ASSERT_MSG(pap > 0.0, "operator is not positive definite");
       const double alpha = rr / pap;

@@ -112,8 +112,8 @@ struct StallGuard {
 
 /// Knobs of a Wilson solve.  The defaults are the production
 /// configuration: Schur-preconditioned CG on true half-checkerboard
-/// fields (the path measured at 13.4% of the zero-padded instruction
-/// count per iteration, bench_cg at VL 128), solved to |r|/|b| <= 1e-9.
+/// fields (README, "Half-checkerboard production path", has its measured
+/// instructions per iteration), solved to |r|/|b| <= 1e-9.
 /// kMixedCG has no knobs of its own: its inner target and restart cap are
 /// WilsonSolver's kMixedInnerTolerance and kMixedMaxRestarts.
 struct SolverParams {

@@ -188,11 +188,11 @@ class WilsonSolver {
     }
     res.wall_seconds = sw.seconds();  // first attempt + any fallback
     // The same reading is the "solve" region, whose calls/sec IS the
-    // solves-per-second figure (no byte/flop model -- the inner kernels
-    // carry those at dhop / linalg granularity).  Exactly ONE region call
+    // solves-per-second figure (the inner kernels are timed at dhop /
+    // linalg granularity).  Exactly ONE region call
     // per facade-level solve: the fallback path runs through attempt(),
     // never solve(), so a degraded solve does not double-count itself.
-    metrics::record("solve", res.wall_seconds, 0.0, 0.0);
+    metrics::record("solve", res.wall_seconds);
     return res;
   }
 
@@ -549,7 +549,7 @@ class WilsonSolver {
       stats[u].solution_norm = solution_norm(x[base_i + u]);
     }
     const double secs = sw.seconds();
-    metrics::record("solve_block", secs, 0.0, 0.0);
+    metrics::record("solve_block", secs);
     for (int j = 0; j < kBlockWidth; ++j) {
       const auto u = static_cast<std::size_t>(j);
       SolverResult& r = stats[u];

@@ -52,20 +52,29 @@ void set_enabled(bool on) {
   enabled_flag().store(on && SVELAT_METRICS_ENABLED, std::memory_order_relaxed);
 }
 
-void record(const char* region, double seconds, double bytes, double flops) {
+void record(const char* region, double seconds, double bytes) {
   if (!enabled()) return;  // the runtime switch silences direct record() too
   std::lock_guard<std::mutex> lock(registry_mutex());
   RegionStats& s = registry()[region];
   ++s.calls;
   s.seconds += seconds;
   s.bytes += bytes;
-  s.flops += flops;
 }
 
 RegionStats get(const std::string& region) {
   std::lock_guard<std::mutex> lock(registry_mutex());
   const auto it = registry().find(region);
   return it == registry().end() ? RegionStats{} : it->second;
+}
+
+double gb_per_sec(std::initializer_list<const char*> regions) {
+  RegionStats sum;
+  for (const char* name : regions) {
+    const RegionStats s = get(name);
+    sum.bytes += s.bytes;
+    sum.seconds += s.seconds;
+  }
+  return sum.gb_per_sec();
 }
 
 std::vector<std::pair<std::string, RegionStats>> snapshot() {
@@ -83,13 +92,13 @@ std::string report() {
   if (rows.empty()) return "metrics: no regions recorded\n";
   std::string out;
   char line[160];
-  std::snprintf(line, sizeof(line), "%-18s %8s %10s %9s %9s %10s\n", "region", "calls",
-                "seconds", "GB/s", "GFLOP/s", "calls/s");
+  std::snprintf(line, sizeof(line), "%-18s %8s %10s %9s %10s\n", "region", "calls",
+                "seconds", "GB/s", "calls/s");
   out += line;
   for (const auto& [name, s] : rows) {
-    std::snprintf(line, sizeof(line), "%-18s %8llu %10.4f %9.3f %9.3f %10.2f\n",
-                  name.c_str(), static_cast<unsigned long long>(s.calls), s.seconds,
-                  s.gb_per_sec(), s.gflop_per_sec(), s.calls_per_sec());
+    std::snprintf(line, sizeof(line), "%-18s %8llu %10.4f %9.3f %10.2f\n", name.c_str(),
+                  static_cast<unsigned long long>(s.calls), s.seconds, s.gb_per_sec(),
+                  s.calls_per_sec());
     out += line;
   }
   return out;
@@ -103,11 +112,10 @@ std::string report_json() {
     const auto& [name, s] = rows[i];
     std::snprintf(buf, sizeof(buf),
                   "%s{\"name\": \"%s\", \"calls\": %llu, \"seconds\": %.6f, "
-                  "\"bytes\": %.0f, \"flops\": %.0f, \"gb_per_sec\": %.4f, "
-                  "\"gflop_per_sec\": %.4f}",
+                  "\"bytes\": %.0f, \"gb_per_sec\": %.4f}",
                   i == 0 ? "" : ", ", name.c_str(),
-                  static_cast<unsigned long long>(s.calls), s.seconds, s.bytes, s.flops,
-                  s.gb_per_sec(), s.gflop_per_sec());
+                  static_cast<unsigned long long>(s.calls), s.seconds, s.bytes,
+                  s.gb_per_sec());
     out += buf;
   }
   out += "]}";

@@ -1,24 +1,26 @@
-// Wall-clock metrics: a scoped timer registry with byte / flop accounting.
+// Wall-clock metrics: a scoped timer registry with byte accounting.
 //
 // The repo's portable performance currency is simulated SVE instruction
 // counts (sve/sve_counters.h) -- deterministic, machine-independent,
 // right for the paper's per-kernel claims, and blind to threading, NUMA,
 // allocation and wire time.  This layer adds the second axis: real
-// monotonic-clock time per named region, with an attached byte / flop
-// model so every region reports GB/s and GFLOP/s (the
-// `TIMER_VERBOSE_FLOPS` accounting idiom of Qlattice).  Wall-clock
-// figures are machine-dependent by nature: they are NEVER gated or
-// baselined, only reported.
+// monotonic-clock time per named region, plus the bytes a region moved
+// where they are counted (SVGF file bytes, wire bytes) or, for the hop
+// sweeps alone, the traffic model that bench/e2e's hop GB/s reads.
+// Wall-clock figures are machine-dependent by nature: they are NEVER
+// gated or baselined, only reported.
 //
-// Usage at a hot-path call site:
+// Usage at a call site:
 //
-//   metrics::ScopedTimer t("dhop", bytes_model, flops_model);
-//   ... the threaded kernel ...
+//   metrics::ScopedTimer t("svgf_save");
+//   ... the work ...
+//   t.add_bytes(bytes_written);
 //
-// Each region accumulates calls / seconds / bytes / flops in a global
-// registry; metrics::report() renders the table (text or JSON), and
-// metrics::get()/snapshot() expose the numbers programmatically (the
-// measurement service streams per-job deltas from them).
+// Each region accumulates calls / seconds / bytes in a global registry;
+// metrics::report() renders the table (text or JSON), and
+// metrics::get()/snapshot()/gb_per_sec() expose the numbers
+// programmatically (the measurement service reports per-job deltas from
+// them).
 //
 // Two off switches, so the counted-instruction determinism story is
 // untouched:
@@ -33,6 +35,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,16 +48,14 @@
 
 namespace svelat::metrics {
 
-/// Accumulated cost of one named region.  bytes/flops are whatever model
-/// the call site attached (0 when a region carries no model).
+/// Accumulated cost of one named region.  bytes are whatever the call
+/// site attached (0 when a region attaches none).
 struct RegionStats {
   std::uint64_t calls = 0;
   double seconds = 0.0;
   double bytes = 0.0;
-  double flops = 0.0;
 
   double gb_per_sec() const { return seconds > 0.0 ? bytes / seconds / 1e9 : 0.0; }
-  double gflop_per_sec() const { return seconds > 0.0 ? flops / seconds / 1e9 : 0.0; }
   double calls_per_sec() const {
     return seconds > 0.0 ? static_cast<double>(calls) / seconds : 0.0;
   }
@@ -67,7 +68,7 @@ bool enabled();
 void set_enabled(bool on);
 
 /// Accumulate one completed region invocation (thread-safe).
-void record(const char* region, double seconds, double bytes, double flops);
+void record(const char* region, double seconds, double bytes = 0.0);
 
 /// Stats of one region (zeros when the region never ran).
 RegionStats get(const std::string& region);
@@ -75,51 +76,51 @@ RegionStats get(const std::string& region);
 /// All regions, sorted by name (stable across runs for reporting).
 std::vector<std::pair<std::string, RegionStats>> snapshot();
 
+/// Combined GB/s of a set of regions: their bytes and seconds summed
+/// before dividing (a region that never ran adds nothing; 0 when none ran).
+double gb_per_sec(std::initializer_list<const char*> regions);
+
 /// Drop all accumulated stats (per-job deltas in the measurement service).
 void reset();
 
 /// Human-readable table: one line per region with calls, seconds, GB/s,
-/// GFLOP/s.  Empty registry renders a one-line note.
+/// calls/s.  Empty registry renders a one-line note.
 std::string report();
 
 /// The same data as a JSON object: {"regions": [{"name": ..., "calls":
-/// ..., "seconds": ..., "bytes": ..., "flops": ..., "gb_per_sec": ...,
-/// "gflop_per_sec": ...}, ...]}.
+/// ..., "seconds": ..., "bytes": ..., "gb_per_sec": ...}, ...]}.
 std::string report_json();
 
 /// RAII region timer.  Construction samples the monotonic clock (iff
 /// collection is enabled); destruction records the elapsed seconds plus
-/// the byte/flop model into the registry.  The model can be attached at
-/// construction or grown while the region is open (add_bytes/add_flops --
-/// e.g. a loop that discovers its traffic as it runs).
+/// the attached bytes into the registry.  Bytes can be attached at
+/// construction or counted while the region is open (add_bytes -- e.g. a
+/// receive that learns its wire size as it runs).
 class ScopedTimer {
  public:
 #if SVELAT_METRICS_ENABLED
-  explicit ScopedTimer(const char* region, double bytes = 0.0, double flops = 0.0)
-      : region_(region), bytes_(bytes), flops_(flops), armed_(enabled()) {
+  explicit ScopedTimer(const char* region, double bytes = 0.0)
+      : region_(region), bytes_(bytes), armed_(enabled()) {
     if (armed_) start_ = std::chrono::steady_clock::now();
   }
   ~ScopedTimer() {
     if (!armed_) return;
     const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - start_;
-    record(region_, dt.count(), bytes_, flops_);
+    record(region_, dt.count(), bytes_);
   }
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
   void add_bytes(double b) { bytes_ += b; }
-  void add_flops(double f) { flops_ += f; }
 
  private:
   const char* region_;
   double bytes_;
-  double flops_;
   bool armed_;
   std::chrono::steady_clock::time_point start_;
 #else
-  explicit ScopedTimer(const char*, double = 0.0, double = 0.0) {}
+  explicit ScopedTimer(const char*, double = 0.0) {}
   void add_bytes(double) {}
-  void add_flops(double) {}
 #endif
 };
 

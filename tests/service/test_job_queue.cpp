@@ -8,7 +8,9 @@
 #include <csignal>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "comms/socket.h"
@@ -103,6 +105,30 @@ TEST(MeasurementJob, DecodeRejectsEveryDefectClass) {
     FAIL() << "source component above INT32_MAX accepted";
   } catch (const io::IoError& e) {
     EXPECT_EQ(e.code(), io::IoErrorCode::kCorruptPayload);
+  }
+
+  // A NaN mass aborts the worker in the solver; a NaN tolerance runs every
+  // solve to its cap, an infinite one "converges" after 0 iterations; a
+  // cap above INT32_MAX wraps to a negative int that runs no iteration.
+  MeasurementJob nan_mass = sample_job(1);
+  nan_mass.mass = std::numeric_limits<double>::quiet_NaN();
+  MeasurementJob nan_tolerance = sample_job(1);
+  nan_tolerance.tolerance = std::numeric_limits<double>::quiet_NaN();
+  MeasurementJob inf_tolerance = sample_job(1);
+  inf_tolerance.tolerance = std::numeric_limits<double>::infinity();
+  std::vector<std::uint8_t> huge_cap = good;
+  for (std::size_t k = 68; k < 72; ++k) huge_cap[k] = 0xFF;  // iterations: u32 max
+  for (const auto& [what, bytes] :
+       {std::pair{"NaN mass", encode_job(nan_mass)},
+        std::pair{"NaN tolerance", encode_job(nan_tolerance)},
+        std::pair{"infinite tolerance", encode_job(inf_tolerance)},
+        std::pair{"iteration cap above INT32_MAX", huge_cap}}) {
+    try {
+      decode_job(bytes);
+      FAIL() << what << " accepted";
+    } catch (const io::IoError& e) {
+      EXPECT_EQ(e.code(), io::IoErrorCode::kCorruptPayload) << what;
+    }
   }
 }
 
