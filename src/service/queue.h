@@ -31,10 +31,11 @@
 // hook).  Queue files are small (88 bytes per job), so atomic whole-file
 // rewrites are far below the cost of one measurement job.
 //
-// Misuse of the state machine (claiming a non-pending job, completing a
-// job that is not claimed) is a QueueError, distinct from file
-// corruption: it means the scheduler's bookkeeping is wrong, not the
-// disk.
+// claim() hands out only the oldest pending job, so a duplicate claim is
+// impossible by construction.  Misuse of the rest of the state machine
+// (completing or requeueing a job that is not claimed) is a QueueError,
+// distinct from file corruption: it means the scheduler's bookkeeping is
+// wrong, not the disk.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +65,8 @@ constexpr const char* to_string(JobState s) {
   return "?";
 }
 
-/// A state-machine violation (duplicate claim, completing an unclaimed
-/// job, unknown job id).  Greppable: "svelat queue: <detail>".
+/// A state-machine violation (completing an unclaimed job, an unknown or
+/// duplicate job id).  Greppable: "svelat queue: <detail>".
 class QueueError : public std::runtime_error {
  public:
   explicit QueueError(const std::string& detail)
@@ -106,11 +107,13 @@ class JobQueue {
   std::size_t done() const { return count(JobState::kDone); }
   bool all_done() const { return done() == entries_.size(); }
 
-  /// Append a pending job and persist.  Job ids must be unique.
+  /// Append a pending job and persist.  Job ids must be unique.  A job
+  /// whose record decode_job rejects throws that io::IoError and leaves
+  /// the queue unchanged: stored, it would make every later load() fail.
   void enqueue(const MeasurementJob& job) {
     if (find(job.job_id) != nullptr)
       throw QueueError("job " + std::to_string(job.job_id) + " is already enqueued");
-    entries_.push_back(QueueEntry{job, JobState::kPending, -1, 0});
+    entries_.push_back(QueueEntry{decode_job(encode_job(job)), JobState::kPending, -1, 0});
     save();
   }
 
@@ -126,21 +129,6 @@ class JobQueue {
       return e.job;
     }
     return std::nullopt;
-  }
-
-  /// Claim one specific job.  A job that is not pending -- e.g. already
-  /// claimed by another worker -- is a QueueError (duplicate-claim
-  /// rejection), not a silent reassignment.
-  void claim_job(std::uint64_t job_id, int worker) {
-    QueueEntry& e = require(job_id);
-    if (e.state != JobState::kPending)
-      throw QueueError("cannot claim job " + std::to_string(job_id) + ": it is " +
-                       to_string(e.state) +
-                       (e.owner >= 0 ? " by worker " + std::to_string(e.owner) : ""));
-    e.state = JobState::kClaimed;
-    e.owner = worker;
-    ++e.attempts;
-    save();
   }
 
   /// kClaimed -> kDone.  Completing a job that is not claimed (never

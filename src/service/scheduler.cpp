@@ -120,6 +120,25 @@ std::vector<JobResult> read_results(const std::string& path) {
   return results;
 }
 
+namespace {
+/// Whether a record that decode_result accepts starts after byte `start`.
+bool complete_record_after(const std::vector<std::uint8_t>& bytes, std::size_t start) {
+  for (std::size_t at = start + 1; at + 4 <= bytes.size(); ++at) {
+    std::size_t off = at;
+    if (io::get_u32(bytes, off, io::IoErrorCode::kTruncated, "result record magic") !=
+        kResultMagic)
+      continue;
+    off = at;
+    try {
+      decode_result(bytes, off);
+      return true;
+    } catch (const io::IoError&) {
+    }
+  }
+  return false;
+}
+}  // namespace
+
 std::size_t recover_results(const std::string& path, const JobQueue& queue) {
   if (!std::filesystem::exists(path)) return 0;
   const std::vector<std::uint8_t> bytes = io::read_file_bytes(path);
@@ -128,16 +147,24 @@ std::size_t recover_results(const std::string& path, const JobQueue& queue) {
   // the file: that torn tail is dropped.  Any other defect is not a crash
   // artifact, and dropping it would drop the complete records after it,
   // whose jobs are done and never re-run: it propagates, and the file
-  // stays as it is.
+  // stays as it is.  So does a record that runs past the end only because
+  // its length field is corrupted, which a complete record after it gives
+  // away.
   std::vector<JobResult> kept;
   std::size_t off = 0, valid_bytes = 0, pruned = 0;
   std::set<std::uint64_t> seen;
   while (off < bytes.size()) {
     JobResult r;
+    const std::size_t start = off;
     try {
       r = decode_result(bytes, off);
     } catch (const io::IoError& e) {
       if (e.code() != io::IoErrorCode::kTruncated) throw;
+      if (complete_record_after(bytes, start))
+        throw io::IoError(io::IoErrorCode::kCorruptPayload,
+                          "result record at byte " + std::to_string(start) +
+                              " runs past the end of the file, but a complete "
+                              "record follows it: its length field is corrupt");
       break;  // torn tail
     }
     const QueueEntry* e = queue.find(r.job_id);

@@ -99,11 +99,13 @@ std::vector<JobResult> read_results(const std::string& path);
 /// Startup recovery: drop any record whose job is not kDone in `queue`
 /// (an orphan from a crash between append and complete) and a torn tail
 /// from a crash mid-append, then rewrite the file atomically.  Only a
-/// final record that runs past the end of the file (kTruncated) is a torn
-/// tail: any other defect (a CRC mismatch, a record of another version)
-/// rethrows its io::IoError and leaves the file untouched, so a defect
-/// inside a complete record never drops it.  Returns the number of
-/// records pruned.  A missing file is an empty history, not an error.
+/// final record that runs past the end of the file (kTruncated), with no
+/// complete record after it, is a torn tail: any other defect (a CRC
+/// mismatch, a record of another version, a corrupted length field that
+/// runs into later records) throws an io::IoError and leaves the file
+/// untouched, so a defect inside a complete record never drops it.
+/// Returns the number of records pruned.  A missing file is an empty
+/// history, not an error.
 std::size_t recover_results(const std::string& path, const JobQueue& queue);
 
 struct SchedulerConfig {

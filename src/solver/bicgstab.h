@@ -15,10 +15,8 @@ namespace svelat::solver {
 
 /// BiCGSTAB for a general (non-hermitian) operator `op`.  `x` must hold
 /// zeros on entry (the Schur driver zeroes it), so r0 = b costs no operator
-/// application; it receives the solution.  An armed StallGuard
-/// (default: off) cuts the loop short on divergence or stall, reporting
-/// the reason in SolverResult::stall.  A breakdown (<r0, v>, |t|, rho or
-/// omega = 0; a point source on the full-lattice Wilson operator hits
+/// application; it receives the solution.  A breakdown (<r0, v>, |t|, rho
+/// or omega = 0; a point source on the full-lattice Wilson operator hits
 /// <r0, v> = 0 exactly) ends the loop with StallReason::kBreakdown, never
 /// an abort.  A caller-owned `workspace` makes repeated solves
 /// allocation-free (slots kR/kR0/kP/kV/kS/kT).  Returns the recursion
@@ -26,8 +24,7 @@ namespace svelat::solver {
 /// driver) computes the true residual, and the facade the solution norm.
 template <class Field, class LinearOp>
 SolverResult bicgstab(const LinearOp& op, const Field& b, Field& x, double tolerance,
-                      int max_iterations, StallGuard guard = {},
-                      SolverWorkspace<Field>* workspace = nullptr) {
+                      int max_iterations, SolverWorkspace<Field>* workspace = nullptr) {
   using C = decltype(innerProduct(b, b));
   SolverResult stats;
   stats.algorithm = Algorithm::kBiCGSTAB;
@@ -57,9 +54,6 @@ SolverResult bicgstab(const LinearOp& op, const Field& b, Field& x, double toler
   // timed at dhop granularity) are timed as "bicgstab_linalg".
   for (int k = 0; k < max_iterations && rr > stop; ++k) {
     stats.residual_history.push_back(std::sqrt(rr / b2));
-    if ((stats.stall = guard.check(stats.residual_history.back())) !=
-        StallReason::kNone)
-      break;
 
     op(p, v);
     C alpha;

@@ -30,9 +30,9 @@
 // solve is bitwise the N = 1 solve of that column.
 //
 // Per-column convergence is tracked independently through a ColumnMask:
-// a converged or stalled column freezes (its fields keep their bits, it
-// stops paying linalg) while its siblings iterate on -- a stalled
-// right-hand side can never poison the others.
+// a converged column freezes (its fields keep their bits, it stops paying
+// linalg) while its siblings iterate on, and a column that reaches the
+// iteration cap unconverged never perturbs the others.
 #pragma once
 
 #include <array>
@@ -60,7 +60,7 @@ std::array<SolverResult, N> block_conjugate_gradient(
     const qcd::BlockSchurEvenOddWilson<S, N, Hops>& eo,
     SolverWorkspace<qcd::HalfBlockFermion<S, N>>& pool,
     const qcd::HalfBlockFermion<S, N>& b, qcd::HalfBlockFermion<S, N>& x,
-    double tolerance, int max_iterations, StallGuard guard = {}) {
+    double tolerance, int max_iterations) {
   using vobj = qcd::SpinColourVector<S>;
   using GridT = lattice::GridRedBlackCartesian;
   using WS = SolverWorkspace<qcd::HalfBlockFermion<S, N>>;
@@ -70,8 +70,6 @@ std::array<SolverResult, N> block_conjugate_gradient(
   auto& mp = pool.get(WS::kV, b.grid());
 
   std::array<SolverResult, N> stats;
-  std::array<StallGuard, N> guards;
-  guards.fill(guard);
 
   const std::array<double, N> b2 = lattice::block_norm2(b);
   std::array<double, N> stop, rr;
@@ -97,11 +95,6 @@ std::array<SolverResult, N> block_conjugate_gradient(
       stats[u].residual_history.push_back(std::sqrt(rr[u] / b2[u]));
       if (rr[u] <= stop[u]) {
         active[u] = false;  // converged: freeze, siblings iterate on
-        continue;
-      }
-      if ((stats[u].stall = guards[u].check(stats[u].residual_history.back())) !=
-          StallReason::kNone) {
-        active[u] = false;  // stalled/diverged: freeze without poisoning
         continue;
       }
       any = true;

@@ -22,16 +22,13 @@ namespace svelat::solver {
 /// CG for A x = b with A hermitian positive definite.  `op(in, out)`
 /// applies A.  `x` carries the initial guess and receives the solution.
 /// Field is any lattice field type with grid()/norm2/innerProduct/axpy.
-/// An armed StallGuard (default: off) cuts the loop short when the
-/// residual diverges or stalls, reporting the reason in
-/// SolverResult::stall.  A caller-owned `workspace` makes repeated solves
-/// allocation-free (slots kR/kP/kAp).  Returns the recursion verdict only:
-/// the caller that knows the user's system computes the true residual
-/// (solve_wilson below), and the facade the solution norm.
+/// A caller-owned `workspace` makes repeated solves allocation-free
+/// (slots kR/kP/kAp).  Returns the recursion verdict only: the caller that
+/// knows the user's system computes the true residual (solve_wilson
+/// below), and the facade the solution norm.
 template <class Field, class LinearOp>
 SolverResult conjugate_gradient(const LinearOp& op, const Field& b, Field& x,
                                 double tolerance, int max_iterations,
-                                StallGuard guard = {},
                                 SolverWorkspace<Field>* workspace = nullptr) {
   SolverResult stats;
   stats.algorithm = Algorithm::kCG;
@@ -56,9 +53,6 @@ SolverResult conjugate_gradient(const LinearOp& op, const Field& b, Field& x,
   for (int k = 0; k < max_iterations; ++k) {
     stats.residual_history.push_back(std::sqrt(rr / b2));
     if (rr <= stop) break;
-    if ((stats.stall = guard.check(stats.residual_history.back())) !=
-        StallReason::kNone)
-      break;
 
     op(p, ap);
     {
@@ -106,7 +100,6 @@ struct WilsonNormalOp {
 template <class Op, class Field>
 SolverResult solve_wilson(const Op& dirac, const Field& b, Field& x,
                           double tolerance, int max_iterations,
-                          StallGuard guard = {},
                           SolverWorkspace<Field>* workspace = nullptr) {
   SolverWorkspace<Field> local;
   SolverWorkspace<Field>& pool = workspace ? *workspace : local;
@@ -115,7 +108,7 @@ SolverResult solve_wilson(const Op& dirac, const Field& b, Field& x,
   dirac.mdag(b, mdag_b);
   SolverResult stats =
       conjugate_gradient(WilsonNormalOp<Op>{dirac}, mdag_b, x, tolerance,
-                         max_iterations, guard, &pool);
+                         max_iterations, &pool);
   // Replace the normal-equation |b| with the Wilson-system one.
   const double b2 = norm2(b);
   stats.rhs_norm = std::sqrt(b2);

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdio>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -56,59 +55,19 @@ inline const char* to_string(Preconditioner p) {
   return "?";
 }
 
-/// What the facade does when a solve fails to converge (graceful
-/// degradation; part of the fault-tolerance layer, see docs/FAULTS.md).
-enum class FallbackPolicy {
-  kNone,  ///< report converged == false, nothing else
-  kAuto,  ///< retry once on CG over the same Schur system:
-          ///< kBiCGSTAB -> kCG (normal equations), kMixedCG -> full-
-          ///< precision kCG.  kCG itself has no further fallback.
-};
-
 /// Why a solve was cut short (SolverResult::stall).
 enum class StallReason {
   kNone,       ///< the solve ran its course
-  kDiverged,   ///< residual grew past divergence_factor x the best seen
-  kStalled,    ///< no new best residual for stall_window iterations
   kBreakdown,  ///< BiCGSTAB hit a zero denominator (<r0, v>, |t|, rho or omega)
 };
 
 inline const char* to_string(StallReason r) {
   switch (r) {
     case StallReason::kNone: return "none";
-    case StallReason::kDiverged: return "diverged";
-    case StallReason::kStalled: return "stalled";
     case StallReason::kBreakdown: return "breakdown";
   }
   return "?";
 }
-
-/// Online divergence/stall detector over a residual sequence.  Feed each
-/// relative residual to check(); a non-kNone return means further
-/// iterations are wasted work (the residual exploded, or made no progress
-/// for a full window).  Both triggers default OFF (window 0, factor 0):
-/// a starved solve that simply runs out of iterations still reports the
-/// plain converged == false it always did.
-struct StallGuard {
-  int window = 0;                  ///< 0 disables the stall trigger
-  double divergence_factor = 0.0;  ///< 0 disables the divergence trigger
-
-  double best = std::numeric_limits<double>::infinity();
-  int since_best = 0;
-
-  StallReason check(double rel) {
-    if (divergence_factor > 0.0 && best < std::numeric_limits<double>::infinity() &&
-        rel > best * divergence_factor)
-      return StallReason::kDiverged;
-    if (rel < best) {
-      best = rel;
-      since_best = 0;
-    } else if (window > 0 && ++since_best >= window) {
-      return StallReason::kStalled;
-    }
-    return StallReason::kNone;
-  }
-};
 
 /// Knobs of a Wilson solve.  The defaults are the production
 /// configuration: Schur-preconditioned CG on true half-checkerboard
@@ -124,13 +83,6 @@ struct SolverParams {
                              ///< CG/BiCGSTAB solve, or each fp32 inner
                              ///< solve of kMixedCG
 
-  // Graceful degradation (all OFF by default; docs/FAULTS.md).
-  FallbackPolicy fallback = FallbackPolicy::kNone;
-  int stall_window = 0;            ///< iterations without a new best residual
-                                   ///< before the solve is cut short (0: off)
-  double divergence_factor = 0.0;  ///< residual growth over the best seen that
-                                   ///< declares divergence (0: off)
-
   // Chainable named setters, so call sites can spell only what differs
   // from production defaults (SolverParams stays an aggregate: designated
   // initializers work too).
@@ -141,12 +93,6 @@ struct SolverParams {
   }
   SolverParams& with_tolerance(double t) { tolerance = t; return *this; }
   SolverParams& with_max_iterations(int n) { max_iterations = n; return *this; }
-  SolverParams& with_fallback(FallbackPolicy p) { fallback = p; return *this; }
-  SolverParams& with_stall_window(int n) { stall_window = n; return *this; }
-  SolverParams& with_divergence_factor(double f) {
-    divergence_factor = f;
-    return *this;
-  }
 };
 
 /// Outcome of one solve.  Every field is populated by every algorithm x
@@ -172,10 +118,7 @@ struct SolverResult {
   /// Wall-clock seconds of the facade-level solve (monotonic clock;
   /// machine-dependent, never gated).  1 / wall_seconds is the
   /// solves-per-second figure the wall-clock metrics layer reports.
-  /// On a fallback solve this is the COMBINED first-attempt + fallback
-  /// time; first_attempt_seconds isolates the wasted portion.
   double wall_seconds = 0.0;
-  double first_attempt_seconds = 0.0;  ///< wall time before the fallback began
 
   std::vector<double> residual_history;  ///< |r|/|b| per outer iteration
 
@@ -186,14 +129,7 @@ struct SolverResult {
   comms::CommStatus comm_status = comms::CommStatus::kOk;
   std::string comm_detail;  ///< CommError::what() of the failure, if any
 
-  // Graceful-degradation report.  When the facade's FallbackPolicy::kAuto
-  // rescued a failed solve, the result describes the FALLBACK solve
-  // (algorithm, iterations, residuals) and these fields record what was
-  // degraded from and why.
-  StallReason stall = StallReason::kNone;  ///< why the first attempt was cut short
-  bool fallback_used = false;              ///< a fallback solve produced x
-  Algorithm fallback_from = Algorithm::kCG;  ///< first-attempt algorithm
-  int first_attempt_iterations = 0;          ///< iterations spent before fallback
+  StallReason stall = StallReason::kNone;  ///< why the Krylov loop was cut short
 
   /// One-line human-readable summary.
   std::string summary() const;
@@ -203,14 +139,9 @@ inline std::string SolverResult::summary() const {
   char inner[48] = "";
   if (inner_iterations > 0)
     std::snprintf(inner, sizeof(inner), " (+%d inner)", inner_iterations);
-  char degraded[96] = "";
-  if (fallback_used)
-    std::snprintf(degraded, sizeof(degraded),
-                  " [fallback from %s after %d iterations: %s]",
-                  to_string(fallback_from), first_attempt_iterations,
-                  to_string(stall));
-  else if (stall != StallReason::kNone)
-    std::snprintf(degraded, sizeof(degraded), " [%s]", to_string(stall));
+  char stalled[32] = "";
+  if (stall != StallReason::kNone)
+    std::snprintf(stalled, sizeof(stalled), " [%s]", to_string(stall));
   char comm[96] = "";
   if (comm_status != comms::CommStatus::kOk)
     std::snprintf(comm, sizeof(comm), " [comm failure: %s]",
@@ -223,7 +154,7 @@ inline std::string SolverResult::summary() const {
                 "%s/%s: %s, %d iterations%s, |r|/|b| %.3e (true %.3e)%s%s%s",
                 to_string(algorithm), to_string(preconditioner),
                 converged ? "converged" : "NOT converged", iterations, inner,
-                final_residual, true_residual, wall, degraded, comm);
+                final_residual, true_residual, wall, stalled, comm);
   return buf;
 }
 

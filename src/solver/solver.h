@@ -22,9 +22,11 @@
 // same N = 1 engine on one rank's half-checkerboard slabs, with
 // comms::DistributedWilsonDirac as the operator's hop provider.
 //
-// Each result has one author per field.  The Krylov loops return their
-// recursion verdict (converged, iterations, history, final residual,
-// stall); the caller that knows the user's system computes the true
+// Each solve runs the configured algorithm once: a solve that misses its
+// target reports converged == false, and nothing retries it.  Each result
+// has one author per field.  The Krylov loops return their recursion
+// verdict (converged, iterations, history, final residual, BiCGSTAB's
+// breakdown); the caller that knows the user's system computes the true
 // residual -- the Schur driver, or solve_wilson on the kNone path -- and
 // the facade sets the solution norm.  kMixedCG's defect correction
 // re-forms the true residual in double precision after every restart, and
@@ -156,19 +158,9 @@ class WilsonSolver {
   /// Schur paths always start the preconditioned system from zero and
   /// overwrite both parities of `x`.  Non-convergence is reported through
   /// SolverResult::converged, never asserted.
-  ///
-  /// Graceful degradation: with an armed stall guard
-  /// (params.stall_window / params.divergence_factor) a diverging or
-  /// stalled solve is cut short and the reason recorded in
-  /// SolverResult::stall; with params.fallback == FallbackPolicy::kAuto a
-  /// failed solve is retried once on the robust path (kBiCGSTAB -> kCG
-  /// normal equations, kMixedCG -> full-precision kCG, both on the Schur
-  /// system) from a zero guess, and the result records the degradation
-  /// (fallback_used, fallback_from, first_attempt_iterations).
   SolverResult solve(const Fermion& b, Fermion& x) {
     StopWatch sw;
-    const StallGuard guard{params_.stall_window, params_.divergence_factor};
-    SolverResult res = attempt(params_.algorithm, b, x, guard);
+    SolverResult res = attempt(b, x);
     res.algorithm = params_.algorithm;
     res.preconditioner = params_.preconditioner;
     res.target_residual = params_.tolerance;
@@ -177,26 +169,13 @@ class WilsonSolver {
     // carries.  x is partial anyway -- report a zero norm.
     if (res.comm_status == comms::CommStatus::kOk)
       res.solution_norm = solution_norm(x);
-    // A typed comm failure is not a convergence failure: retrying the
-    // same broken mesh with a different algorithm cannot help.
-    if (!res.converged && params_.fallback == FallbackPolicy::kAuto &&
-        params_.algorithm != Algorithm::kCG &&
-        res.comm_status == comms::CommStatus::kOk) {
-      const double first_seconds = sw.seconds();
-      res = fallback_solve(b, x, res);
-      res.first_attempt_seconds = first_seconds;
-    }
-    res.wall_seconds = sw.seconds();  // first attempt + any fallback
+    res.wall_seconds = sw.seconds();
     // The same reading is the "solve" region, whose calls/sec IS the
     // solves-per-second figure (the inner kernels are timed at dhop /
-    // linalg granularity).  Exactly ONE region call
-    // per facade-level solve: the fallback path runs through attempt(),
-    // never solve(), so a degraded solve does not double-count itself.
+    // linalg granularity): one region call per facade-level solve.
     metrics::record("solve", res.wall_seconds);
     return res;
   }
-
-  SolverResult operator()(const Fermion& b, Fermion& x) { return solve(b, x); }
 
   /// Width at which solve_batched runs the Schur engine: the 12
   /// spin-colour columns of a propagator, the workload the batched
@@ -211,8 +190,8 @@ class WilsonSolver {
   /// column.  A chunk's column does the same arithmetic as solve() does
   /// at N = 1, so every column's solution, iterations, residual history
   /// and residuals are BITWISE those of solve() on it, whichever path it
-  /// took.  Per-column convergence is independent: a stalled column
-  /// freezes and reports converged == false without perturbing its
+  /// took.  Per-column convergence is independent: a column that misses
+  /// its target reports converged == false without perturbing its
   /// siblings.  SolverResult::block_width records the width each column
   /// ran at.
   std::vector<SolverResult> solve_batched(const std::vector<Fermion>& b,
@@ -236,11 +215,9 @@ class WilsonSolver {
     return std::sqrt(dop_ != nullptr ? dop_->global_norm2(x) : norm2(x));
   }
 
-  /// One solve attempt with `algorithm` on the configured preconditioner:
-  /// the dispatch without the facade bookkeeping ("solve" region, wall
-  /// clock, fallback) -- shared by solve() and the fallback path.
-  SolverResult attempt(Algorithm algorithm, const Fermion& b, Fermion& x,
-                       StallGuard guard) {
+  /// solve()'s dispatch of the configured algorithm x preconditioner,
+  /// without the facade bookkeeping ("solve" region, wall clock).
+  SolverResult attempt(const Fermion& b, Fermion& x) {
     const double tol = params_.tolerance;
     const int max_it = params_.max_iterations;
     SolverResult res;
@@ -249,8 +226,8 @@ class WilsonSolver {
       // a typed verdict in the result, never an abort or a hang.
       try {
         auto& e = engine(dist_, *dop_);
-        res = algorithm == Algorithm::kCG ? e.cg(b, x, tol, max_it, guard)
-                                          : e.bicgstab(b, x, tol, max_it, guard);
+        res = params_.algorithm == Algorithm::kCG ? e.cg(b, x, tol, max_it)
+                                                  : e.bicgstab(b, x, tol, max_it);
       } catch (const comms::CommError& err) {
         res.converged = false;
         res.comm_status = err.status();
@@ -258,44 +235,19 @@ class WilsonSolver {
       }
       return res;
     }
-    switch (algorithm) {
+    switch (params_.algorithm) {
       case Algorithm::kCG:
-        res = schur() ? engine(single_, *eo_).cg(b, x, tol, max_it, guard)
-                      : solve_wilson(*dirac_, b, x, tol, max_it, guard, &kws_);
+        res = schur() ? engine(single_, *eo_).cg(b, x, tol, max_it)
+                      : solve_wilson(*dirac_, b, x, tol, max_it, &kws_);
         break;
       case Algorithm::kBiCGSTAB:
-        res = engine(single_, *eo_).bicgstab(b, x, tol, max_it, guard);
+        res = engine(single_, *eo_).bicgstab(b, x, tol, max_it);
         break;
       case Algorithm::kMixedCG:
         res = engine(single_, *eo_).defect_correction(b, x, engine(single_f_, *eo_f_),
-                                                      tol, max_it, guard);
+                                                      tol, max_it);
         break;
     }
-    return res;
-  }
-
-  /// One fallback attempt on the robust configuration: kBiCGSTAB and
-  /// kMixedCG both degrade to plain double-precision kCG (normal
-  /// equations -- slower per iteration, but positive definite, so free of
-  /// BiCGSTAB's zero denominators (StallReason::kBreakdown) and of the
-  /// fp32 precision floor).  The fallback runs attempt() on this solver's
-  /// own Schur engines, with guards off, from a zero guess, and its result
-  /// carries the degradation report.  The facade-level "solve" metrics
-  /// region and wall clock belong to the caller, which finishes assembling
-  /// the result (combined wall_seconds).
-  SolverResult fallback_solve(const Fermion& b, Fermion& x,
-                              const SolverResult& first) {
-    x.set_zero();
-    SolverResult res = attempt(Algorithm::kCG, b, x, StallGuard{});
-    res.algorithm = Algorithm::kCG;
-    res.preconditioner = params_.preconditioner;
-    res.target_residual = params_.tolerance;
-    // As in solve(): no ring reduction over a mesh the fallback found broken.
-    if (res.comm_status == comms::CommStatus::kOk) res.solution_norm = solution_norm(x);
-    res.fallback_used = true;
-    res.fallback_from = params_.algorithm;
-    res.first_attempt_iterations = first.iterations;
-    res.stall = first.stall;
     return res;
   }
 
@@ -318,33 +270,32 @@ class WilsonSolver {
     /// M x_j = b_j for N columns: CG on the normal equations
     /// Mhat^dag Mhat x_e = Mhat^dag b'_e.
     Results cg(std::span<const Fermion, N> b, std::span<Fermion, N> x, double tolerance,
-               int max_iterations, StallGuard guard) {
+               int max_iterations) {
       load(b);
-      Results stats = cg_steps(tolerance, max_iterations, guard);
+      Results stats = cg_steps(tolerance, max_iterations);
       store(x);
       report_true_residuals(stats);
       return stats;
     }
 
     /// The same for one column.
-    SolverResult cg(const Fermion& b, Fermion& x, double tolerance, int max_iterations,
-                    StallGuard guard)
+    SolverResult cg(const Fermion& b, Fermion& x, double tolerance, int max_iterations)
       requires(N == 1)
     {
-      return cg(column(b), column(x), tolerance, max_iterations, guard)[0];
+      return cg(column(b), column(x), tolerance, max_iterations)[0];
     }
 
     /// M x = b for one column with BiCGSTAB: Mhat is not hermitian, so it
     /// solves Mhat x_e = b'_e directly -- no normal equations.
     SolverResult bicgstab(const Fermion& b, Fermion& x, double tolerance,
-                          int max_iterations, StallGuard guard)
+                          int max_iterations)
       requires(N == 1)
     {
       const auto op = [this](const HalfBlock& in, HalfBlock& out) { eo_.mhat(in, out); };
       load(column(b));
       Results stats = steps([&](const HalfBlock& b_prime, HalfBlock& x_e) {
-        return Results{solver::bicgstab(op, b_prime, x_e, tolerance, max_iterations,
-                                        guard, &krylov_)};
+        return Results{
+            solver::bicgstab(op, b_prime, x_e, tolerance, max_iterations, &krylov_)};
       });
       store(column(x));
       report_true_residuals(stats);
@@ -357,7 +308,7 @@ class WilsonSolver {
     /// correction to x and re-forms r with two parity sweeps.
     template <class Inner>
     SolverResult defect_correction(const Fermion& b, Fermion& x, Inner& inner,
-                                   double tolerance, int max_iterations, StallGuard guard)
+                                   double tolerance, int max_iterations)
       requires(N == 1)
     {
       load(column(b));
@@ -372,12 +323,10 @@ class WilsonSolver {
       double rel = 1.0;
       stats.residual_history.push_back(rel);
       while (rel > tolerance && stats.iterations < kMixedMaxRestarts) {
-        // A restart that stops improving r is a stall worth cutting short.
-        if ((stats.stall = guard.check(rel)) != StallReason::kNone) break;
         convert_field(inner.b_e_, tmp_e_);
         convert_field(inner.b_o_, tmp_o_);
         stats.inner_iterations +=
-            inner.cg_steps(kMixedInnerTolerance, max_iterations, {})[0].iterations;
+            inner.cg_steps(kMixedInnerTolerance, max_iterations)[0].iterations;
         convert_field(tmp_e_, inner.x_e_);
         convert_field(tmp_o_, inner.x_o_);
         lattice::block_add(x_e_, tmp_e_);
@@ -437,12 +386,11 @@ class WilsonSolver {
     }
 
     /// Steps 1-3 with CG on the normal equations.
-    Results cg_steps(double tolerance, int max_iterations, StallGuard guard) {
+    Results cg_steps(double tolerance, int max_iterations) {
       return steps([&](const HalfBlock& b_prime, HalfBlock& x_e) {
         HalfBlock& rhs = krylov_.get(SolverWorkspace<HalfBlock>::kRhs, eo_.even_grid());
         eo_.mhat_dag(b_prime, rhs);
-        return block_conjugate_gradient(eo_, krylov_, rhs, x_e, tolerance, max_iterations,
-                                        guard);
+        return block_conjugate_gradient(eo_, krylov_, rhs, x_e, tolerance, max_iterations);
       });
     }
 
@@ -539,11 +487,10 @@ class WilsonSolver {
   void solve_block_chunk(const std::vector<Fermion>& b, std::vector<Fermion>& x,
                          std::size_t base_i, std::vector<SolverResult>& out) {
     StopWatch sw;
-    const StallGuard guard{params_.stall_window, params_.divergence_factor};
     std::array<SolverResult, kBlockWidth> stats = engine(block_, *eo_).cg(
         std::span<const Fermion, kBlockWidth>(b.data() + base_i, kBlockWidth),
         std::span<Fermion, kBlockWidth>(x.data() + base_i, kBlockWidth),
-        params_.tolerance, params_.max_iterations, guard);
+        params_.tolerance, params_.max_iterations);
     for (int j = 0; j < kBlockWidth; ++j) {
       const auto u = static_cast<std::size_t>(j);
       stats[u].solution_norm = solution_norm(x[base_i + u]);

@@ -41,7 +41,6 @@ namespace {
 using S = simd::SimdComplex<double, simd::kVLB256, simd::SveFcmla>;
 using Field = qcd::LatticeFermion<S>;
 using solver::Algorithm;
-using solver::FallbackPolicy;
 using solver::Preconditioner;
 using solver::SolverParams;
 using solver::SolverResult;
@@ -349,61 +348,6 @@ TEST(DistributedSolverFaults, RankCrashMidSolveYieldsTypedVerdictNotAHang) {
   EXPECT_FALSE(report.ranks[1].exited);
   EXPECT_EQ(report.ranks[1].term_signal, SIGKILL);
   // The survivor digested the crash into SolverResult and exited clean.
-  EXPECT_TRUE(report.ranks[0].exited);
-  EXPECT_EQ(report.ranks[0].exit_code, 0) << report.describe();
-}
-
-TEST(DistributedSolverFaults, CrashInsideFallbackYieldsTypedVerdict) {
-  // BiCGSTAB capped at 2 iterations fails to converge, so kAuto falls back
-  // to CG.  Rank 1 dies inside that fallback: the survivor's solve() must
-  // return the degradation report with a typed comm verdict (the solution
-  // norm is a ring reduction over the broken mesh and must not be taken),
-  // not throw.
-  LaunchOptions opt;
-  opt.recv_timeout_ms = 10000;
-  const SolverParams sp = params(Algorithm::kBiCGSTAB)
-                              .with_max_iterations(2)
-                              .with_fallback(FallbackPolicy::kAuto);
-  const LaunchReport report = run_ranks(
-      2,
-      [&](int rank, SocketCommunicator& socket_comm) {
-        sve::set_vector_length(kVL);
-        const Problem p;
-        const RankDecomposition decomp(kDims, kSplit, 2, layout());
-        // Count rank 1's sends up to the end of the first attempt, with
-        // fallback off: construction plus the capped BiCGSTAB.
-        FaultyCommunicator counted(socket_comm, FaultSchedule{});
-        Field x_local(decomp.grid(rank));
-        const SolverResult first =
-            rank_solve(p, decomp, counted, rank,
-                       SolverParams(sp).with_fallback(FallbackPolicy::kNone), x_local);
-        if (first.converged || first.comm_status != CommStatus::kOk) return 2;
-        if (rank == 1) {
-          // The same solve again, with fallback: the kill lands 10 sends
-          // into the fallback CG.
-          FaultSchedule sched;
-          FaultEvent e;
-          e.op = FaultOp::kSend;
-          e.at = counted.sends_done() + 10;
-          e.kind = FaultKind::kCrash;
-          sched.events.push_back(e);
-          FaultyCommunicator comm(socket_comm, sched);
-          (void)rank_solve(p, decomp, comm, rank, sp, x_local);
-          return 9;  // unreachable: the schedule kills this process
-        }
-        const SolverResult res = rank_solve(p, decomp, socket_comm, rank, sp, x_local);
-        if (!res.fallback_used) return 3;
-        if (res.converged) return 4;
-        if (res.comm_status == CommStatus::kOk) return 5;
-        if (res.comm_detail.empty()) return 6;
-        return 0;
-      },
-      opt);
-
-  EXPECT_FALSE(report.ok);  // rank 1 really died
-  ASSERT_EQ(report.ranks.size(), 2u);
-  EXPECT_FALSE(report.ranks[1].exited);
-  EXPECT_EQ(report.ranks[1].term_signal, SIGKILL);
   EXPECT_TRUE(report.ranks[0].exited);
   EXPECT_EQ(report.ranks[0].exit_code, 0) << report.describe();
 }

@@ -1,5 +1,6 @@
 // The measurement-service job queue: record round-trips, the FIFO state
-// machine with duplicate-claim rejection, one distinct typed IoError per
+// machine and its typed QueueErrors, enqueue's refusal of a job that the
+// queue's own load would reject, one distinct typed IoError per
 // corruption class of the "SVJQ" file, and write atomicity under a real
 // SIGKILL between fsync and rename (the write-fault-hook seam shared
 // with the checkpoint layer).
@@ -194,9 +195,9 @@ TEST(JobQueue, StateMachineViolationsAreTypedQueueErrors) {
   queue.enqueue(sample_job(1));
   EXPECT_THROW(queue.enqueue(sample_job(1)), QueueError);  // duplicate id
 
-  queue.claim_job(1, /*worker=*/1);
-  EXPECT_THROW(queue.claim_job(1, /*worker=*/2), QueueError);  // duplicate claim
-  EXPECT_THROW(queue.requeue(99), QueueError);                 // unknown job
+  ASSERT_EQ(queue.claim(/*worker=*/1).value().job_id, 1u);
+  EXPECT_FALSE(queue.claim(/*worker=*/2).has_value());  // no second claim of job 1
+  EXPECT_THROW(queue.requeue(99), QueueError);           // unknown job
 
   queue.complete(1);
   EXPECT_THROW(queue.complete(1), QueueError);  // done is not claimed
@@ -204,6 +205,38 @@ TEST(JobQueue, StateMachineViolationsAreTypedQueueErrors) {
 
   queue.enqueue(sample_job(2));
   EXPECT_THROW(queue.complete(2), QueueError);  // pending was never claimed
+  std::filesystem::remove(path);
+}
+
+TEST(JobQueue, EnqueueRefusesAJobItsLoadWouldReject) {
+  // One job that decode_job rejects would make every later load() of the
+  // file throw, so no job in the queue could run.  enqueue() throws the
+  // decoder's error instead, and the queue in memory and on disk stays as
+  // it was.
+  const std::string path = temp_path("refuse.svjq");
+  JobQueue queue(path);
+  queue.enqueue(sample_job(1));
+  const std::vector<std::uint8_t> before = io::read_file_bytes(path);
+
+  MeasurementJob nan_mass = sample_job(2);
+  nan_mass.mass = std::numeric_limits<double>::quiet_NaN();
+  MeasurementJob bicgstab_none = sample_job(3);
+  bicgstab_none.algorithm = solver::Algorithm::kBiCGSTAB;
+  bicgstab_none.preconditioner = solver::Preconditioner::kNone;
+  for (const MeasurementJob& job : {nan_mass, bicgstab_none}) {
+    try {
+      queue.enqueue(job);
+      ADD_FAILURE() << "job " << job.job_id << " was enqueued";
+    } catch (const io::IoError& e) {
+      EXPECT_EQ(e.code(), io::IoErrorCode::kCorruptPayload) << e.what();
+    }
+    EXPECT_EQ(queue.entries().size(), 1u) << "job " << job.job_id;
+    EXPECT_EQ(io::read_file_bytes(path), before) << "job " << job.job_id;
+  }
+
+  JobQueue reloaded = JobQueue::load(path);
+  ASSERT_EQ(reloaded.entries().size(), 1u);
+  EXPECT_EQ(reloaded.claim(1).value().job_id, 1u);
   std::filesystem::remove(path);
 }
 

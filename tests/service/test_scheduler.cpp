@@ -138,11 +138,11 @@ TEST(ResultsFile, AppendReadAndRecover) {
   // "died" before completion was recorded).
   JobQueue queue(qpath);
   for (std::uint64_t id : {1u, 2u, 3u}) queue.enqueue(small_job(id));
-  queue.claim_job(1, 1);
+  ASSERT_EQ(queue.claim(1).value().job_id, 1u);
   queue.complete(1);
-  queue.claim_job(2, 2);
+  ASSERT_EQ(queue.claim(2).value().job_id, 2u);
   queue.complete(2);
-  queue.claim_job(3, 1);
+  ASSERT_EQ(queue.claim(1).value().job_id, 3u);
 
   append_result(results, sample_result(1));
   append_result(results, sample_result(2));
@@ -172,14 +172,16 @@ TEST(ResultsFile, AppendReadAndRecover) {
 TEST(ResultsFile, RecoveryNeverDropsACompleteRecord) {
   // Only a final record cut short by the end of the file is a torn tail.
   // Any other defect throws and leaves the file as it was: the queue never
-  // re-runs a done job, so a dropped record would be a lost result.
+  // re-runs a done job, so a dropped record would be a lost result.  A
+  // middle record whose length field claims more bytes than remain looks
+  // cut short too, but the complete record after it gives it away.
   const std::string dir = temp_dir("never_drop");
   const std::string results = dir + "/results.svjr";
   JobQueue queue(dir + "/jobs.svjq");
   std::vector<std::uint8_t> clean, version1;
   for (std::uint64_t id : {1u, 2u, 3u}) {
     queue.enqueue(small_job(id));
-    queue.claim_job(id, 1);
+    ASSERT_EQ(queue.claim(1).value().job_id, id);
     queue.complete(id);
     encode_result(clean, sample_result(id));
     const std::vector<std::uint8_t> v1 = encode_version1_result(sample_result(id));
@@ -189,6 +191,8 @@ TEST(ResultsFile, RecoveryNeverDropsACompleteRecord) {
 
   std::vector<std::uint8_t> flipped = clean;
   flipped[record + 20] ^= 0x10;  // inside record 2's payload
+  std::vector<std::uint8_t> long_length = clean;
+  long_length[record + 10] ^= 0x01;  // bit 16 of record 2's payload length
   std::vector<std::uint8_t> version99 = clean;
   for (std::size_t k = 0; k < 3; ++k) version99[k * record + 4] = 99;
 
@@ -197,6 +201,8 @@ TEST(ResultsFile, RecoveryNeverDropsACompleteRecord) {
     const std::vector<std::uint8_t>& bytes;
     io::IoErrorCode code;
   } cases[] = {{"mid-file bit flip", flipped, io::IoErrorCode::kCorruptPayload},
+               {"record 2's length flipped past the end", long_length,
+                io::IoErrorCode::kCorruptPayload},
                {"every record at version 99", version99, io::IoErrorCode::kBadVersion},
                {"a version-1 file", version1, io::IoErrorCode::kBadVersion}};
   for (const auto& c : cases) {

@@ -1,6 +1,6 @@
 // Allocation-regression suite: a WARM WilsonSolver::solve constructs no
-// lattice fields -- single-rank, distributed, batched or degraded to the
-// fallback.
+// lattice fields -- single-rank, distributed or batched, for every
+// algorithm.
 //
 // Every field buffer goes through AlignedAllocator, whose allocate()
 // bumps the process-wide aligned_allocation_count() seam
@@ -101,29 +101,6 @@ TEST(Allocation, WarmMixedPrecisionSolveAllocatesNothing) {
   AllocProblem p;
   expect_warm_solve_allocates_nothing(
       p, base_params().with_algorithm(Algorithm::kMixedCG), "MixedCG + Schur");
-}
-
-TEST(Allocation, WarmFallbackSolveAllocatesNothing) {
-  // BiCGSTAB capped at 2 iterations fails, and kAuto falls back to CG on
-  // the solver's own Schur data and N = 1 engine: the first solve fills
-  // the engine's pool for both algorithms, so the second allocates
-  // nothing -- no second solver, no rebuilt grids, stencils or links.
-  AllocProblem p;
-  WilsonSolver<S> solver(p.gauge, 0.2,
-                         base_params()
-                             .with_algorithm(Algorithm::kBiCGSTAB)
-                             .with_fallback(FallbackPolicy::kAuto)
-                             .with_max_iterations(2));
-  p.x.set_zero();
-  ASSERT_TRUE(solver.solve(p.b, p.x).fallback_used);
-  p.x.set_zero();
-  const std::uint64_t before = aligned_allocation_count().load();
-  const SolverResult res = solver.solve(p.b, p.x);
-  const std::uint64_t after = aligned_allocation_count().load();
-  EXPECT_TRUE(res.fallback_used);
-  EXPECT_EQ(res.iterations, 2);
-  EXPECT_EQ(after - before, 0u) << "a warm fallback solve built " << (after - before)
-                                << " field buffer(s)";
 }
 
 TEST(Allocation, WarmDistributedSolveAllocatesNothing) {
