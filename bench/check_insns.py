@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fail on an instruction regression of bench_dslash or bench_cg against the baseline.
+"""Fail when bench_dslash's or bench_cg's instruction counts differ from the baseline.
 
   ./build/bench/bench_dslash --benchmark_min_time=0.01 \\
       --benchmark_format=json > bench_dslash.json
@@ -11,7 +11,7 @@
 The run's kind is read from its JSON: bench_cg's output carries
 "benchmark": "bench_cg", anything else is read as bench_dslash's google-benchmark
 output.  Every baseline row in bench/baseline.json (next to this script) must
-appear in the run, and its count must not be higher than the baseline's:
+appear in the run, and its count must equal the baseline's:
 insns/site for each "bench_dslash" row, half_insns_per_iter (the Schur CG's
 instructions per iteration) for each vl of "bench_cg.schur_cg", and
 insns_per_solve (one solve) for each vl of "bench_cg.bicgstab_schur"
@@ -19,8 +19,9 @@ insns_per_solve (one solve) for each vl of "bench_cg.bicgstab_schur"
 row's half_iterations must also equal the baseline's: a count per iteration
 only measures the solve while the solve takes the same iterations.
 The counters are simulated SVE instruction counts, deterministic for a given
-source tree, so any increase is a real regression.  A decrease passes and is
-reported, as a reminder to lower the baseline.
+source tree, so any increase is a real regression, and a decrease fails too
+until the baseline is lowered: a baseline left above the count would let a
+later change give back part of the gain unseen.
 """
 import json
 import sys
@@ -77,7 +78,8 @@ def main(argv):
             verdict = "REGRESSION"
             failures.append(f"{name}: {got} {unit} > baseline {want}")
         elif got < want:
-            verdict = "improved (lower the baseline)"
+            verdict = "STALE BASELINE"
+            failures.append(f"{name}: {got} {unit} < baseline {want} (lower the baseline)")
         print(f"{name:24s} {got:12.2f} {unit}  baseline {want:12.2f}  {verdict}")
     if failures:
         print("\n".join(["failed against " + str(baseline_path) + ":"] +

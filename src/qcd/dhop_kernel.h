@@ -2,28 +2,44 @@
 // with every intermediate in registers.
 //
 // Per hop the kernel loads the neighbour spinor (12 registers) and the link
-// (9 registers) once; the lane permute, spin projection, SU(3) multiply and
-// reconstruction then run on register values (Ops<P>::Regs, simd/ops.h),
-// and the 12-register accumulator stays live across all 8 hops.  A caller's
-// `post` hook receives the accumulator still in registers and decides what
-// reaches memory: a plain store, the Wilson diagonal, gamma5, a norm
-// (StoreColumn, DiagColumn below).  One PTRUE and one zero register are
-// hoisted per site.  Every backend (generic, sve-fcmla, sve-real) runs this
-// one kernel through its register primitives, so on the SVE backends each
-// operation is a counted sve:: intrinsic.
+// (9 registers) once; the spin projection, lane permute, SU(3) multiply
+// and reconstruction then run on register values (Ops<P>::Regs,
+// simd/ops.h), and the 12-register accumulator stays live across all 8
+// hops.  Each +-i term of the projection and reconstruction is one fused
+// add_times_i / add_times_minus_i (one FCADD on sve-fcmla); gamma5 on the
+// neighbour is the projection's sign; the Fig. 1 lane permute runs on the
+// 6 half-spinor registers; the first hop writes the accumulator.  A
+// caller's `post` hook receives the accumulator still in registers and
+// decides what reaches memory: a plain store, the Wilson diagonal, gamma5,
+// a norm (StoreColumn, DiagColumn below).  One PTRUE and one zero register
+// are hoisted per site.  Every backend (generic, sve-fcmla, sve-real) runs
+// this one kernel through its register primitives, so on the SVE backends
+// each operation is a counted sve:: intrinsic.
 //
 // Sizeless-type rule (sve/sve_types.h): register values are function
 // locals only -- never members, arrays or statics.  Colour triplets are the
 // ACLE tuple type (Regs::tuple<3>, sve::svregx on SVE); the four spins of a
 // spinor are four named triplets.
 //
-// Bytewise contract: the kernel applies the same register primitive, with
-// the same operands in the same order, as the tensor-level site arithmetic
+// Bytewise contract: the results equal the tensor-level dhop_via_cshift's
 // (spin_project, iMatrix * iVector / adj_mul, spin_reconstruct_accum over
-// SimdComplex), whose memory-level functors are load-op-store wrappers
-// over those primitives.  Its results therefore equal dhop_via_cshift's
-// byte for byte, signed zeros included, on every backend, precision and
-// vector length (tests/qcd/test_dhop_variants.cpp compares with memcmp).
+// SimdComplex) byte for byte, signed zeros included, on every backend,
+// precision and vector length (tests/qcd/test_dhop_variants.cpp compares
+// with memcmp).  The kernel's forms are exact rewrites of the reference's:
+//   - a - (-b) is a + b, so gamma5 folds into the projection's sign; the
+//     lane permute moves whole complex numbers, so it commutes with the
+//     projection.  Both are bitwise.
+//   - The fused a +- i*x equals the reference's FADD or FSUB of a and
+//     FCADD(0, x) in value; the two can differ only in the sign of an
+//     exact zero of the half spinor.  The SU(3) multiply's FCMLA chain
+//     starts from +0, and in round-to-nearest neither that chain nor an
+//     accumulator built from +0 can ever hold -0 (x + y is -0 only for two
+//     -0s, x - y only for -0 - +0).  So a zero factor's sign never reaches
+//     the product, and the reconstruction's fused terms and the first
+//     hop's write (+0 + g == g) leave every bit of the accumulator as the
+//     reference's.
+// The Wilson-diagonal hook (DiagColumn) stores what it computes, so a
+// signed zero it moved would reach memory: it keeps the reference's forms.
 #pragma once
 
 #include <cstdint>
@@ -53,10 +69,12 @@ inline HopSource<S> stencil_source(const TableT& st, std::int64_t o, int dir,
 }
 
 /// One hop, Mu and Sign fixed: a += R^{Sign}_Mu V P^{Sign}_Mu psi with V = U
-/// (forward) or U^dag (backward).  G5In applies gamma5 to the loaded
-/// neighbour first (a sign flip, which commutes bitwise with the lane
-/// permutation), the fused form of a separate `gamma5 in` pass.
-template <int Mu, int Sign, bool G5In, class S>
+/// (forward) or U^dag (backward).  G5In applies gamma5 to the neighbour
+/// first, the fused form of a separate `gamma5 in` pass: it negates spins
+/// 2-3, which the projection adds to or subtracts from spins 0-1, so it
+/// flips the projection's sign.  First (the first hop of a site) writes
+/// a0/a1 instead of adding to them; a2/a3 must hold zeros before it.
+template <int Mu, int Sign, bool G5In, bool First, class S>
 inline void hop(const typename simd::RegsOf<S>::pred& pg,
                 const typename simd::RegsOf<S>::reg& z,
                 const HopSource<S>& src, const ColourMatrix<S>& u,
@@ -68,47 +86,43 @@ inline void hop(const typename simd::RegsOf<S>::pred& pg,
   using reg = typename R::reg;
   using C3 = typename R::template tuple<Nc>;
   constexpr bool plus = Sign > 0;
+  constexpr bool proj = plus != G5In;
 
-  // Neighbour spinor: 12 loads, optional gamma5, optional lane permute.
-  const SpinColourVector<S>& v = *src.site;
-  C3 p0, p1, p2, p3;
-  for (int c = 0; c < Nc; ++c) {
-    p0.reg[c] = R::load(pg, v(0)(c).raw());
-    p1.reg[c] = R::load(pg, v(1)(c).raw());
-    p2.reg[c] = R::load(pg, v(2)(c).raw());
-    p3.reg[c] = R::load(pg, v(3)(c).raw());
-    if constexpr (G5In) {
-      p2.reg[c] = R::neg(pg, p2.reg[c]);
-      p3.reg[c] = R::neg(pg, p3.reg[c]);
-    }
-  }
-  if (src.permute != 0)
-    R::permute_xor(pg, 2 * static_cast<std::size_t>(src.permute), p0.reg[0], p0.reg[1],
-                   p0.reg[2], p1.reg[0], p1.reg[1], p1.reg[2], p2.reg[0], p2.reg[1],
-                   p2.reg[2], p3.reg[0], p3.reg[1], p3.reg[2]);
-
-  // Spin projection (gamma.h spin_project): two half-spinor triplets.
+  // x + y or x - y; x + i*y or x - i*y.
   const auto pm = [&](bool add, const reg& x, const reg& y) {
     return add ? R::add(pg, x, y) : R::sub(pg, x, y);
   };
-  const auto ti = [&](const reg& x) { return R::times_i(pg, z, x); };
-  const auto tmi = [&](const reg& x) { return R::times_minus_i(pg, z, x); };
+  const auto pmi = [&](bool add, const reg& x, const reg& y) {
+    return add ? R::add_times_i(pg, x, y) : R::add_times_minus_i(pg, x, y);
+  };
+
+  // Spin projection (gamma.h spin_project) of the neighbour, 12 loads:
+  // two half-spinor triplets.
+  const SpinColourVector<S>& v = *src.site;
   C3 h0, h1;
   for (int c = 0; c < Nc; ++c) {
+    const reg p0 = R::load(pg, v(0)(c).raw());
+    const reg p1 = R::load(pg, v(1)(c).raw());
+    const reg p2 = R::load(pg, v(2)(c).raw());
+    const reg p3 = R::load(pg, v(3)(c).raw());
     if constexpr (Mu == 0) {
-      h0.reg[c] = pm(plus, p0.reg[c], ti(p3.reg[c]));
-      h1.reg[c] = pm(plus, p1.reg[c], ti(p2.reg[c]));
+      h0.reg[c] = pmi(proj, p0, p3);
+      h1.reg[c] = pmi(proj, p1, p2);
     } else if constexpr (Mu == 1) {
-      h0.reg[c] = pm(!plus, p0.reg[c], p3.reg[c]);
-      h1.reg[c] = pm(plus, p1.reg[c], p2.reg[c]);
+      h0.reg[c] = pm(!proj, p0, p3);
+      h1.reg[c] = pm(proj, p1, p2);
     } else if constexpr (Mu == 2) {
-      h0.reg[c] = pm(plus, p0.reg[c], ti(p2.reg[c]));
-      h1.reg[c] = pm(!plus, p1.reg[c], ti(p3.reg[c]));
+      h0.reg[c] = pmi(proj, p0, p2);
+      h1.reg[c] = pmi(!proj, p1, p3);
     } else {
-      h0.reg[c] = pm(plus, p0.reg[c], p2.reg[c]);
-      h1.reg[c] = pm(plus, p1.reg[c], p3.reg[c]);
+      h0.reg[c] = pm(proj, p0, p2);
+      h1.reg[c] = pm(proj, p1, p3);
     }
   }
+  // The Fig. 1 lane permute, on the half spinor.
+  if (src.permute != 0)
+    R::permute_xor(pg, 2 * static_cast<std::size_t>(src.permute), h0.reg[0], h0.reg[1],
+                   h0.reg[2], h1.reg[0], h1.reg[1], h1.reg[2]);
 
   // SU(3) multiply of both half spinors, each link element loaded once:
   // row i of U forward, column i of U (conjugated) backward.
@@ -134,17 +148,22 @@ inline void hop(const typename simd::RegsOf<S>::pred& pg,
 
   // Reconstruction into the accumulator (gamma.h spin_reconstruct_accum).
   for (int c = 0; c < Nc; ++c) {
-    a0.reg[c] = R::add(pg, a0.reg[c], g0.reg[c]);
-    a1.reg[c] = R::add(pg, a1.reg[c], g1.reg[c]);
+    if constexpr (First) {
+      a0.reg[c] = g0.reg[c];
+      a1.reg[c] = g1.reg[c];
+    } else {
+      a0.reg[c] = R::add(pg, a0.reg[c], g0.reg[c]);
+      a1.reg[c] = R::add(pg, a1.reg[c], g1.reg[c]);
+    }
     if constexpr (Mu == 0) {
-      a2.reg[c] = R::add(pg, a2.reg[c], plus ? tmi(g1.reg[c]) : ti(g1.reg[c]));
-      a3.reg[c] = R::add(pg, a3.reg[c], plus ? tmi(g0.reg[c]) : ti(g0.reg[c]));
+      a2.reg[c] = pmi(!plus, a2.reg[c], g1.reg[c]);
+      a3.reg[c] = pmi(!plus, a3.reg[c], g0.reg[c]);
     } else if constexpr (Mu == 1) {
       a2.reg[c] = pm(plus, a2.reg[c], g1.reg[c]);
       a3.reg[c] = pm(!plus, a3.reg[c], g0.reg[c]);
     } else if constexpr (Mu == 2) {
-      a2.reg[c] = R::add(pg, a2.reg[c], plus ? tmi(g0.reg[c]) : ti(g0.reg[c]));
-      a3.reg[c] = R::add(pg, a3.reg[c], plus ? ti(g1.reg[c]) : tmi(g1.reg[c]));
+      a2.reg[c] = pmi(!plus, a2.reg[c], g0.reg[c]);
+      a3.reg[c] = pmi(plus, a3.reg[c], g1.reg[c]);
     } else {
       a2.reg[c] = pm(plus, a2.reg[c], g0.reg[c]);
       a3.reg[c] = pm(plus, a3.reg[c], g1.reg[c]);
@@ -164,10 +183,12 @@ inline void hop_sum(const typename simd::RegsOf<S>::pred& pg,
                     typename simd::RegsOf<S>::template tuple<Nc>& a1,
                     typename simd::RegsOf<S>::template tuple<Nc>& a2,
                     typename simd::RegsOf<S>::template tuple<Nc>& a3) {
-  for (int c = 0; c < Nc; ++c) a0.reg[c] = a1.reg[c] = a2.reg[c] = a3.reg[c] = z;
+  // The first hop writes a0/a1; a2/a3 start from zero.
+  for (int c = 0; c < Nc; ++c) a2.reg[c] = a3.reg[c] = z;
   const auto both = [&]<int Mu>() {
-    hop<Mu, +1, G5In, S>(pg, z, source(Mu), u_fwd[Mu][o], a0, a1, a2, a3);
-    hop<Mu, -1, G5In, S>(pg, z, source(lattice::Nd + Mu), u_bwd[Mu][o], a0, a1, a2, a3);
+    hop<Mu, +1, G5In, Mu == 0, S>(pg, z, source(Mu), u_fwd[Mu][o], a0, a1, a2, a3);
+    hop<Mu, -1, G5In, false, S>(pg, z, source(lattice::Nd + Mu), u_bwd[Mu][o], a0, a1,
+                                a2, a3);
   };
   both.template operator()<0>();
   both.template operator()<1>();

@@ -29,11 +29,14 @@ void point_source(LatticeFermion<S>& src, const lattice::Coordinate& origin, int
 }
 
 /// Point-to-all propagator: the 12 solution vectors of M G = delta, indexed
-/// by source component [spin * Nc + colour].
+/// by source component [spin * Nc + colour], and the 12 point sources they
+/// solve for, which compute_propagator refills on every call so a warm
+/// call builds no field.
 template <class S>
 struct Propagator {
   explicit Propagator(const lattice::GridCartesian* grid)
-      : columns(static_cast<std::size_t>(Ns * Nc), LatticeFermion<S>(grid)) {}
+      : columns(static_cast<std::size_t>(Ns * Nc), LatticeFermion<S>(grid)),
+        sources(columns.size(), LatticeFermion<S>(grid)) {}
 
   LatticeFermion<S>& column(int spin, int colour) {
     return columns[static_cast<std::size_t>(spin * Nc + colour)];
@@ -43,6 +46,7 @@ struct Propagator {
   }
 
   std::vector<LatticeFermion<S>> columns;
+  std::vector<LatticeFermion<S>> sources;
 };
 
 /// Per-column outcome of a propagator computation: one SolverResult for
@@ -80,18 +84,17 @@ template <class S>
 PropagatorReport compute_propagator(solver::WilsonSolver<S>& solver,
                                     const lattice::Coordinate& origin,
                                     Propagator<S>& prop) {
-  const lattice::GridCartesian* grid = solver.grid();
-  std::vector<LatticeFermion<S>> sources;
-  sources.reserve(static_cast<std::size_t>(Ns * Nc));
+  SVELAT_ASSERT_MSG(*prop.columns.front().grid() == *solver.grid(),
+                    "the propagator was built for a different grid than the solver's");
   for (int spin = 0; spin < Ns; ++spin) {
     for (int colour = 0; colour < Nc; ++colour) {
-      sources.emplace_back(grid);
-      point_source(sources.back(), origin, spin, colour);
+      point_source(prop.sources[static_cast<std::size_t>(spin * Nc + colour)], origin,
+                   spin, colour);
       prop.column(spin, colour).set_zero();
     }
   }
   PropagatorReport report;
-  report.columns = solver.solve_batched(sources, prop.columns);
+  report.columns = solver.solve_batched(prop.sources, prop.columns);
   return report;
 }
 

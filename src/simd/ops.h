@@ -19,7 +19,13 @@
 //                          (the hop kernel of qcd/dhop_kernel.h, the
 //                          linear algebra of lattice/block.h) are written
 //                          against this level, named simd::RegsOf<S> for a
-//                          SimdComplex type S (simd_complex.h).
+//                          SimdComplex type S (simd_complex.h).  Besides
+//                          the memory-level operations it has the fused
+//                          forms add_times_i(pg, a, x) = a + i*x and
+//                          add_times_minus_i(pg, a, x) = a - i*x, the
+//                          +-i terms of the hop's spin projection and
+//                          reconstruction: one FCADD on sve-fcmla, add
+//                          composed with times_i elsewhere.
 //   Ops<P>::add(x, y), ... memory-level functors on vec<T> arrays, the API
 //                          of SimdComplex: each is a load-op-store wrapper
 //                          over the register level with a single predicate.
@@ -165,6 +171,15 @@ struct GenericRegs {
     return r;
   }
 
+  /// a + i*x and a - i*x: add composed with times_i / times_minus_i (whose
+  /// zero operand this backend ignores).
+  static reg add_times_i(pred pg, const reg& a, const reg& x) {
+    return add(pg, a, times_i(pg, a, x));
+  }
+  static reg add_times_minus_i(pred pg, const reg& a, const reg& x) {
+    return add(pg, a, times_minus_i(pg, a, x));
+  }
+
   static reg conj(pred, const reg& x) {
     reg r;
     for (std::size_t i = 0; i < n; i += 2) {
@@ -298,6 +313,14 @@ struct FcmlaRegs : SveArithRegs<T, VLB> {
   static reg times_minus_i(const pred& pg, const reg& z, const reg& x) {
     return sve::svcadd_x(pg, z, x, 270);
   }
+
+  /// a + i*x and a - i*x: one FCADD #90 / #270 on the accumulator.
+  static reg add_times_i(const pred& pg, const reg& a, const reg& x) {
+    return sve::svcadd_x(pg, a, x, 90);
+  }
+  static reg add_times_minus_i(const pred& pg, const reg& a, const reg& x) {
+    return sve::svcadd_x(pg, a, x, 270);
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -330,6 +353,15 @@ struct SveRealRegs : SveArithRegs<T, VLB> {
   }
   static reg times_minus_i(const pred& pg, const reg& /*z*/, const reg& x) {
     return sve::svneg_x(Base::odd(pg), sve::svtbl(x, A::swap_index(pg)));
+  }
+
+  /// a + i*x and a - i*x: times_i / times_minus_i (whose zero operand this
+  /// backend ignores) then one FADD, the Sec. V-E cost.
+  static reg add_times_i(const pred& pg, const reg& a, const reg& x) {
+    return Base::add(pg, a, times_i(pg, a, x));
+  }
+  static reg add_times_minus_i(const pred& pg, const reg& a, const reg& x) {
+    return Base::add(pg, a, times_minus_i(pg, a, x));
   }
 
  private:

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <cstring>
 
 #include "simd/simd.h"
 #include "simd_test_util.h"
@@ -113,6 +114,46 @@ TYPED_TEST(FunctorTest, TimesIRotates) {
     const std::complex<T> z = tv<T>(13, i);
     EXPECT_EQ(pi.lane(i), (std::complex<T>{-z.imag(), z.real()})) << i;
     EXPECT_EQ(mi.lane(i), (std::complex<T>{z.imag(), -z.real()})) << i;
+  }
+}
+
+// The register level's fused +-i forms (add_times_i, add_times_minus_i:
+// one FCADD on sve-fcmla, add composed with times_i elsewhere) against the
+// scalar a + i x = (a.re - x.im, a.im + x.re) and a - i x = (a.re + x.im,
+// a.im - x.re), bit for bit, so a -0 where the scalar gives +0 fails.  The
+// lanes run through every (a.re, a.im, x.re, x.im) drawn from +0, -0 and
+// two nonzero values.
+TYPED_TEST(FunctorTest, AddTimesIMatchesScalarBitwise) {
+  using S = typename TypeParam::simd_type;
+  using T = typename TypeParam::scalar;
+  using R = RegsOf<S>;
+  const T values[] = {T(0), -T(0), T(1.5), T(-0.75)};
+  constexpr int kValues = 4;
+  constexpr int kCombos = kValues * kValues * kValues * kValues;
+  const auto same_bits = [](T x, T y) { return std::memcmp(&x, &y, sizeof(T)) == 0; };
+  const auto pg = R::ptrue();
+  for (int first = 0; first < kCombos; first += static_cast<int>(S::Nsimd())) {
+    S a = S::zero(), x = S::zero();
+    for (unsigned i = 0; i < S::Nsimd(); ++i) {
+      const int k = (first + static_cast<int>(i)) % kCombos;
+      a.set_lane(i, {values[k % kValues], values[k / kValues % kValues]});
+      x.set_lane(i, {values[k / (kValues * kValues) % kValues],
+                     values[k / (kValues * kValues * kValues)]});
+    }
+    S plus = S::zero(), minus = S::zero();
+    R::store(pg, plus.raw(),
+             R::add_times_i(pg, R::load(pg, a.raw()), R::load(pg, x.raw())));
+    R::store(pg, minus.raw(),
+             R::add_times_minus_i(pg, R::load(pg, a.raw()), R::load(pg, x.raw())));
+    for (unsigned i = 0; i < S::Nsimd(); ++i) {
+      const std::complex<T> av = a.lane(i), xv = x.lane(i);
+      EXPECT_TRUE(same_bits(plus.lane(i).real(), av.real() - xv.imag()) &&
+                  same_bits(plus.lane(i).imag(), av.imag() + xv.real()))
+          << "a + i x, a = " << av << ", x = " << xv << ": got " << plus.lane(i);
+      EXPECT_TRUE(same_bits(minus.lane(i).real(), av.real() + xv.imag()) &&
+                  same_bits(minus.lane(i).imag(), av.imag() - xv.real()))
+          << "a - i x, a = " << av << ", x = " << xv << ": got " << minus.lane(i);
+    }
   }
 }
 

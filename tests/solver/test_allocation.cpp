@@ -1,6 +1,6 @@
 // Allocation-regression suite: a WARM WilsonSolver::solve constructs no
 // lattice fields -- single-rank, distributed or batched, for every
-// algorithm.
+// algorithm -- and neither does a warm qcd::compute_propagator.
 //
 // Every field buffer goes through AlignedAllocator, whose allocate()
 // bumps the process-wide aligned_allocation_count() seam
@@ -24,6 +24,7 @@
 
 #include "comms/distributed_wilson.h"
 #include "lattice/fill.h"
+#include "qcd/propagator.h"
 #include "qcd/qcd.h"
 #include "support/aligned.h"
 #include "sve/sve.h"
@@ -158,6 +159,23 @@ TEST(Allocation, WarmBlockBatchedSolveAllocatesNothing) {
   }
   EXPECT_EQ(after - before, 0u) << "a warm batched solve built "
                                 << (after - before) << " field buffer(s)";
+}
+
+TEST(Allocation, WarmPropagatorAllocatesNothing) {
+  // The Propagator owns its 12 point sources: a warm compute_propagator
+  // refills them and rides the warm batched engine.
+  AllocProblem p;
+  WilsonSolver<S> solver(p.gauge, 0.2, base_params());
+  qcd::Propagator<S> prop(&p.grid);
+  const lattice::Coordinate origin{1, 2, 3, 4};
+  for (int warm = 0; warm < 2; ++warm)
+    ASSERT_TRUE(qcd::compute_propagator(solver, origin, prop).all_converged());
+  const std::uint64_t before = aligned_allocation_count().load();
+  const qcd::PropagatorReport report = qcd::compute_propagator(solver, origin, prop);
+  const std::uint64_t after = aligned_allocation_count().load();
+  EXPECT_TRUE(report.all_converged());
+  EXPECT_EQ(after - before, 0u) << "a warm propagator built " << (after - before)
+                                << " field buffer(s)";
 }
 
 }  // namespace
