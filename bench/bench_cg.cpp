@@ -23,8 +23,7 @@
 // SolverParams each section ran with.  Every machine-dependent figure
 // sits in its `wall_clock` object: solves/s, the hop sweeps' GB/s from
 // their traffic model, the solver linear algebra's seconds and the
-// multi-RHS timings.  CI's metrics-determinism lane drops that key and
-// diffs the rest between metered and unmetered builds.
+// multi-RHS timings.  Everything outside it is deterministic.
 #include <cstdio>
 #include <cstring>
 #include <initializer_list>
@@ -166,34 +165,24 @@ SolveRow run_solve(const solver::SolverParams& params) {
 // Third section: 12 right-hand sides against one gauge configuration --
 // the propagator workload -- 12 facade solve() calls (the Schur engine at
 // N = 1) vs ONE batched solve (N = 12), fixed work on both paths
-// (tolerance 0, a hard iteration cap).  What the wide engine saves is
-// MEMORY TRAFFIC: the batched sweep loads each gauge link once for all 12
-// columns (qcd/block.h's N*216+144 vs N*(216+144) reals per site, a 1.58x
-// reduction at N=12).
+// (tolerance 0, a hard iteration cap).  The batched sweep loads each
+// gauge link once for all 12 columns; no counter measures the memory
+// traffic that saves yet (ROADMAP's cache-model item).
 //
-// GATES (all deterministic, identical across machines and metrics
-// on/off builds, per this repo's "wall clock is never gated" invariant):
-//  - traffic amortization: the byte model's sequential/batched
-//    bytes-per-column ratio must stay >= 1.5 -- the contract that the
-//    kernel shares link loads across columns (a kernel change that
-//    re-streams links per column must update the model and trips this);
+// GATES (deterministic, identical across machines, per this repo's
+// "wall clock is never gated" invariant):
 //  - every batched column's solution bitwise equal to solve() of it;
 //  - a width-1 batch bitwise equal to the facade solve.
 //
 // The wall-clock comparison itself (solves/s both paths, speedup, GB/s
-// by width) is OBSERVABILITY, printed inside the stripped `wall_clock`
-// JSON object.  On this instruction-interpreting single-core simulator
-// batched measures ~0.9-1.0x sequential: every per-column arithmetic op
-// is interpreted identically (the bitwise contract) and one simulated
-// core is nowhere near bandwidth-bound, so saved DRAM traffic buys no
-// simulated time.  On real bandwidth-bound multi-core hardware the
-// 1.58x traffic reduction is what converts to the >= 1.5x solves/s
-// regime the engine targets.
+// by width) is OBSERVABILITY, printed inside the `wall_clock` JSON
+// object.  The instruction simulator interprets every per-column
+// operation identically on both paths (the bitwise contract), so the
+// speedup reflects the host that runs it, not an SVE core's traffic.
 
 struct MultiRhsWidthRow {
   int width;
-  double gb_per_sec;        ///< batched dhop wall-clock rate (modelled bytes)
-  double bytes_per_column;  ///< modelled bytes per column per Mhat application
+  double gb_per_sec;  ///< batched dhop wall-clock rate (modelled bytes)
 };
 
 struct MultiRhsSection {
@@ -205,11 +194,6 @@ struct MultiRhsSection {
   double batched_solves_per_sec = 0.0;
   double speedup = 0.0;          ///< seq_seconds / batched_seconds
   bool columns_bitwise = false;  ///< every batched column byte-equal to its solve()
-  // Deterministic byte model per column per Mhat application
-  // (block_dhop_reals_per_site; independent of metrics and machine).
-  double seq_bytes_per_column = 0.0;
-  double batched_bytes_per_column = 0.0;
-  double traffic_amortization = 0.0;  ///< seq / batched modelled bytes
   bool n1_bitwise = false;
   MultiRhsWidthRow widths[3] = {};
 };
@@ -239,10 +223,8 @@ MultiRhsWidthRow measure_block_dhop_width(const qcd::SchurEvenOddWilson<S>& eo) 
   constexpr int kReps = 3;
   for (int r = 0; r < kReps; ++r) beo.mhat(in, out);
   const double gb = metrics::gb_per_sec({"dhop_eo_block", "dhop_oe_block"});
-  const double bytes =
-      metrics::get("dhop_eo_block").bytes + metrics::get("dhop_oe_block").bytes;
   metrics::reset();
-  return {N, gb, bytes / (kReps * N)};
+  return {N, gb};
 }
 
 /// Width-1 batched solve vs the facade solve, small lattice: a width-1
@@ -279,15 +261,6 @@ MultiRhsSection run_multi_rhs() {
     sve::VLGuard vl(8 * S::vlb);
     lattice::GridCartesian grid(
         {12, 12, 12, 24}, lattice::GridCartesian::default_simd_layout(S::Nsimd()));
-    // Deterministic traffic model for the gate: one Mhat application is two
-    // half-volume sweeps of block_dhop_reals_per_site(N) reals each.
-    const double half_sites = 12.0 * 12.0 * 12.0 * 24.0 / 2.0;
-    m.seq_bytes_per_column =
-        2.0 * half_sites * qcd::block_dhop_reals_per_site(1) * sizeof(double);
-    m.batched_bytes_per_column = 2.0 * half_sites *
-                                 qcd::block_dhop_reals_per_site(kCols) *
-                                 sizeof(double) / kCols;
-    m.traffic_amortization = m.seq_bytes_per_column / m.batched_bytes_per_column;
     qcd::GaugeField<S> gauge(&grid);
     qcd::random_gauge(SiteRNG(2018), gauge);
     std::vector<qcd::LatticeFermion<S>> b, xs, xb;
@@ -326,8 +299,7 @@ MultiRhsSection run_multi_rhs() {
     }
   }
   {
-    // Width sweep on a smaller (still DRAM-resident) volume: how the
-    // amortization curve N*216+144 converts to measured GB/s.
+    // Width sweep on a DRAM-resident volume: measured GB/s by block width.
     sve::VLGuard vl(8 * S::vlb);
     lattice::GridCartesian grid(
         {12, 12, 12, 24}, lattice::GridCartesian::default_simd_layout(S::Nsimd()));
@@ -347,10 +319,9 @@ MultiRhsSection run_multi_rhs() {
 /// traffic model and the solver linear algebra's seconds
 /// (support/metrics.h).  Machine-dependent by nature -- reported for
 /// observability, never gated and never baselined (the instruction gates
-/// above are the only acceptance criteria).  Zeros in
-/// SVELAT_METRICS_DISABLED builds or under SVELAT_METRICS=0.  Captured
-/// into a struct BEFORE the multi-RHS section runs, because that section
-/// resets the metrics registry for its own rates.
+/// above are the only acceptance criteria).  Captured into a struct
+/// BEFORE the multi-RHS section runs, because that section resets the
+/// metrics registry for its own rates.
 struct WallClockStats {
   metrics::RegionStats solve;
   double dhop_gb = 0.0;
@@ -368,11 +339,9 @@ WallClockStats capture_wall_clock() {
   return w;
 }
 
-/// CI's metrics-determinism lane drops the `wall_clock` key before diffing
-/// metrics-on vs metrics-off outputs, so EVERY machine- or build-dependent
-/// number (all timing, including the multi-RHS comparison and width GB/s
-/// rows) must be printed inside that object; the rest of the JSON must
-/// stay bitwise build-invariant.
+/// EVERY machine-dependent number (all timing, including the multi-RHS
+/// comparison and width GB/s rows) must be printed inside this object, so
+/// the rest of the JSON stays deterministic.
 void print_wall_clock_json(const WallClockStats& w, const MultiRhsSection& m) {
   std::printf(
       "  \"wall_clock\": {\"solves\": %llu, \"seconds\": %.4f, "
@@ -456,14 +425,12 @@ int main(int argc, char** argv) {
   for (const auto& r : bicgstab) bicgstab_converged = bicgstab_converged && r.converged;
   bool mixed_converged = true;
   for (const auto& r : mixed) mixed_converged = mixed_converged && r.converged;
-  // Multi-RHS gates (deterministic; see the section comment): the byte
-  // model's traffic amortization must hold the >= 1.5x the engine was
-  // built for, every batched column must equal its single solve bitwise,
-  // and width-1 batches must delegate bitwise.  Wall clock is reported
-  // but never gated.
-  const bool multi_traffic = multi.traffic_amortization >= 1.5;
+  // Multi-RHS gates (deterministic; see the section comment): every
+  // batched column must equal its single solve bitwise, and width-1
+  // batches must delegate bitwise.  Wall clock is reported but never
+  // gated.
   const bool multi_columns_agree = multi.columns_bitwise;
-  const bool multi_ok = multi_traffic && multi_columns_agree && multi.n1_bitwise;
+  const bool multi_ok = multi_columns_agree && multi.n1_bitwise;
 
   if (json) {
     std::printf("{\n  \"benchmark\": \"bench_cg\",\n  \"lattice\": [4, 4, 4, 8],\n");
@@ -511,23 +478,19 @@ int main(int argc, char** argv) {
     std::printf(
         "  \"multi_rhs\": {\"lattice\": [12, 12, 12, 24], \"columns\": %d, "
         "\"iterations_per_column\": %d,\n"
-        "    \"columns_bitwise\": %s, \"n1_bitwise\": %s,\n"
-        "    \"bytes_per_column\": {\"sequential\": %.0f, \"batched\": %.0f, "
-        "\"traffic_amortization\": %.4f}},\n",
+        "    \"columns_bitwise\": %s, \"n1_bitwise\": %s},\n",
         multi.columns, multi.iterations, multi.columns_bitwise ? "true" : "false",
-        multi.n1_bitwise ? "true" : "false", multi.seq_bytes_per_column,
-        multi.batched_bytes_per_column, multi.traffic_amortization);
+        multi.n1_bitwise ? "true" : "false");
     print_wall_clock_json(wall, multi);
     std::printf("  \"iterations_layout_independent\": %s,\n"
                 "  \"schur_solutions_agree\": %s,\n"
                 "  \"bicgstab_converged\": %s,\n"
                 "  \"mixed_converged\": %s,\n"
-                "  \"multi_rhs_traffic_amortized\": %s,\n"
                 "  \"multi_rhs_columns_agree\": %s,\n"
                 "  \"multi_rhs_n1_bitwise\": %s\n}\n",
                 same_iters ? "true" : "false", solutions_agree ? "true" : "false",
                 bicgstab_converged ? "true" : "false", mixed_converged ? "true" : "false",
-                multi_traffic ? "true" : "false", multi_columns_agree ? "true" : "false",
+                multi_columns_agree ? "true" : "false",
                 multi.n1_bitwise ? "true" : "false");
     return (same_iters && solutions_agree && bicgstab_converged && mixed_converged &&
             multi_ok)
@@ -569,25 +532,17 @@ int main(int argc, char** argv) {
 
   std::printf("\n=== multi-RHS block engine, 12^3 x 24, 12 columns, 8 fixed "
               "iterations ===\n\n");
-  std::printf("  modelled dhop traffic: %.0f bytes/column sequential, "
-              "%.0f batched (%.3fx amortized)\n",
-              multi.seq_bytes_per_column, multi.batched_bytes_per_column,
-              multi.traffic_amortization);
   std::printf("  sequential: %6.2f s  (%.3f solves/s)\n", multi.seq_seconds,
               multi.seq_solves_per_sec);
   std::printf("  batched:    %6.2f s  (%.3f solves/s)\n", multi.batched_seconds,
               multi.batched_solves_per_sec);
-  std::printf("  speedup: %.3fx (observability only -- this simulator is "
-              "compute-bound, see bench source)\n",
+  std::printf("  speedup: %.3fx (observability only -- see bench source)\n",
               multi.speedup);
   std::printf("\n  batched dhop by width (12^3 x 24):\n");
-  std::printf("  %-6s %12s %18s\n", "width", "GB/s", "bytes/column");
+  std::printf("  %-6s %12s\n", "width", "GB/s");
   for (const auto& wr : multi.widths)
-    std::printf("  %-6d %12.2f %18.0f\n", wr.width, wr.gb_per_sec,
-                wr.bytes_per_column);
-  std::printf("\nmodelled traffic amortization >= 1.5x: %s\n",
-              multi_traffic ? "yes" : "NO");
-  std::printf("every batched column bitwise equals its solve(): %s\n",
+    std::printf("  %-6d %12.2f\n", wr.width, wr.gb_per_sec);
+  std::printf("\nevery batched column bitwise equals its solve(): %s\n",
               multi_columns_agree ? "yes" : "NO");
   std::printf("width-1 batch bitwise equals facade solve: %s\n",
               multi.n1_bitwise ? "yes" : "NO");

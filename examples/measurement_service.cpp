@@ -21,8 +21,8 @@
 //      ladder with no relaunch.
 //   4. VERIFY     every job completed EXACTLY once (queue all-done, one
 //      result record per job id), every correlator is bitwise identical
-//      to the reference run's, and -- in metrics-enabled builds -- every
-//      worker reported a nonzero dhop rate.
+//      to the reference run's, and every worker reported a nonzero dhop
+//      rate.
 //
 // Exit code 0 iff every check passed AND, when a crash knob was armed,
 // at least one failure was actually observed and recovered from.
@@ -154,16 +154,14 @@ int main(int argc, char** argv) {
     reference_ok = reference_ok && r.converged;
   }
   std::printf("\n%s\n", metrics::report().c_str());
-  if (metrics::enabled()) {
-    const metrics::RegionStats dhop = metrics::get("dhop_eo_block");
-    const metrics::RegionStats linalg = metrics::get("block_cg_linalg");
-    if (dhop.gb_per_sec() <= 0.0 || linalg.seconds <= 0.0) {
-      std::printf("FAIL: metrics enabled but the dhop rate or linalg time is zero\n");
-      return 1;
-    }
-    std::printf("[metrics] dhop %.2f GB/s, solver linalg %.4f s, %.2f solves/s\n",
-                dhop.gb_per_sec(), linalg.seconds, metrics::get("solve").calls_per_sec());
+  const metrics::RegionStats dhop = metrics::get("dhop_eo_block");
+  const metrics::RegionStats linalg = metrics::get("block_cg_linalg");
+  if (dhop.gb_per_sec() <= 0.0 || linalg.seconds <= 0.0) {
+    std::printf("FAIL: the dhop rate or linalg time is zero\n");
+    return 1;
   }
+  std::printf("[metrics] dhop %.2f GB/s, solver linalg %.4f s, %.2f solves/s\n",
+              dhop.gb_per_sec(), linalg.seconds, metrics::get("solve").calls_per_sec());
   if (!reference_ok) {
     std::printf("FAIL: a reference solve did not converge\n");
     return 1;
@@ -248,7 +246,7 @@ int main(int argc, char** argv) {
       continue;
     }
     const bool bitwise = r.correlator == ref->correlator;
-    const bool metrics_ok = !metrics::enabled() || r.dhop_gb_per_sec > 0.0;
+    const bool metrics_ok = r.dhop_gb_per_sec > 0.0;
     std::printf("  job %llu: %s, %u iters, correlator %s, dhop %.2f GB/s\n",
                 static_cast<unsigned long long>(r.job_id),
                 r.converged ? "converged" : "NOT CONVERGED", r.iterations,

@@ -6,9 +6,7 @@
 // replaces that with a small, closed vocabulary of failure classes
 // (CommStatus), an exception carrying the class (CommError), and a
 // bounded retry-with-backoff policy (RetryPolicy) applied by the
-// Communicator base class to the *transient* classes only.  Aborting is
-// still available as the configurable last resort
-// (RetryPolicy::abort_on_failure), but it is no longer the default.
+// Communicator base class to the *transient* classes only.
 //
 // The class -> recovery contract (normative table: docs/FAULTS.md):
 //
@@ -95,10 +93,6 @@ struct RetryPolicy {
   int max_attempts = 3;      ///< total attempts for transient failures (>= 1)
   int backoff_ms = 5;        ///< sleep before the first retry
   int max_backoff_ms = 200;  ///< backoff growth cap
-  /// Last resort: abort() with a diagnostic instead of throwing CommError
-  /// when the (possibly retried) operation finally fails.  Off by
-  /// default -- failures are typed and recoverable.
-  bool abort_on_failure = false;
 };
 
 inline void comm_backoff_sleep(int ms) {

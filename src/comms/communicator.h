@@ -30,8 +30,7 @@
 //   recv_status            statuses (RetryPolicy), returns the final
 //                          CommStatus, never throws.
 //   send / recv            the call-site API: retried as above, then throws
-//                          CommError (or aborts, iff the policy says so --
-//                          the configurable last resort) on failure.
+//                          CommError on failure.
 //
 // Semantics every implementation must provide (enforced by the conformance
 // suite in tests/comms/test_communicator_conformance.cpp):
@@ -52,8 +51,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <map>
 #include <optional>
@@ -121,20 +118,20 @@ class Communicator {
   // --- throwing call-site layer ----------------------------------------------
 
   /// Post a message; retries transient failures, then throws CommError
-  /// (or aborts, iff retry_policy().abort_on_failure) on failure.
+  /// on failure.
   void send(int from, int to, int tag, std::vector<std::uint8_t> payload) {
     const CommStatus st = send_status(from, to, tag, payload);
     if (st != CommStatus::kOk)
-      fail(st, "send " + channel_string(from, to, tag) + " failed");
+      throw CommError(st, "send " + channel_string(from, to, tag) + " failed");
   }
 
   /// Receive a message; retries transient failures, then throws CommError
-  /// (or aborts, iff retry_policy().abort_on_failure) on failure.
+  /// on failure.
   std::vector<std::uint8_t> recv(int to, int from, int tag) {
     std::vector<std::uint8_t> out;
     const CommStatus st = recv_status(to, from, tag, out);
     if (st != CommStatus::kOk)
-      fail(st, "recv " + channel_string(from, to, tag) + " failed");
+      throw CommError(st, "recv " + channel_string(from, to, tag) + " failed");
     return out;
   }
 
@@ -163,15 +160,6 @@ class Communicator {
       if (!comm_status_transient(st)) return st;  // kOk or final failure
     }
     return st;  // transient class exhausted its attempts
-  }
-
-  [[noreturn]] void fail(CommStatus st, const std::string& detail) const {
-    if (policy_.abort_on_failure) {
-      std::fprintf(stderr, "svelat comm [%s]: %s (abort_on_failure set)\n",
-                   comm_status_name(st), detail.c_str());
-      std::abort();
-    }
-    throw CommError(st, detail);
   }
 
   static std::string channel_string(int from, int to, int tag) {

@@ -204,7 +204,7 @@ class DistributedWilsonDirac {
     // Phase 2: interior sites overlap with the in-flight faces; every hop
     // is the parity stencil's.
     {
-      metrics::ScopedTimer mt("dhop_interior", p.interior_bytes);
+      metrics::ScopedTimer mt("dhop_interior");
       sweep_list<G5In>(parity, in, p.interior,
                        [](std::int64_t) { return qcd::detail::StencilHops{}; }, hook);
     }
@@ -217,7 +217,7 @@ class DistributedWilsonDirac {
     }
     // Phase 4: boundary sites, off-rank hops served from the ghosts.
     {
-      metrics::ScopedTimer mt("dhop_faces", p.boundary_bytes);
+      metrics::ScopedTimer mt("dhop_faces");
       const lattice::GridRedBlackCartesian* target =
           parity == lattice::kParityEven ? even_grid() : odd_grid();
       sweep_list<G5In>(
@@ -266,8 +266,6 @@ class DistributedWilsonDirac {
   struct Sites {
     std::vector<std::int64_t> interior;  ///< half sites, all hops local
     std::vector<std::int64_t> boundary;  ///< half sites on the rank cut
-    /// The hop traffic model (qcd::kDhopRealsPerSite) of each list's sweep.
-    double interior_bytes = 0.0, boundary_bytes = 0.0;
     std::vector<FaceSite> face[2];  ///< sites on slice 0 / slice L-1
   };
 
@@ -350,8 +348,6 @@ class DistributedWilsonDirac {
     const int l_split = decomp_.local_dims()[split];
     const lattice::Coordinate rdims = grid()->rdimensions();
     const lattice::Coordinate dims = grid()->fdimensions();
-    const double site_bytes = qcd::kDhopRealsPerSite * sizeof(typename S::real_type);
-    const double nsimd = static_cast<double>(grid()->isites());
     for (int parity : {lattice::kParityEven, lattice::kParityOdd}) {
       const lattice::GridRedBlackCartesian& g =
           parity == lattice::kParityEven ? *even_grid() : *odd_grid();
@@ -362,8 +358,6 @@ class DistributedWilsonDirac {
         const int t = lattice::lex_coor(g.full_osite(h), rdims)[split];
         (t == 0 || t == l_split - 1 ? p.boundary : p.interior).push_back(h);
       }
-      p.interior_bytes = site_bytes * nsimd * static_cast<double>(p.interior.size());
-      p.boundary_bytes = site_bytes * nsimd * static_cast<double>(p.boundary.size());
       for (int e = 0; e < 2; ++e) {
         lattice::Coordinate x;
         for (int a = 0; a < face_extent(dims, split, 0); ++a)

@@ -104,6 +104,11 @@ inline Manifest decode_manifest(const std::vector<std::uint8_t>& bytes) {
   if (stored_crc != header_crc)
     throw IoError(IoErrorCode::kBadManifest,
                   "manifest header CRC-32 mismatch (a manifest byte was altered)");
+  // Bound the count by the bytes before allocating: each entry is 12
+  // bytes, and the table's CRC-32 follows it.
+  if (bytes.size() - off < 12 * static_cast<std::size_t>(nranks) + 4)
+    throw IoError(IoErrorCode::kBadManifest,
+                  "manifest rank table runs past the end of the file");
   const std::size_t table_off = off;
   m.ranks.resize(nranks);
   for (RankFileEntry& e : m.ranks) {

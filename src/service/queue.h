@@ -113,7 +113,8 @@ class JobQueue {
   void enqueue(const MeasurementJob& job) {
     if (find(job.job_id) != nullptr)
       throw QueueError("job " + std::to_string(job.job_id) + " is already enqueued");
-    entries_.push_back(QueueEntry{decode_job(encode_job(job)), JobState::kPending, -1, 0});
+    entries_.push_back(
+        QueueEntry{decode_job(encode_job(job)), JobState::kPending, -1, 0});
     save();
   }
 

@@ -237,6 +237,10 @@ int supervisor_loop(comms::Communicator& comm, const SchedulerConfig& cfg) {
       drop_worker(w, "job dispatch failed");
   };
 
+  // Consecutive readiness waits that end with neither a result nor a death
+  // verdict before the supervisor gives up (each wait lasts up to the
+  // transport's own receive timeout, over all in-flight workers).
+  constexpr int kMaxIdleWaits = 240;
   int idle_waits = 0;
   while (!queue.all_done()) {
     if (live.empty()) {
@@ -263,7 +267,7 @@ int supervisor_loop(comms::Communicator& comm, const SchedulerConfig& cfg) {
         ready ? comm.recv_status(kSupervisorRank, *ready, kResultTag, payload)
               : CommStatus::kTimeout;
     if (st == CommStatus::kTimeout) {  // no result arrived in time
-      if (++idle_waits >= cfg.max_idle_sweeps) {
+      if (++idle_waits >= kMaxIdleWaits) {
         if (cfg.verbosity >= 1)
           log_info() << "scheduler: no progress after " << idle_waits
                      << " waits; giving up";

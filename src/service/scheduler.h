@@ -112,10 +112,6 @@ struct SchedulerConfig {
   std::string gauge_path;    ///< SVGF configuration the jobs measure on
   std::string queue_path;    ///< persistent JobQueue file (must exist)
   std::string results_path;  ///< append-only JobResult records
-  /// Consecutive readiness waits that end with neither a result nor a
-  /// death verdict before the supervisor gives up (each wait lasts up to
-  /// the transport's own receive timeout, over all in-flight workers).
-  int max_idle_sweeps = 240;
   int verbosity = 1;
 };
 

@@ -390,7 +390,8 @@ class WilsonSolver {
       return steps([&](const HalfBlock& b_prime, HalfBlock& x_e) {
         HalfBlock& rhs = krylov_.get(SolverWorkspace<HalfBlock>::kRhs, eo_.even_grid());
         eo_.mhat_dag(b_prime, rhs);
-        return block_conjugate_gradient(eo_, krylov_, rhs, x_e, tolerance, max_iterations);
+        return block_conjugate_gradient(eo_, krylov_, rhs, x_e, tolerance,
+                                        max_iterations);
       });
     }
 

@@ -1,10 +1,6 @@
 #include "support/metrics.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <mutex>
 
@@ -22,38 +18,9 @@ std::map<std::string, RegionStats>& registry() {
   return r;
 }
 
-bool env_default() {
-#if !SVELAT_METRICS_ENABLED
-  return false;
-#else
-  const char* v = std::getenv("SVELAT_METRICS");
-  if (v == nullptr) return true;
-  return !(std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-           std::strcmp(v, "OFF") == 0);
-#endif
-}
-
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> on{env_default()};
-  return on;
-}
-
 }  // namespace
 
-bool enabled() {
-#if !SVELAT_METRICS_ENABLED
-  return false;
-#else
-  return enabled_flag().load(std::memory_order_relaxed);
-#endif
-}
-
-void set_enabled(bool on) {
-  enabled_flag().store(on && SVELAT_METRICS_ENABLED, std::memory_order_relaxed);
-}
-
 void record(const char* region, double seconds, double bytes) {
-  if (!enabled()) return;  // the runtime switch silences direct record() too
   std::lock_guard<std::mutex> lock(registry_mutex());
   RegionStats& s = registry()[region];
   ++s.calls;
@@ -101,24 +68,6 @@ std::string report() {
                   s.calls_per_sec());
     out += line;
   }
-  return out;
-}
-
-std::string report_json() {
-  const auto rows = snapshot();
-  std::string out = "{\"regions\": [";
-  char buf[256];
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& [name, s] = rows[i];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"name\": \"%s\", \"calls\": %llu, \"seconds\": %.6f, "
-                  "\"bytes\": %.0f, \"gb_per_sec\": %.4f}",
-                  i == 0 ? "" : ", ", name.c_str(),
-                  static_cast<unsigned long long>(s.calls), s.seconds, s.bytes,
-                  s.gb_per_sec());
-    out += buf;
-  }
-  out += "]}";
   return out;
 }
 

@@ -17,20 +17,12 @@
 //   t.add_bytes(bytes_written);
 //
 // Each region accumulates calls / seconds / bytes in a global registry;
-// metrics::report() renders the table (text or JSON), and
-// metrics::get()/snapshot()/gb_per_sec() expose the numbers
-// programmatically (the measurement service reports per-job deltas from
-// them).
+// metrics::report() renders the table, and metrics::get()/snapshot()/
+// gb_per_sec() expose the numbers programmatically (the measurement
+// service reports per-job deltas from them).
 //
-// Two off switches, so the counted-instruction determinism story is
-// untouched:
-//   - runtime: the SVELAT_METRICS environment variable ("0" / "off"
-//     disables collection; default on), or set_enabled(false);
-//   - compile time: configuring with -DSVELAT_METRICS=OFF defines
-//     SVELAT_METRICS_DISABLED and compiles ScopedTimer to a no-op.
 // Timing never touches field data or the SVE simulator, so numerical
-// results and instruction counts are bitwise identical either way --
-// CI's metrics-determinism lane pins exactly that.
+// results and instruction counts do not depend on it.
 #pragma once
 
 #include <chrono>
@@ -39,12 +31,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#if defined(SVELAT_METRICS_DISABLED)
-#define SVELAT_METRICS_ENABLED 0
-#else
-#define SVELAT_METRICS_ENABLED 1
-#endif
 
 namespace svelat::metrics {
 
@@ -60,12 +46,6 @@ struct RegionStats {
     return seconds > 0.0 ? static_cast<double>(calls) / seconds : 0.0;
   }
 };
-
-/// Runtime collection switch.  Initialized from the SVELAT_METRICS
-/// environment variable on first use ("0"/"off"/"OFF" disable); always
-/// false in SVELAT_METRICS_DISABLED builds.
-bool enabled();
-void set_enabled(bool on);
 
 /// Accumulate one completed region invocation (thread-safe).
 void record(const char* region, double seconds, double bytes = 0.0);
@@ -87,24 +67,16 @@ void reset();
 /// calls/s.  Empty registry renders a one-line note.
 std::string report();
 
-/// The same data as a JSON object: {"regions": [{"name": ..., "calls":
-/// ..., "seconds": ..., "bytes": ..., "gb_per_sec": ...}, ...]}.
-std::string report_json();
-
-/// RAII region timer.  Construction samples the monotonic clock (iff
-/// collection is enabled); destruction records the elapsed seconds plus
-/// the attached bytes into the registry.  Bytes can be attached at
-/// construction or counted while the region is open (add_bytes -- e.g. a
-/// receive that learns its wire size as it runs).
+/// RAII region timer.  Construction samples the monotonic clock;
+/// destruction records the elapsed seconds plus the attached bytes into
+/// the registry.  Bytes can be attached at construction or counted while
+/// the region is open (add_bytes -- e.g. a receive that learns its wire
+/// size as it runs).
 class ScopedTimer {
  public:
-#if SVELAT_METRICS_ENABLED
   explicit ScopedTimer(const char* region, double bytes = 0.0)
-      : region_(region), bytes_(bytes), armed_(enabled()) {
-    if (armed_) start_ = std::chrono::steady_clock::now();
-  }
+      : region_(region), bytes_(bytes), start_(std::chrono::steady_clock::now()) {}
   ~ScopedTimer() {
-    if (!armed_) return;
     const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - start_;
     record(region_, dt.count(), bytes_);
   }
@@ -116,12 +88,7 @@ class ScopedTimer {
  private:
   const char* region_;
   double bytes_;
-  bool armed_;
   std::chrono::steady_clock::time_point start_;
-#else
-  explicit ScopedTimer(const char*, double = 0.0) {}
-  void add_bytes(double) {}
-#endif
 };
 
 }  // namespace svelat::metrics

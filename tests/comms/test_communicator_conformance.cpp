@@ -236,16 +236,6 @@ TEST_P(ConformanceTest, StatusLayerReportsFailureWithoutThrowing) {
   EXPECT_EQ(st, CommStatus::kNoMessage);
 }
 
-TEST_P(ConformanceTest, AbortOnFailureIsTheConfiguredLastResort) {
-  // The one remaining abort path: opt-in via the retry policy.
-  auto world = make_world(GetParam(), 2, /*timeout_ms=*/50);
-  RetryPolicy policy;
-  policy.abort_on_failure = true;
-  policy.max_attempts = 1;
-  world->at(1).set_retry_policy(policy);
-  EXPECT_DEATH((void)world->at(1).recv(1, 0, 99), "abort_on_failure");
-}
-
 INSTANTIATE_TEST_SUITE_P(Transports, ConformanceTest,
                          ::testing::Values("sim", "socket", "faulty"),
                          [](const auto& info) { return std::string(info.param); });

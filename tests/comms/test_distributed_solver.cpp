@@ -358,30 +358,25 @@ TEST(DistributedSolverMetrics, OverlapPhasesAreObservable) {
   // dhop_faces region call (the overlap phases) plus the wire wait.
   sve::set_vector_length(kVL);
   metrics::reset();
-  metrics::set_enabled(true);
   const Problem p;
   const RankDecomposition decomp(kDims, kSplit, 1, layout());
   SimCommunicator comm(1);
   Field x(decomp.grid(0));
   const SolverResult res = rank_solve(p, decomp, comm, 0, Algorithm::kCG, x);
   EXPECT_TRUE(res.converged);
-#if SVELAT_METRICS_ENABLED
   const metrics::RegionStats interior = metrics::get("dhop_interior");
   const metrics::RegionStats faces = metrics::get("dhop_faces");
   const metrics::RegionStats wire = metrics::get("dhop_wire_wait");
   EXPECT_GE(interior.calls, 1u);
   EXPECT_EQ(interior.calls, faces.calls);
   EXPECT_EQ(interior.calls, wire.calls);
-  EXPECT_GT(interior.bytes, faces.bytes);  // interior covers 6/8 of the slab
-  EXPECT_GT(wire.bytes, 0.0);              // wire wait accounts real bytes
+  EXPECT_GT(wire.bytes, 0.0);  // wire wait accounts real bytes
   EXPECT_EQ(metrics::get("solve").calls, 1u);
   // The overlapped operator never calls the blocking whole-field path.
   EXPECT_EQ(metrics::get("cshift_unpack").calls, 1u);  // gauge setup only
-#endif
   metrics::reset();
 }
 
-#if SVELAT_METRICS_ENABLED
 TEST(DistributedSolverMetrics, SchurSolveRunsFivePlusFourSweepsPerIteration) {
   // Every parity sweep of the distributed operator records one
   // dhop_interior call.  A CG x Schur solve of k iterations runs 4k sweeps
@@ -389,7 +384,6 @@ TEST(DistributedSolverMetrics, SchurSolveRunsFivePlusFourSweepsPerIteration) {
   // the true residual pay no extra sweep, and no extra face exchange.
   sve::set_vector_length(kVL);
   metrics::reset();
-  metrics::set_enabled(true);
   const Problem p;
   const RankDecomposition decomp(kDims, kSplit, 1, layout());
   SimCommunicator comm(1);
@@ -400,7 +394,6 @@ TEST(DistributedSolverMetrics, SchurSolveRunsFivePlusFourSweepsPerIteration) {
             5u + 4u * static_cast<std::uint64_t>(res.iterations));
   metrics::reset();
 }
-#endif
 
 TEST(DistributedSolverDeathTest, NoPreconditionerIsRejected) {
   sve::set_vector_length(kVL);

@@ -1,9 +1,8 @@
 // Fault-injection tests: every fault class the FaultyCommunicator can
 // inject (docs/FAULTS.md) must produce either a successful retry or a
-// typed CommError -- never a bare abort (the only abort left is the
-// configured last resort, covered by the conformance suite).  Rank
-// crashes use REAL forked processes so the launcher's failure verdicts
-// and the survivors' fast kPeerExited detection are exercised end to end.
+// typed CommError -- never an abort.  Rank crashes use REAL forked
+// processes so the launcher's failure verdicts and the survivors' fast
+// kPeerExited detection are exercised end to end.
 #include "comms/faults.h"
 
 #include <gtest/gtest.h>

@@ -104,6 +104,30 @@ TEST_F(DistributedIoTest, CorruptManifestIsRejected) {
   }
 }
 
+TEST(ManifestDecode, RankCountPastTheEndIsRejectedBeforeAllocating) {
+  // A manifest whose header CRC is valid but whose nranks claims more
+  // 12-byte table entries than the bytes hold is kBadManifest -- for
+  // nranks = 0xFFFFFFFF not a 64 GiB table allocation (std::bad_alloc).
+  Manifest m;
+  m.global_dims = {4, 4, 4, 8};
+  m.split_dim = 3;
+  m.ranks = {{100, 1}, {200, 2}};
+  const std::vector<std::uint8_t> bytes = encode_manifest(m);
+  constexpr std::ptrdiff_t kNranksOff = 28;  // magic, version, 4 dims, split_dim
+  for (const std::uint32_t nranks : {3u, 0xFFFFFFFFu}) {
+    std::vector<std::uint8_t> forged(bytes.begin(), bytes.begin() + kNranksOff);
+    put_u32(forged, nranks);
+    put_u32(forged, crc32(forged.data(), forged.size()));  // a valid header CRC
+    forged.insert(forged.end(), bytes.begin() + kNranksOff + 8, bytes.end());
+    try {
+      decode_manifest(forged);
+      ADD_FAILURE() << "nranks " << nranks << " accepted";
+    } catch (const IoError& e) {
+      EXPECT_EQ(e.code(), IoErrorCode::kBadManifest) << "nranks " << nranks;
+    }
+  }
+}
+
 TEST_F(DistributedIoTest, SwappedRankFilesAreDetected) {
   comms::SimCommunicator comm(kRanks);
   save_all(comm);

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "comms/faults.h"
@@ -224,24 +225,31 @@ TEST(ResultsFile, RecoveryNeverDropsACompleteRecord) {
 
 // --- per-job rates ------------------------------------------------------------
 
-TEST(MeasureJob, SchurJobsReportTheirHopRate) {
-  // A Schur job's hops run in the Schur engine's regions (dhop_eo_block /
-  // dhop_oe_block); the job's hop rate must cover them.
+TEST(MeasureJob, EveryJobKindReportsItsHopRate) {
+  // The service runs four job kinds.  The Schur jobs hop in the Schur
+  // engine's regions (dhop_eo_block / dhop_oe_block), CG x none in
+  // WilsonDirac's (dhop); the job's hop rate must cover each.
   sve::VLGuard vl(256);
   lattice::GridCartesian grid({4, 4, 4, 8},
                               lattice::GridCartesian::default_simd_layout(S::Nsimd()));
   qcd::GaugeField<S> gauge(&grid);
   qcd::random_gauge(SiteRNG(2018), gauge);
-  metrics::set_enabled(true);
-  for (const solver::Algorithm alg :
-       {solver::Algorithm::kCG, solver::Algorithm::kMixedCG}) {
+  using solver::Algorithm;
+  using solver::Preconditioner;
+  const std::pair<Algorithm, Preconditioner> kinds[] = {
+      {Algorithm::kCG, Preconditioner::kSchurEvenOdd},
+      {Algorithm::kBiCGSTAB, Preconditioner::kSchurEvenOdd},
+      {Algorithm::kMixedCG, Preconditioner::kSchurEvenOdd},
+      {Algorithm::kCG, Preconditioner::kNone}};
+  for (const auto& [alg, pre] : kinds) {
     MeasurementJob job = small_job(1);
     job.algorithm = alg;
+    job.preconditioner = pre;
     const JobResult r = measure_job(gauge, job);
-    EXPECT_TRUE(r.converged) << solver::to_string(alg);
-#if SVELAT_METRICS_ENABLED
-    EXPECT_GT(r.dhop_gb_per_sec, 0.0) << solver::to_string(alg);
-#endif
+    const std::string kind =
+        std::string(solver::to_string(alg)) + " x " + solver::to_string(pre);
+    EXPECT_TRUE(r.converged) << kind;
+    EXPECT_GT(r.dhop_gb_per_sec, 0.0) << kind;
   }
   metrics::reset();
 }

@@ -210,7 +210,6 @@ TEST(BlockSolver, SlowColumnFreezesWithoutPoisoningSiblings) {
   EXPECT_LT(frozen, static_cast<int>(kN));
 }
 
-#if SVELAT_METRICS_ENABLED
 TEST(BlockSolver, SchurSolveRunsFivePlusFourParitySweepsPerIteration) {
   // k CG iterations apply Mhat and Mhat^dag k times (4k sweeps).  Outside
   // the loop the driver runs 5: Dh_eo b_o for b'_e, the two of
@@ -219,7 +218,6 @@ TEST(BlockSolver, SchurSolveRunsFivePlusFourParitySweepsPerIteration) {
   // none, since x_e starts at zero.
   const BatchProblem p;
   metrics::reset();
-  metrics::set_enabled(true);
   WilsonSolver<S> solver(p.gauge, kMass, batch_params());
   std::vector<Field> b = p.make_rhs(1), x = p.zeros(1);
   const SolverResult res = solver.solve(b[0], x[0]);
@@ -239,7 +237,6 @@ TEST(BlockSolver, SchurBiCGSTABRunsThreePlusFourParitySweepsPerIteration) {
   // iterations it needs, every iteration is a full one.
   const BatchProblem p;
   metrics::reset();
-  metrics::set_enabled(true);
   constexpr int kCap = 4;
   WilsonSolver<S> capped(
       p.gauge, kMass,
@@ -272,7 +269,6 @@ TEST(BlockSolver, MixedSchurSolveRunsSixSweepsPerRestartAndFourPerInnerIteration
   // full-lattice operator runs.
   const BatchProblem p;
   metrics::reset();
-  metrics::set_enabled(true);
   WilsonSolver<S> solver(p.gauge, kMass,
                          batch_params().with_algorithm(Algorithm::kMixedCG));
   std::vector<Field> b = p.make_rhs(1), x = p.zeros(1);
@@ -286,7 +282,6 @@ TEST(BlockSolver, MixedSchurSolveRunsSixSweepsPerRestartAndFourPerInnerIteration
   EXPECT_EQ(metrics::get("dhop").calls, 0u);
   metrics::reset();
 }
-#endif
 
 TEST(BlockSolver, DistributedBatchFallsBackToSequentialBitwise) {
   // A distributed solver runs the Schur engine at N = 1 only; a batched

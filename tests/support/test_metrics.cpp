@@ -1,9 +1,7 @@
 // The wall-clock metrics registry: accumulation, rate math, the combined
-// rate of several regions, the runtime switch and the reports.  Rates are
-// machine-dependent, so assertions are structural (counts, monotonicity,
-// field presence) -- never "this kernel reaches X GB/s".  In
-// SVELAT_METRICS_DISABLED builds the suite shrinks to checking that the
-// timer really is compiled out.
+// rate of several regions and the report.  Rates are machine-dependent,
+// so assertions are structural (counts, monotonicity, field presence) --
+// never "this kernel reaches X GB/s".
 #include <gtest/gtest.h>
 
 #include <string>
@@ -15,14 +13,8 @@ namespace {
 
 class MetricsTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    reset();
-    set_enabled(true);
-  }
-  void TearDown() override {
-    reset();
-    set_enabled(true);
-  }
+  void SetUp() override { reset(); }
+  void TearDown() override { reset(); }
 };
 
 TEST_F(MetricsTest, RegionStatsRateMath) {
@@ -38,8 +30,6 @@ TEST_F(MetricsTest, RegionStatsRateMath) {
   EXPECT_DOUBLE_EQ(RegionStats{}.gb_per_sec(), 0.0);
   EXPECT_DOUBLE_EQ(RegionStats{}.calls_per_sec(), 0.0);
 }
-
-#if SVELAT_METRICS_ENABLED
 
 TEST_F(MetricsTest, RecordAccumulatesPerRegion) {
   record("alpha", 0.5, 100.0);
@@ -90,15 +80,6 @@ TEST_F(MetricsTest, ScopedTimerRecordsCallsAndBytes) {
   EXPECT_DOUBLE_EQ(s.bytes, 200.0);
 }
 
-TEST_F(MetricsTest, DisabledCollectionRecordsNothing) {
-  set_enabled(false);
-  EXPECT_FALSE(enabled());
-  { ScopedTimer t("dark", 1.0); }
-  record("dark", 1.0, 1.0);  // record() is also gated
-  set_enabled(true);
-  EXPECT_EQ(get("dark").calls, 0u);
-}
-
 TEST_F(MetricsTest, ResetClearsTheRegistry) {
   record("gone", 1.0, 1.0);
   ASSERT_EQ(get("gone").calls, 1u);
@@ -116,26 +97,6 @@ TEST_F(MetricsTest, ReportNamesEveryRegion) {
   EXPECT_NE(text.find("GB/s"), std::string::npos);
   EXPECT_NE(text.find("calls/s"), std::string::npos);
 }
-
-TEST_F(MetricsTest, JsonReportCarriesTheSchemaFields) {
-  record("dhop", 0.5, 1e9);
-  const std::string json = report_json();
-  for (const char* field : {"\"regions\"", "\"name\"", "\"calls\"", "\"seconds\"",
-                            "\"bytes\"", "\"gb_per_sec\"", "\"dhop\""})
-    EXPECT_NE(json.find(field), std::string::npos) << "missing " << field;
-}
-
-#else  // SVELAT_METRICS_DISABLED builds
-
-TEST_F(MetricsTest, CompiledOutTimerIsInert) {
-  EXPECT_FALSE(enabled());
-  set_enabled(true);  // cannot re-arm a compiled-out build
-  EXPECT_FALSE(enabled());
-  { ScopedTimer t("inert", 1.0); }
-  EXPECT_EQ(get("inert").calls, 0u);
-}
-
-#endif
 
 }  // namespace
 }  // namespace svelat::metrics
