@@ -18,12 +18,13 @@
 //   3. RESUME     re-run the last step from the second-to-last checkpoint
 //      in-process and check bitwise identity (the classic restart check).
 //   4. REDISTRIBUTE over 2-4 real rank processes (socket transport): rank
-//      0 loads each stored configuration and scatters it; the ranks write
-//      per-rank files + manifest, reload them, and gather back.  An
-//      injected rank crash (--crash-rank) gives the survivors typed
-//      kPeerExited verdicts and the launcher retries the phase; seeded
-//      transient faults (--fault-seed) must be absorbed by the retry
-//      policy with no relaunch at all.
+//      0 loads each stored configuration and scatters it; the ranks
+//      re-store it as one SVGF file through rank 0 (save_gauge_root),
+//      reload it (load_gauge_root), and gather back.  An injected rank
+//      crash (--crash-rank) gives the survivors typed kPeerExited
+//      verdicts and the launcher retries the phase; seeded transient
+//      faults (--fault-seed) must be absorbed by the retry policy with no
+//      relaunch at all.
 //   5. MEASURE    plaquette (every configuration) and the pion correlator
 //      (final configuration) on the reloaded fields; every number must
 //      equal the in-memory original exactly.
@@ -334,13 +335,12 @@ int main(int argc, char** argv) {
             qcd::GaugeField<S> local(decomp.grid(rank));
             io::load_gauge_root(cfg_path(dir, n), decomp, comm, rank, local);
 
-            // Re-store as per-rank files + manifest, then reload through
-            // full manifest/CRC validation.
-            const std::string dist_dir = dir + "/cfg" + std::to_string(n) + ".dist";
-            io::save_gauge_distributed(dist_dir, decomp, comm, rank, local);
-            io::manifest_barrier(comm, rank);
+            // Re-store through rank 0 as one SVGF file, then reload it
+            // through full CRC validation and scatter again.
+            const std::string restored = dir + "/cfg" + std::to_string(n) + ".root.svgf";
+            io::save_gauge_root(restored, decomp, comm, rank, local);
             qcd::GaugeField<S> reloaded(decomp.grid(rank));
-            io::load_gauge_distributed(dist_dir, decomp, rank, reloaded);
+            io::load_gauge_root(restored, decomp, comm, rank, reloaded);
             if (io::encode_gauge(reloaded) != io::encode_gauge(local)) return 10 + n;
 
             // Gather to rank 0 and measure against the in-memory original.

@@ -274,13 +274,13 @@ namespace detail {
 
 /// Phase 1 of a split-dimension exchange: rank `rank` posts the boundary
 /// face the neighbour needs, `pack(slice)` marshalling the edge slice.
-/// Typed-status form: retries transients per the communicator's policy and
-/// returns the final CommStatus, never throws.
+/// Transients are retried per the communicator's policy; a failure that
+/// survives them throws CommError.
 ///   disp=+1: result(x_mu = L-1) = f(rank+1, x_mu = 0)   -> face 0 goes back.
 ///   disp=-1: result(x_mu = 0)   = f(rank-1, x_mu = L-1) -> face L-1 forward.
 template <class PackF>
-CommStatus try_post_face(const RankDecomposition& decomp, Communicator& comm, int rank,
-                         int disp, Compression mode, int tag, PackF&& pack) {
+void post_face(const RankDecomposition& decomp, Communicator& comm, int rank, int disp,
+               Compression mode, int tag, PackF&& pack) {
   const int R = decomp.ranks();
   const int dest = (disp == 1) ? (rank - 1 + R) % R : (rank + 1) % R;
   const int slice = (disp == 1) ? 0 : decomp.local_dims()[decomp.split_dim()] - 1;
@@ -292,43 +292,28 @@ CommStatus try_post_face(const RankDecomposition& decomp, Communicator& comm, in
     wire = compress(pack(slice), mode);
     mt.add_bytes(static_cast<double>(wire.size()));
   }
-  return comm.send_status(rank, dest, tag, wire);
+  comm.send(rank, dest, tag, std::move(wire));
 }
 
-/// try_post_face of a whole face of a full field (the shifted exchange).
-template <class vobj>
-CommStatus try_post_shift_face(const RankDecomposition& decomp, Communicator& comm,
-                               int rank, const lattice::Lattice<vobj>& local_in,
-                               int disp, Compression mode, int tag) {
-  return try_post_face(decomp, comm, rank, disp, mode, tag, [&](int slice) {
-    return pack_face(local_in, decomp.split_dim(), slice);
-  });
-}
-
-/// Throwing wrapper around try_post_shift_face (the historical API): a
-/// failure that survives the retry policy becomes a CommError naming the
-/// shift phase.
+/// post_face of a whole face of a full field (the shifted exchange).
 template <class vobj>
 void post_shift_face(const RankDecomposition& decomp, Communicator& comm, int rank,
                      const lattice::Lattice<vobj>& local_in, int disp,
                      Compression mode, int tag) {
-  const CommStatus st =
-      try_post_shift_face(decomp, comm, rank, local_in, disp, mode, tag);
-  if (st != CommStatus::kOk)
-    throw CommError(st, "shift face post failed (rank " + std::to_string(rank) +
-                            " disp " + std::to_string(disp) + " tag " +
-                            std::to_string(tag) + ")");
+  post_face(decomp, comm, rank, disp, mode, tag, [&](int slice) {
+    return pack_face(local_in, decomp.split_dim(), slice);
+  });
 }
 
-/// Phase 2, typed-status form: local shift everywhere, then overwrite the
-/// rank-boundary slice with the neighbouring rank's face.  On a non-kOk
-/// status `local_out` holds the locally shifted field with a WRAPPED (not
-/// exchanged) boundary -- callers must not use it.
+/// Phase 2: local shift everywhere, then overwrite the rank-boundary
+/// slice with the neighbouring rank's face.  A receive that fails past
+/// the retries throws CommError, and `local_out` then holds the locally
+/// shifted field with a WRAPPED (not exchanged) boundary.
 template <class vobj>
-CommStatus try_complete_shift(const RankDecomposition& decomp, Communicator& comm,
-                              int rank, const lattice::Lattice<vobj>& local_in,
-                              lattice::Lattice<vobj>& local_out, int disp,
-                              Compression mode, int tag) {
+void complete_shift(const RankDecomposition& decomp, Communicator& comm, int rank,
+                    const lattice::Lattice<vobj>& local_in,
+                    lattice::Lattice<vobj>& local_out, int disp, Compression mode,
+                    int tag) {
   const int mu = decomp.split_dim();
   const int R = decomp.ranks();
   const int l_mu = decomp.local_dims()[mu];
@@ -336,10 +321,7 @@ CommStatus try_complete_shift(const RankDecomposition& decomp, Communicator& com
   local_out = lattice::Cshift(local_in, mu, disp);  // interior correct; edge wrapped
 
   const int from = (disp == 1) ? (rank + 1) % R : (rank - 1 + R) % R;
-  std::vector<std::uint8_t> wire;
-  if (const CommStatus st = comm.recv_status(rank, from, tag, wire);
-      st != CommStatus::kOk)
-    return st;
+  const std::vector<std::uint8_t> wire = comm.recv(rank, from, tag);
   const lattice::GridCartesian* g = decomp.grid(rank);
   const lattice::Coordinate dims = g->fdimensions();
   const std::size_t face_doubles =
@@ -360,21 +342,6 @@ CommStatus try_complete_shift(const RankDecomposition& decomp, Communicator& com
         face_coor(mu, edge, a, b, c, x);
         local_out.poke(x, sites[idx++]);
       }
-  return CommStatus::kOk;
-}
-
-/// Throwing wrapper around try_complete_shift (the historical API).
-template <class vobj>
-void complete_shift(const RankDecomposition& decomp, Communicator& comm, int rank,
-                    const lattice::Lattice<vobj>& local_in,
-                    lattice::Lattice<vobj>& local_out, int disp, Compression mode,
-                    int tag) {
-  const CommStatus st = try_complete_shift(decomp, comm, rank, local_in, local_out,
-                                           disp, mode, tag);
-  if (st != CommStatus::kOk)
-    throw CommError(st, "shift face recv failed (rank " + std::to_string(rank) +
-                            " disp " + std::to_string(disp) + " tag " +
-                            std::to_string(tag) + ")");
 }
 
 }  // namespace detail

@@ -194,13 +194,11 @@ class DistributedWilsonDirac {
                                                                        : even_grid()),
                       "a sweep reads the opposite parity of this rank's half grids");
     const Sites& p = sites_[parity];
-    throw_on_failure(try_complete_setup());
+    complete_setup();
     // Phase 1: both half faces onto the wire before any arithmetic.
     const auto pack = [&](int slice) { return pack_half_face(in, slice); };
-    throw_on_failure(
-        detail::try_post_face(decomp_, comm_, rank_, +1, mode_, kDhopTagBase + 0, pack));
-    throw_on_failure(
-        detail::try_post_face(decomp_, comm_, rank_, -1, mode_, kDhopTagBase + 1, pack));
+    detail::post_face(decomp_, comm_, rank_, +1, mode_, kDhopTagBase + 0, pack);
+    detail::post_face(decomp_, comm_, rank_, -1, mode_, kDhopTagBase + 1, pack);
     // Phase 2: interior sites overlap with the in-flight faces; every hop
     // is the parity stencil's.
     {
@@ -212,8 +210,8 @@ class DistributedWilsonDirac {
     // faces (bytes = wire bytes actually waited on).
     {
       metrics::ScopedTimer mt("dhop_wire_wait");
-      throw_on_failure(try_recv_face(+1, kDhopTagBase + 0, ghost_fwd_, mt));
-      throw_on_failure(try_recv_face(-1, kDhopTagBase + 1, ghost_bwd_, mt));
+      recv_face(+1, kDhopTagBase + 0, ghost_fwd_, mt);
+      recv_face(-1, kDhopTagBase + 1, ghost_bwd_, mt);
     }
     // Phase 4: boundary sites, off-rank hops served from the ghosts.
     {
@@ -333,11 +331,6 @@ class DistributedWilsonDirac {
     return gauge_local;
   }
 
-  void throw_on_failure(CommStatus st) const {
-    if (st != CommStatus::kOk)
-      throw CommError(st, "distributed dhop failed (rank " + std::to_string(rank_) + ")");
-  }
-
   /// Classify each half site as interior (all 8 stencil reads rank-local)
   /// or boundary (the split-dimension hop crosses the rank cut), and list
   /// each parity's edge-slice sites in half-face order.  With local extent
@@ -375,14 +368,12 @@ class DistributedWilsonDirac {
 
   /// Complete the construction-time gauge face exchange exactly once, into
   /// the core's backward links.
-  CommStatus try_complete_setup() const {
-    if (!setup_pending_) return CommStatus::kOk;
+  void complete_setup() const {
+    if (!setup_pending_) return;
     const int split = decomp_.split_dim();
-    const CommStatus st =
-        detail::try_complete_shift(decomp_, comm_, rank_, core_.u_fwd(split),
-                                   core_.u_bwd(split), -1, mode_, kDhopTagBase + 2);
-    if (st == CommStatus::kOk) setup_pending_ = false;
-    return st;
+    detail::complete_shift(decomp_, comm_, rank_, core_.u_fwd(split), core_.u_bwd(split),
+                           -1, mode_, kDhopTagBase + 2);
+    setup_pending_ = false;
   }
 
   /// The half face of `in` on edge slice `slice` (0 or L-1): its sites in
@@ -400,16 +391,13 @@ class DistributedWilsonDirac {
   /// Receive one half face into a reusable ghost buffer.  disp follows the
   /// shift convention: +1 ghosts serve the forward hop off the top edge,
   /// -1 the backward hop off the bottom edge.
-  CommStatus try_recv_face(int disp, int tag, std::vector<sobj>& ghost,
-                           metrics::ScopedTimer& mt) const {
+  void recv_face(int disp, int tag, std::vector<sobj>& ghost,
+                 metrics::ScopedTimer& mt) const {
     const int R = decomp_.ranks();
     const int from = (disp == 1) ? (rank_ + 1) % R : (rank_ - 1 + R) % R;
-    if (const CommStatus st = comm_.recv_status(rank_, from, tag, wire_);
-        st != CommStatus::kOk)
-      return st;
-    mt.add_bytes(static_cast<double>(wire_.size()));
-    ghost = unpack_sites<sobj>(decompress(wire_, half_face_doubles_, mode_));
-    return CommStatus::kOk;
+    const std::vector<std::uint8_t> wire = comm_.recv(rank_, from, tag);
+    mt.add_bytes(static_cast<double>(wire.size()));
+    ghost = unpack_sites<sobj>(decompress(wire, half_face_doubles_, mode_));
   }
 
   const RankDecomposition& decomp_;
@@ -425,11 +413,10 @@ class DistributedWilsonDirac {
   Sites sites_[2];  ///< indexed by parity
   std::size_t half_face_doubles_ = 0;
   mutable bool setup_pending_ = true;
-  // Per-sweep face buffers.  The operator allocates no field buffers, but
-  // face marshalling is not allocation-free: packing, compress and
-  // decompress build std::vector buffers on every exchange, and
-  // unpack_sites replaces the ghost vectors below.
-  mutable std::vector<std::uint8_t> wire_;
+  // Per-sweep ghost faces.  The operator allocates no field buffers, but
+  // face marshalling is not allocation-free: packing, compress, the
+  // receive and decompress build std::vector buffers on every exchange,
+  // and unpack_sites replaces the ghost vectors below.
   mutable std::vector<sobj> ghost_fwd_;  ///< +split half face of rank+1's slice 0
   mutable std::vector<sobj> ghost_bwd_;  ///< -split half face of rank-1's slice L-1
 };

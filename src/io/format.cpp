@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "io/crc32.h"
 
@@ -21,9 +22,6 @@ const char* io_error_name(IoErrorCode code) {
     case IoErrorCode::kCorruptPayload: return "corrupt payload";
     case IoErrorCode::kTrailingBytes: return "trailing bytes";
     case IoErrorCode::kMismatch: return "mismatch";
-    case IoErrorCode::kBadManifest: return "bad manifest";
-    case IoErrorCode::kRankFileMismatch: return "rank-file mismatch";
-    case IoErrorCode::kBarrierTimeout: return "barrier timeout";
   }
   return "unknown";
 }
@@ -134,7 +132,18 @@ std::string hex32(std::uint32_t v) {
   return buf;
 }
 
-void check_header_sane(const FieldFileHeader& h) {
+/// a * b, setting `wrapped` when the product does not fit in 64 bits.
+std::uint64_t mul_u64(std::uint64_t a, std::uint64_t b, bool& wrapped) {
+  if (b != 0 && a > std::numeric_limits<std::uint64_t>::max() / b) wrapped = true;
+  return a * b;
+}
+
+/// Check the header's fields and return the file length they describe.
+/// The derived sizes are formed here in checked 64-bit arithmetic, so a
+/// forged header can neither wrap nplanes() or the length into a small
+/// value nor overflow lattice::volume in plane_doubles() (the payload is
+/// at least 8 bytes per site, so a payload that fits bounds the volume).
+std::uint64_t described_bytes(const FieldFileHeader& h) {
   for (int mu = 0; mu < lattice::Nd; ++mu)
     if (h.dims[mu] <= 0)
       throw IoError(IoErrorCode::kCorruptHeader,
@@ -143,6 +152,25 @@ void check_header_sane(const FieldFileHeader& h) {
   if (h.nfields == 0 || h.site_doubles == 0)
     throw IoError(IoErrorCode::kCorruptHeader,
                   "nfields/site_doubles must be positive");
+  bool wrapped = false;
+  std::uint64_t payload = 8;
+  for (int mu = 0; mu < lattice::Nd; ++mu)
+    payload = mul_u64(payload, static_cast<std::uint64_t>(h.dims[mu]), wrapped);
+  payload = mul_u64(mul_u64(payload, h.nfields, wrapped), h.site_doubles, wrapped);
+  const std::uint64_t planes =
+      std::uint64_t{h.nfields} * static_cast<std::uint64_t>(h.dims[0]);
+  const std::uint64_t meta = h.meta_bytes > 0 ? std::uint64_t{h.meta_bytes} + 4 : 0;
+  // Below 2^36 whenever the plane count fits its 32 bits.
+  const std::uint64_t sections = kHeaderBytes + meta + planes * 4 + 4;
+  if (wrapped || planes > std::numeric_limits<std::uint32_t>::max() ||
+      payload > std::numeric_limits<std::uint64_t>::max() - sections)
+    throw IoError(IoErrorCode::kCorruptHeader,
+                  "dims " + lattice::to_string(h.dims) + " x " +
+                      std::to_string(h.nfields) + " fields x " +
+                      std::to_string(h.site_doubles) +
+                      " doubles per site overflow the 32-bit plane count or the "
+                      "64-bit file length");
+  return sections + payload;
 }
 
 }  // namespace
@@ -150,7 +178,7 @@ void check_header_sane(const FieldFileHeader& h) {
 std::vector<std::uint8_t> encode_field_file(
     const FieldFileHeader& header, const std::vector<std::uint8_t>& meta,
     const std::vector<std::vector<double>>& planes) {
-  check_header_sane(header);
+  const std::uint64_t length = described_bytes(header);
   if (meta.size() != header.meta_bytes)
     throw IoError(IoErrorCode::kMismatch, "meta blob size does not match header");
   if (planes.size() != header.nplanes())
@@ -160,8 +188,7 @@ std::vector<std::uint8_t> encode_field_file(
       throw IoError(IoErrorCode::kMismatch, "plane size does not match header");
 
   std::vector<std::uint8_t> out;
-  out.reserve(kHeaderBytes + meta.size() + 8 + planes.size() * 4 + 4 +
-              planes.size() * header.plane_doubles() * 8);
+  out.reserve(length);
 
   // Fixed header, then its CRC.
   put_u32(out, kFieldMagic);
@@ -238,16 +265,9 @@ FieldFile decode_field_file(const std::vector<std::uint8_t>& bytes) {
                   "header CRC-32 mismatch: stored " + hex32(stored_header_crc) +
                       ", computed " + hex32(header_crc) +
                       " (a header byte was altered)");
-  check_header_sane(h);
-
   // With a validated header the exact file size is known; diagnose length
   // defects before touching the sections.
-  const std::size_t meta_section = h.meta_bytes > 0 ? h.meta_bytes + 4 : 0;
-  const std::size_t table_section = static_cast<std::size_t>(h.nplanes()) * 4 + 4;
-  const std::size_t payload_section =
-      static_cast<std::size_t>(h.nplanes()) * h.plane_doubles() * 8;
-  const std::size_t expected =
-      kHeaderBytes + meta_section + table_section + payload_section;
+  const std::uint64_t expected = described_bytes(h);
   if (bytes.size() < expected)
     throw IoError(IoErrorCode::kTruncated,
                   "file has " + std::to_string(bytes.size()) + " bytes but the header" +

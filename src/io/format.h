@@ -34,18 +34,15 @@ namespace svelat::io {
 /// Corruption / failure classes of the I/O layer.  Every class produces a
 /// distinct, greppable error message (tested by tests/io/test_format.cpp).
 enum class IoErrorCode {
-  kOpenFailed,       ///< file could not be opened / read / written
-  kShortRead,        ///< file ends inside the fixed header
-  kBadMagic,         ///< first four bytes are not "SVGF" (or "SVGM")
-  kBadVersion,       ///< version field is not a version this reader knows
-  kCorruptHeader,    ///< header CRC-32 mismatch (bit-flip in the header)
-  kTruncated,        ///< file ends inside meta / CRC table / payload
-  kCorruptPayload,   ///< plane or meta or table CRC-32 mismatch
-  kTrailingBytes,    ///< file is longer than the format describes
-  kMismatch,         ///< file is valid but does not fit the destination
-  kBadManifest,      ///< distributed-run manifest invalid or inconsistent
-  kRankFileMismatch, ///< rank file does not match the manifest's CRC
-  kBarrierTimeout,   ///< manifest barrier: rank 0 never published the manifest
+  kOpenFailed,      ///< file could not be opened / read / written
+  kShortRead,       ///< file ends inside the fixed header
+  kBadMagic,        ///< first four bytes are not "SVGF"
+  kBadVersion,      ///< version field is not a version this reader knows
+  kCorruptHeader,   ///< header CRC-32 mismatch, or sizes out of range
+  kTruncated,       ///< file ends inside meta / CRC table / payload
+  kCorruptPayload,  ///< plane or meta or table CRC-32 mismatch
+  kTrailingBytes,   ///< file is longer than the format describes
+  kMismatch,        ///< file is valid but does not fit the destination
 };
 
 const char* io_error_name(IoErrorCode code);
@@ -95,8 +92,7 @@ void set_write_fault_hook(void (*hook)());
 
 // --- the SVGF field file ----------------------------------------------------
 
-inline constexpr std::uint32_t kFieldMagic = 0x46475653u;     // "SVGF" on disk
-inline constexpr std::uint32_t kManifestMagic = 0x4D475653u;  // "SVGM" on disk
+inline constexpr std::uint32_t kFieldMagic = 0x46475653u;  // "SVGF" on disk
 inline constexpr std::uint32_t kFormatVersion = 1;
 
 /// field_kind values (what one "field" of the payload is).
@@ -124,6 +120,8 @@ struct FieldFileHeader {
   std::uint32_t site_doubles = 0;  ///< doubles per site per field
   std::uint32_t meta_bytes = 0;    ///< length of the metadata blob
 
+  // Exact only for a header that encode_field_file or decode_field_file
+  // accepted: both reject one whose derived sizes overflow.
   std::uint32_t nplanes() const {
     return nfields * static_cast<std::uint32_t>(dims[0]);
   }

@@ -1,6 +1,7 @@
 // Umbrella header of the I/O subsystem: versioned, CRC-checked gauge
-// configuration files (single and per-rank distributed) and Markov-chain
-// checkpoint / restart.  Normative on-disk spec: docs/FORMAT.md.
+// configuration files (saved from one rank, or gathered to rank 0 from a
+// decomposition) and Markov-chain checkpoint / restart.  Normative
+// on-disk spec: docs/FORMAT.md.
 #pragma once
 
 #include "io/checkpoint.h"  // IWYU pragma: export

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -31,6 +32,25 @@ void patch_u32(std::vector<std::uint8_t>& bytes, std::size_t off, std::uint32_t 
 /// reached by validation instead of tripping the header CRC first.
 void reseal_header(std::vector<std::uint8_t>& bytes) {
   patch_u32(bytes, kHeaderCrcOffset, crc32(bytes.data(), kHeaderCrcOffset));
+}
+
+/// A 52-byte file: a header describing `dims` of 4 link fields of 18
+/// doubles per site under a valid CRC, then the CRC of an empty plane
+/// table.
+std::vector<std::uint8_t> forged_header_file(const lattice::Coordinate& dims) {
+  std::vector<std::uint8_t> bytes(kHeaderBytes);
+  patch_u32(bytes, kMagicOffset, kFieldMagic);
+  patch_u32(bytes, kVersionOffset, kFormatVersion);
+  patch_u32(bytes, kPrecisionOffset, 64);
+  patch_u32(bytes, kFieldKindOffset, kFieldKindGauge);
+  for (int mu = 0; mu < lattice::Nd; ++mu)
+    patch_u32(bytes, kDimsOffset + 4 * static_cast<std::size_t>(mu),
+              static_cast<std::uint32_t>(dims[mu]));
+  patch_u32(bytes, kNfieldsOffset, 4);
+  patch_u32(bytes, kSiteDoublesOffset, 18);
+  reseal_header(bytes);
+  put_u32(bytes, crc32("", 0));
+  return bytes;
 }
 
 /// Run `f`, expect an IoError of class `code`, return its message.
@@ -189,12 +209,33 @@ TEST_F(FormatTest, TruncationIsDetectedBeforeAnyDataIsUsed) {
   expect_io_error(IoErrorCode::kTruncated, [&] { decode_field_file(bytes); });
   bytes.resize(kHeaderBytes + 2);  // lost nearly everything after the header
   expect_io_error(IoErrorCode::kTruncated, [&] { decode_field_file(bytes); });
+  // A metadata length of 2^32 - 4: with its 4-byte CRC it must not wrap
+  // to 0 and let decoding copy 4 GiB from past the end of the bytes.
+  bytes = encode_gauge(*gauge_);
+  patch_u32(bytes, kMetaBytesOffset, 0xFFFFFFFCu);
+  reseal_header(bytes);
+  expect_io_error(IoErrorCode::kTruncated, [&] { decode_field_file(bytes); });
 }
 
 TEST_F(FormatTest, TrailingBytesAreRejected) {
   auto bytes = encode_gauge(*gauge_);
   bytes.push_back(0);
   expect_io_error(IoErrorCode::kTrailingBytes, [&] { decode_field_file(bytes); });
+}
+
+TEST_F(FormatTest, HeaderSizesThatOverflowAreCorrupt) {
+  // Both headers carry a valid CRC.  4 fields x dims[0] = 2^30 is 2^32
+  // planes: wrapped to 32 bits that count is 0, and the 52-byte file
+  // would decode as a configuration of no planes.  (2^31 - 1)^4 sites
+  // overflow lattice::volume's int64, undefined behaviour that the
+  // sanitizer build reports.
+  constexpr int kMax = std::numeric_limits<int>::max();
+  const lattice::Coordinate forged[] = {{1 << 30, 1, 1, 1}, {kMax, kMax, kMax, kMax}};
+  for (const lattice::Coordinate& dims : forged) {
+    const auto bytes = forged_header_file(dims);
+    ASSERT_EQ(bytes.size(), 52u);
+    expect_io_error(IoErrorCode::kCorruptHeader, [&] { decode_field_file(bytes); });
+  }
 }
 
 TEST_F(FormatTest, GridMismatchIsRejectedAfterValidation) {

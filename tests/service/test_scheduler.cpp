@@ -21,6 +21,7 @@
 #include "qcd/metropolis.h"
 #include "service/scheduler.h"
 #include "support/metrics.h"
+#include "support/parallel.h"
 #include "sve/sve.h"
 
 namespace svelat::service {
@@ -229,6 +230,8 @@ TEST(MeasureJob, EveryJobKindReportsItsHopRate) {
   // The service runs four job kinds.  The Schur jobs hop in the Schur
   // engine's regions (dhop_eo_block / dhop_oe_block), CG x none in
   // WilsonDirac's (dhop); the job's hop rate must cover each.
+  // Single-threaded, as in ServiceFixture.
+  const ThreadCountGuard threads(1);
   sve::VLGuard vl(256);
   lattice::GridCartesian grid({4, 4, 4, 8},
                               lattice::GridCartesian::default_simd_layout(S::Nsimd()));
@@ -291,6 +294,10 @@ struct ServiceFixture {
     for (const MeasurementJob& job : jobs) queue.enqueue(job);
     // The uninterrupted in-process truth the service must reproduce
     // bitwise (children run force-serial; reductions are deterministic).
+    // Single-threaded too: results are thread-count invariant, and the
+    // tiny site loops of 4^3x8 solves spend their time in OpenMP team
+    // start-up when ctest runs suites side by side.
+    const ThreadCountGuard threads(1);
     qcd::GaugeField<S> reloaded(&grid);
     io::load_gauge(cfg.gauge_path, reloaded);
     for (const MeasurementJob& job : jobs)
